@@ -12,12 +12,10 @@ from .branch import (
     BranchConfig,
     BranchWeights,
     ConvSpec,
-    FeatureMap,
     branch_forward,
     branch_parameters,
     branch_state,
     default_branch_config,
-    extract_features,
     init_branch,
     rebuild_branch,
 )
@@ -33,12 +31,10 @@ __all__ = [
     "BranchConfig",
     "BranchWeights",
     "ConvSpec",
-    "FeatureMap",
     "branch_forward",
     "branch_parameters",
     "branch_state",
     "default_branch_config",
-    "extract_features",
     "init_branch",
     "rebuild_branch",
     "BaselineModel",

@@ -84,10 +84,9 @@ def baseline_logits(x, model, mode):
 
 
 def baseline_forward(signal, model):
-    """Single sample (H, W) -> (C,) real logits, eval-mode normalization."""
-    if signal.ndim != 2 or signal.shape != tuple(model.config.input_hw):
-        raise ShapeError(
-            f"input: expected {tuple(model.config.input_hw)}, got {getattr(signal, 'shape', None)}"
-        )
-    batched = ops.reshape(signal, (1, 1) + tuple(model.config.input_hw))
+    """Single sample (H, W) -> (C,) real logits.
+
+    This is the batched forward at B = 1 with eval-mode normalization.
+    """
+    batched = ops.reshape(signal, (1, 1) + signal.shape)
     return ops.index0(baseline_logits(batched, model, "eval"), 0)

@@ -9,20 +9,16 @@ feature map whose L positions become attention tokens downstream.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..ctensor import ComplexTensor, ShapeError, ops
+from ..ctensor import ShapeError, ops
 from .layers import ComplexBatchNormLayer, ComplexConvLayer, init_batchnorm, init_conv
 
 __all__ = [
     "ConvSpec",
     "BranchConfig",
     "BranchWeights",
-    "FeatureMap",
     "default_branch_config",
     "init_branch",
     "branch_forward",
-    "extract_features",
     "branch_parameters",
     "rebuild_branch",
 ]
@@ -96,21 +92,6 @@ class BranchWeights:
     bns: tuple  # ComplexBatchNormLayer x3
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Complex features (C_f channels, L positions) from one branch."""
-
-    data: ComplexTensor
-
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ShapeError(f"feature map must be rank 2, got {self.data.shape}")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
 def init_branch(config, rng):
     convs = []
     bns = []
@@ -141,16 +122,6 @@ def branch_forward(x, config, weights, mode):
         h = ops.crelu(h)
     h = ops.mean_axis(h, 2)  # collapse the spatial H axis
     return ops.cavgpool_last(h, config.pool_window)
-
-
-def extract_features(signal, config, weights, mode="eval"):
-    """Single sample (H, W) -> FeatureMap (C_f, L)."""
-    if signal.ndim != 2 or signal.shape != tuple(config.input_hw):
-        raise ShapeError(
-            f"input: expected {tuple(config.input_hw)}, got {getattr(signal, 'shape', None)}"
-        )
-    batched = ops.reshape(signal, (1, 1) + tuple(config.input_hw))
-    return FeatureMap(ops.index0(branch_forward(batched, config, weights, mode), 0))
 
 
 def branch_parameters(prefix, weights):

@@ -16,7 +16,7 @@ from .tensor import ComplexTensor, ShapeError
 from .tape import active_tape
 
 __all__ = [
-    "add", "sub", "mul", "complex_elementwise", "scale", "conj", "real",
+    "add", "sub", "mul", "scale", "conj", "real",
     "reshape", "permute", "concat", "index0", "matmul", "bmm", "add_row",
     "sum_all", "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
@@ -114,14 +114,6 @@ def mul(a, b):
         return ((da_re, da_im), (db_re, db_im))
 
     return _record("mul", out, (a, b), bwd)
-
-
-def complex_elementwise(a, b, op):
-    """Dispatch one of the elementwise primitives by name: add, sub, mul."""
-    table = {"add": add, "sub": sub, "mul": mul}
-    if op not in table:
-        raise ValueError(f"unknown elementwise op {op!r}; expected one of {sorted(table)}")
-    return table[op](a, b)
 
 
 def scale(a, s):
@@ -255,17 +247,29 @@ def flatten_parts(a):
 
 
 def tokens_from_complex(f):
-    """Feature map (C, L) -> real token matrix (L, 2C), re block then im block."""
-    if f.ndim != 2:
-        raise ShapeError(f"tokens_from_complex: need rank 2, got shape {f.shape}")
-    c = f.shape[0]
-    out_re = np.concatenate([f.re.T, f.im.T], axis=1)
+    """Feature maps (B, C, L) -> real token rows (B*L, 2C), re block then im block.
+
+    Row b*L + l holds position l of map b. A rank-2 (C, L) map is the B = 1 case.
+    """
+    if f.ndim not in (2, 3):
+        raise ShapeError(f"tokens_from_complex: need rank 2 or 3, got shape {f.shape}")
+    c, length = f.shape[-2:]
+    lead = f.shape[:-2]
+
+    def rows(plane):
+        return np.swapaxes(plane, -1, -2).reshape(-1, c)
+
+    out_re = np.concatenate([rows(f.re), rows(f.im)], axis=1)
     out = _wrap(out_re, np.zeros_like(out_re))
 
     def bwd(gre, gim):
         if gre is None:
             return ((None, None),)
-        return ((np.ascontiguousarray(gre[:, :c].T), np.ascontiguousarray(gre[:, c:].T)),)
+
+        def maps(g):
+            return np.ascontiguousarray(np.swapaxes(g.reshape(lead + (length, c)), -1, -2))
+
+        return ((maps(gre[:, :c]), maps(gre[:, c:])),)
 
     return _record("tokens_from_complex", out, (f,), bwd)
 
@@ -294,18 +298,20 @@ def matmul(a, b):
 
 
 def bmm(a, b):
-    """Batched complex matmul: (g, n, k) @ (g, k, m) -> (g, n, m)."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError(f"bmm: need rank-3 operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+    """Batched complex matmul: (..., n, k) @ (..., k, m) -> (..., n, m).
+
+    The leading batch extents must be equal; rank 2 is the unbatched case.
+    """
+    if a.ndim < 2 or a.ndim != b.ndim:
+        raise ShapeError(f"bmm: need operands of equal rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
     ar, ai, br, bi = a.re, a.im, b.re, b.im
     out = _wrap(ar @ br - ai @ bi, ar @ bi + ai @ br)
-    bT = (0, 2, 1)
 
     def bwd(gre, gim):
-        brt, bit = br.transpose(bT), bi.transpose(bT)
-        art, ait = ar.transpose(bT), ai.transpose(bT)
+        brt, bit = np.swapaxes(br, -1, -2), np.swapaxes(bi, -1, -2)
+        art, ait = np.swapaxes(ar, -1, -2), np.swapaxes(ai, -1, -2)
         da_re = _addn(_mm(gre, brt), _mm(gim, bit))
         da_im = _addn(_neg(_mm(gre, bit)), _mm(gim, brt))
         db_re = _addn(None if gre is None else art @ gre, None if gim is None else ait @ gim)
@@ -658,33 +664,33 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
 # ---------------------------------------------------------------------------
 
 def cross_entropy_logits(logits, target):
-    """Cross-entropy of softmax(logits) against a fixed target distribution.
+    """Mean cross-entropy of softmax(logits) against fixed target distributions.
 
-    logits: rank-1 ComplexTensor (C,), real plane used; target: plain
-    length-C array summing to 1. Computed through a max-shifted
-    log-softmax, which equals -sum(target * log(softmax)) exactly but
-    never overflows. Output is a real scalar.
+    logits: (B, C) ComplexTensor, real plane used; target: plain (B, C)
+    array whose rows sum to 1. A rank-1 (C,) pair is the B = 1 case. Each
+    row is computed through a max-shifted log-softmax, which equals
+    -sum(target * log(softmax)) exactly but never overflows. Output is the
+    real scalar mean over the B rows.
     """
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy_logits: logits must be rank 1, got {logits.shape}")
+    if logits.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy_logits: logits must be rank 1 or 2, got {logits.shape}")
     target = np.asarray(target, dtype=logits.dtype)
     if target.shape != logits.shape:
         raise ShapeError(f"cross_entropy_logits: target shape {target.shape} != {logits.shape}")
     x = logits.re
     if not np.all(np.isfinite(x)):
         raise ValueError("cross_entropy_logits: non-finite logits")
-    m = x.max()
-    z = x - m
-    logsumexp = np.log(np.exp(z).sum())
-    logp = z - logsumexp
-    value = -(target * logp).sum()
+    z = x - x.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    rows = -(target * logp).sum(axis=-1)
+    value = rows.mean()
     out = _wrap(np.asarray(value), np.zeros(()))
     p = np.exp(logp)
-    tsum = target.sum()
+    tsum = target.sum(axis=-1, keepdims=True)
 
     def bwd(gre, gim):
         if gre is None:
             return ((None, None),)
-        return ((float(gre) * (p * tsum - target), None),)
+        return ((float(gre) / rows.size * (p * tsum - target), None),)
 
     return _record("cross_entropy_logits", out, (logits,), bwd)

@@ -104,8 +104,5 @@ class ComplexTensor:
             and np.allclose(self.im, other.im, rtol=rtol, atol=atol)
         )
 
-    def equal_bits(self, other):
-        return bool(np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im))
-
     def __repr__(self):
         return f"ComplexTensor(shape={self.shape}, dtype={self.dtype})"

@@ -11,7 +11,6 @@ __all__ = [
     "RadarConfig",
     "RadarCube",
     "SpectrumCube",
-    "MATERIAL_CONFIG",
     "OCCLUDED_CONFIG",
     "flatten_channels",
     "unflatten_channels",
@@ -63,7 +62,6 @@ class RadarConfig:
         return RadarConfig(self.center_frequency, self.bandwidth, self.eirp, x, y, n)
 
 
-MATERIAL_CONFIG = RadarConfig(65.5e9, 5.0e9, -5.0, 20, 20, 100)
 OCCLUDED_CONFIG = RadarConfig(64.0e9, 4.0e9, -5.0, 20, 20, 100)
 
 

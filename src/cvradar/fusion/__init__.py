@@ -1,11 +1,9 @@
-"""Feature realification, cross-attention fusion, classification head, loss."""
+"""Cross-attention fusion, classification head, and loss."""
 
 from .attention import (
     AttentionBlock,
-    RealFeature,
     attention_weights,
     bidirectional_fuse,
-    complex_to_real,
     init_attention,
     scaled_dot_attention,
 )
@@ -20,10 +18,8 @@ from .model import (
 
 __all__ = [
     "AttentionBlock",
-    "RealFeature",
     "attention_weights",
     "bidirectional_fuse",
-    "complex_to_real",
     "init_attention",
     "scaled_dot_attention",
     "cross_entropy",

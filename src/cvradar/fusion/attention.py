@@ -13,9 +13,7 @@ from ..ctensor import ComplexTensor, ShapeError, ops
 from ..cnn.layers import real_uniform
 
 __all__ = [
-    "RealFeature",
     "AttentionBlock",
-    "complex_to_real",
     "attention_weights",
     "scaled_dot_attention",
     "bidirectional_fuse",
@@ -23,50 +21,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealFeature:
-    """L tokens of dimension 2*C_f: re block then im block of a FeatureMap."""
-
-    tokens: ComplexTensor
-
-    def __post_init__(self):
-        if self.tokens.ndim != 2:
-            raise ShapeError(f"tokens must be rank 2, got {self.tokens.shape}")
-
-    @property
-    def shape(self):
-        return self.tokens.shape
-
-
-def complex_to_real(feature_map):
-    """FeatureMap (C_f, L) -> RealFeature with tokens (L, 2*C_f)."""
-    data = getattr(feature_map, "data", feature_map)
-    if data.ndim != 2:
-        raise ShapeError(f"expected a (C_f, L) feature map, got {data.shape}")
-    return RealFeature(ops.tokens_from_complex(data))
-
-
-def _tokens(x):
-    return x.tokens if isinstance(x, RealFeature) else x
-
-
 def attention_weights(q, k):
-    """Row-stochastic attention weights softmax(QK^T/sqrt(d_k))."""
-    q, k = _tokens(q), _tokens(k)
-    if q.ndim != 2 or k.ndim != 2:
-        raise ShapeError(f"attention operands must be rank 2, got {q.shape} and {k.shape}")
-    if q.shape[1] != k.shape[1]:
+    """Row-stochastic attention weights softmax(QK^T/sqrt(d_k)) over (..., L, d_k)."""
+    if q.ndim < 2 or k.ndim != q.ndim:
+        raise ShapeError(f"attention operands must share a rank >= 2, got {q.shape} and {k.shape}")
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"d_k mismatch: queries {q.shape} vs keys {k.shape}")
-    scores = ops.scale(ops.matmul(q, ops.permute(k, (1, 0))), 1.0 / np.sqrt(q.shape[1]))
+    k_t = ops.permute(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = ops.scale(ops.bmm(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
     return ops.softmax_last(scores)
 
 
 def scaled_dot_attention(q, k, v):
-    """softmax(QK^T/sqrt(d_k)) V for 2-D token matrices."""
-    q, k, v = _tokens(q), _tokens(k), _tokens(v)
-    if v.ndim != 2 or k.shape[0] != v.shape[0]:
+    """softmax(QK^T/sqrt(d_k)) V for token matrices (..., L, d) with equal leading extents."""
+    if v.ndim != k.ndim or k.shape[:-1] != v.shape[:-1]:
         raise ShapeError(f"keys {k.shape} and values {v.shape} must share token count")
-    return ops.matmul(attention_weights(q, k), v)
+    return ops.bmm(attention_weights(q, k), v)
 
 
 @dataclass(frozen=True)
@@ -81,7 +51,6 @@ class AttentionBlock:
     wv2: ComplexTensor
     embed_dim: int
     heads: int
-    out_proj: ComplexTensor = None  # optional (2E, F); default: no projection
 
     def __post_init__(self):
         if self.embed_dim % self.heads != 0:
@@ -91,10 +60,6 @@ class AttentionBlock:
             w = getattr(self, name)
             if w.ndim != 2 or w.shape != (d_in, self.embed_dim):
                 raise ShapeError(f"{name} must be ({d_in}, {self.embed_dim}), got {w.shape}")
-        if self.out_proj is not None and self.out_proj.shape[0] != 2 * self.embed_dim:
-            raise ShapeError(
-                f"out_proj must accept {2 * self.embed_dim} dims, got {self.out_proj.shape}"
-            )
 
     @property
     def head_dim(self):
@@ -102,15 +67,10 @@ class AttentionBlock:
 
     @property
     def fused_dim(self):
-        if self.out_proj is not None:
-            return self.out_proj.shape[1]
         return 2 * self.embed_dim
 
     def parameters(self):
-        pairs = [(name, getattr(self, name)) for name in ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2")]
-        if self.out_proj is not None:
-            pairs.append(("out_proj", self.out_proj))
-        return pairs
+        return [(name, getattr(self, name)) for name in ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2")]
 
     def with_tensors(self, mapping, prefix=""):
         def pick(name, cur):
@@ -125,62 +85,45 @@ class AttentionBlock:
             wv2=pick("wv2", self.wv2),
             embed_dim=self.embed_dim,
             heads=self.heads,
-            out_proj=pick("out_proj", self.out_proj),
         )
 
 
-def init_attention(d_in, embed_dim, heads, rng, tied=False, out_dim=None):
-    """Random real-plane projections; tied=True shares both directions' weights."""
-    first = [real_uniform(rng, (d_in, embed_dim), d_in) for _ in range(3)]
-    second = first if tied else [real_uniform(rng, (d_in, embed_dim), d_in) for _ in range(3)]
-    out_proj = None
-    if out_dim is not None:
-        out_proj = real_uniform(rng, (2 * embed_dim, out_dim), 2 * embed_dim)
+def init_attention(d_in, embed_dim, heads, rng):
+    """Random real-plane projections, three per direction."""
+    w = [real_uniform(rng, (d_in, embed_dim), d_in) for _ in range(6)]
     return AttentionBlock(
-        wq1=first[0], wk1=first[1], wv1=first[2],
-        wq2=second[0], wk2=second[1], wv2=second[2],
-        embed_dim=embed_dim, heads=heads, out_proj=out_proj,
+        wq1=w[0], wk1=w[1], wv1=w[2], wq2=w[3], wk2=w[4], wv2=w[5],
+        embed_dim=embed_dim, heads=heads,
     )
 
 
-def _heads_split(x, heads, head_dim):
-    # (L, E) -> (H, L, d_k)
-    tokens = x.shape[0]
-    return ops.permute(ops.reshape(x, (tokens, heads, head_dim)), (1, 0, 2))
-
-
-def _heads_merge(x):
-    # (H, L, d_k) -> (L, E)
-    h, tokens, dk = x.shape
-    return ops.reshape(ops.permute(x, (1, 0, 2)), (tokens, h * dk))
-
-
-def _one_direction(q_src, kv_src, wq, wk, wv, heads, head_dim):
-    q = _heads_split(ops.matmul(q_src, wq), heads, head_dim)
-    k = _heads_split(ops.matmul(kv_src, wk), heads, head_dim)
-    v = _heads_split(ops.matmul(kv_src, wv), heads, head_dim)
-    scores = ops.scale(ops.bmm(q, ops.permute(k, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
-    return _heads_merge(ops.bmm(ops.softmax_last(scores), v))
-
-
 def bidirectional_fuse(f_iq, f_fft, block):
-    """Both cross-attention directions, heads and directions concatenated.
+    """Both cross-attention directions over (B, heads), concatenated per token.
 
-    f_iq, f_fft: (L, D_in) realified token matrices. Output (L, 2E), or
-    (L, F) when the block carries an output projection.
+    f_iq, f_fft: (B, L, D_in) realified token batches. Output (B, L, 2E):
+    direction 1 (IQ queries, FFT keys and values) fills the first E
+    columns, direction 2 the last E; within each, head h owns columns
+    h*d_k to (h+1)*d_k.
     """
-    a = _tokens(f_iq)
-    b = _tokens(f_fft)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"token counts differ: {a.shape} vs {b.shape}")
-    if a.shape[1] != block.wq1.shape[0] or b.shape[1] != block.wq1.shape[0]:
-        raise ShapeError(
-            f"token dim {a.shape[1]}/{b.shape[1]} does not match projections {block.wq1.shape}"
-        )
+    if f_iq.ndim != 3 or f_iq.shape != f_fft.shape:
+        raise ShapeError(f"token batches must match as (B, L, D), got {f_iq.shape} vs {f_fft.shape}")
+    b, length, d_in = f_iq.shape
+    if d_in != block.wq1.shape[0]:
+        raise ShapeError(f"token dim {d_in} does not match projections {block.wq1.shape}")
     h, dk = block.heads, block.head_dim
-    a1 = _one_direction(a, b, block.wq1, block.wk1, block.wv1, h, dk)
-    a2 = _one_direction(b, a, block.wq2, block.wk2, block.wv2, h, dk)
-    fused = ops.concat([a1, a2], 1)
-    if block.out_proj is not None:
-        fused = ops.matmul(fused, block.out_proj)
-    return fused
+    rows_iq = ops.reshape(f_iq, (b * length, d_in))
+    rows_fft = ops.reshape(f_fft, (b * length, d_in))
+
+    def heads_of(rows, w):
+        # (B*L, D_in) @ (D_in, E) -> (B, H, L, d_k)
+        return ops.permute(ops.reshape(ops.matmul(rows, w), (b, length, h, dk)), (0, 2, 1, 3))
+
+    a1 = scaled_dot_attention(
+        heads_of(rows_iq, block.wq1), heads_of(rows_fft, block.wk1), heads_of(rows_fft, block.wv1)
+    )
+    a2 = scaled_dot_attention(
+        heads_of(rows_fft, block.wq2), heads_of(rows_iq, block.wk2), heads_of(rows_iq, block.wv2)
+    )
+    # (B, 2H, L, d_k) -> (B, L, 2H*d_k): direction-major, then head-major columns
+    both = ops.permute(ops.concat([a1, a2], 1), (0, 2, 1, 3))
+    return ops.reshape(both, (b, length, 2 * h * dk))

@@ -42,5 +42,8 @@ def cross_entropy(predicted, target):
 
 
 def cross_entropy_from_logits(logits, target):
-    """Differentiable loss from a (C,) logits tensor via stable log-softmax."""
+    """Differentiable batch-mean loss from (B, C) logits and (B, C) targets.
+
+    A (C,) logits tensor with a (C,) target is the B = 1 case.
+    """
     return ops.cross_entropy_logits(logits, target)

@@ -10,7 +10,6 @@ from ..cnn.branch import (
     branch_forward,
     branch_parameters,
     branch_state,
-    extract_features,
     init_branch,
     rebuild_branch,
 )
@@ -63,9 +62,9 @@ class FuseNetModel:
         )
 
 
-def init_fusenet(config, n_classes, rng, embed_dim=256, heads=16, out_dim=None):
+def init_fusenet(config, n_classes, rng, embed_dim=256, heads=16):
     c_f, _ = config.feature_shape()
-    attn = init_attention(2 * c_f, embed_dim, heads, rng, out_dim=out_dim)
+    attn = init_attention(2 * c_f, embed_dim, heads, rng)
     return FuseNetModel(
         config=config,
         branch_iq=init_branch(config, rng),
@@ -77,34 +76,30 @@ def init_fusenet(config, n_classes, rng, embed_dim=256, heads=16, out_dim=None):
 
 
 def classify(fused, head_w, head_b):
-    """Mean-pool fused tokens (L, F), then one affine map to (C,) logits."""
-    if fused.ndim != 2 or fused.shape[1] != head_w.shape[0]:
+    """Mean-pool fused tokens (B, L, F) over L, then one affine map to (B, C) logits."""
+    if fused.ndim != 3 or fused.shape[2] != head_w.shape[0]:
         raise ShapeError(f"fused tokens {fused.shape} do not match head {head_w.shape}")
-    pooled = ops.reshape(ops.mean_axis(fused, 0), (1, head_w.shape[0]))
-    return ops.index0(ops.add_row(ops.matmul(pooled, head_w), head_b), 0)
+    return ops.add_row(ops.matmul(ops.mean_axis(fused, 1), head_w), head_b)
 
 
-def _sample_logits(feat_iq, feat_fft, model):
-    tokens_iq = ops.tokens_from_complex(feat_iq)
-    tokens_fft = ops.tokens_from_complex(feat_fft)
+def fusenet_logits_batch(x_iq, x_fft, model, mode):
+    """Batched forward: (B, 1, H, W) representation pairs -> (B, C) real logits."""
+    if x_iq.shape != x_fft.shape:
+        raise ShapeError(f"representation batches differ: {x_iq.shape} vs {x_fft.shape}")
+    feats_iq = branch_forward(x_iq, model.config, model.branch_iq, mode)
+    feats_fft = branch_forward(x_fft, model.config, model.branch_fft, mode)
+    b, c_f, length = feats_iq.shape
+    tokens_iq = ops.reshape(ops.tokens_from_complex(feats_iq), (b, length, 2 * c_f))
+    tokens_fft = ops.reshape(ops.tokens_from_complex(feats_fft), (b, length, 2 * c_f))
     fused = bidirectional_fuse(tokens_iq, tokens_fft, model.attn)
     return classify(fused, model.head_w, model.head_b)
 
 
 def fusenet_forward(signal_iq, signal_fft, model):
-    """Single sample: both (H, W) representations -> (C,) real logits."""
-    f_iq = extract_features(signal_iq, model.config, model.branch_iq, mode="eval")
-    f_fft = extract_features(signal_fft, model.config, model.branch_fft, mode="eval")
-    return _sample_logits(f_iq.data, f_fft.data, model)
+    """Single sample: both (H, W) representations -> (C,) real logits.
 
-
-def fusenet_logits_batch(x_iq, x_fft, model, mode):
-    """Batched branches, per-sample attention: returns a list of (C,) logits."""
-    if x_iq.shape != x_fft.shape:
-        raise ShapeError(f"representation batches differ: {x_iq.shape} vs {x_fft.shape}")
-    feats_iq = branch_forward(x_iq, model.config, model.branch_iq, mode)
-    feats_fft = branch_forward(x_fft, model.config, model.branch_fft, mode)
-    out = []
-    for b in range(x_iq.shape[0]):
-        out.append(_sample_logits(ops.index0(feats_iq, b), ops.index0(feats_fft, b), model))
-    return out
+    This is the batched forward at B = 1 with eval-mode normalization.
+    """
+    x_iq = ops.reshape(signal_iq, (1, 1) + signal_iq.shape)
+    x_fft = ops.reshape(signal_fft, (1, 1) + signal_fft.shape)
+    return ops.index0(fusenet_logits_batch(x_iq, x_fft, model, "eval"), 0)

@@ -31,10 +31,6 @@ __all__ = [
     "render_trend",
 ]
 
-# accuracy on n samples moves in steps of 1/n; half a step separates "equal"
-# from "different" when comparing two runs on the same split
-
-
 def bench_radar_config():
     return RadarConfig(
         center_frequency=64e9,
@@ -185,6 +181,8 @@ def benchmark_trend(
         kinds=tuple(kinds),
         accuracies=tuple(accuracies),
         medians=tuple(statistics.median(a) for a in accuracies),
+        # accuracy on n samples moves in steps of 1/n; half a step separates
+        # "equal" from "different" when comparing two runs on the same split
         noise_bound=1.0 / (2.0 * len(shifted)),
         n_eval=len(shifted),
     )

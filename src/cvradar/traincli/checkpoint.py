@@ -48,7 +48,6 @@ def save_checkpoint(path, model, kind, meta=None):
     if kind == "fusenet":
         header["embed_dim"] = model.attn.embed_dim
         header["heads"] = model.attn.heads
-        header["out_dim"] = None if model.attn.out_proj is None else model.attn.out_proj.shape[1]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -73,7 +72,6 @@ def _skeleton(header, path):
             rng,
             embed_dim=header["embed_dim"],
             heads=header["heads"],
-            out_dim=header.get("out_dim"),
         )
     raise CheckpointError(f"{path}: unknown model kind {header['kind']!r}")
 

@@ -186,8 +186,8 @@ def check_attention():
     """Finite-difference check of every fusion projection at toy size."""
     rng = np.random.default_rng(13)
     block = init_attention(4, 8, 2, rng)
-    f1 = ComplexTensor(rng.standard_normal((3, 4)), np.zeros((3, 4)))
-    f2 = ComplexTensor(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    f1 = ComplexTensor(rng.standard_normal((1, 3, 4)), np.zeros((1, 3, 4)))
+    f2 = ComplexTensor(rng.standard_normal((1, 3, 4)), np.zeros((1, 3, 4)))
     names = [n for n, _ in block.parameters()]
     tensors = [t for _, t in block.parameters()]
 

@@ -35,7 +35,6 @@ class TrainConfig:
     branch: BranchConfig = field(default_factory=default_branch_config)
     embed_dim: int = 256
     heads: int = 16
-    out_dim: int = None
 
     def __post_init__(self):
         if not self.manifest:
@@ -61,8 +60,6 @@ class TrainConfig:
             )
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.out_dim is not None and self.out_dim < 1:
-            raise ConfigError(f"out_dim must be positive when given, got {self.out_dim}")
 
     def with_manifest(self, path):
         return replace(self, manifest=path)
@@ -99,7 +96,7 @@ def branch_from_dict(doc):
 
 
 def config_to_dict(config):
-    doc = {
+    return {
         "manifest": config.manifest,
         "learning_rate": config.learning_rate,
         "batch_size": config.batch_size,
@@ -112,9 +109,6 @@ def config_to_dict(config):
         "embed_dim": config.embed_dim,
         "heads": config.heads,
     }
-    if config.out_dim is not None:
-        doc["out_dim"] = config.out_dim
-    return doc
 
 
 def config_from_dict(doc, base_dir=None):
@@ -128,7 +122,7 @@ def config_from_dict(doc, base_dir=None):
     branch = branch_from_dict(doc["branch"]) if "branch" in doc else default_branch_config()
     known = {
         "manifest", "learning_rate", "batch_size", "epochs", "seed",
-        "beta1", "beta2", "eps", "branch", "embed_dim", "heads", "out_dim",
+        "beta1", "beta2", "eps", "branch", "embed_dim", "heads",
     }
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -146,7 +140,6 @@ def config_from_dict(doc, base_dir=None):
             branch=branch,
             embed_dim=int(doc.get("embed_dim", 256)),
             heads=int(doc.get("heads", 16)),
-            out_dim=None if doc.get("out_dim") is None else int(doc["out_dim"]),
         )
     except (TypeError, ValueError) as e:
         if isinstance(e, ConfigError):

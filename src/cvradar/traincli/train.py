@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from ..ctensor import ComplexTensor, GradTape, ops
+from ..ctensor import ComplexTensor, GradTape
 from ..cnn import baseline_logits, init_baseline
 from ..fusion import cross_entropy_from_logits, fusenet_logits_batch, init_fusenet, one_hot
 from .adam import adam_step, init_adam_state
@@ -56,19 +56,14 @@ def _stack(pairs, idx, attr):
 
 
 def _batch_loss(model, kind, pairs, idx, n_classes):
-    """Mean cross-entropy over one batch, recorded on the active tape."""
+    """Mean cross-entropy over one batch: one loss op on the (B, C) logits."""
     x_fft = _stack(pairs, idx, "fft")
     if kind == "fusenet":
-        x_iq = _stack(pairs, idx, "iq")
-        logits = fusenet_logits_batch(x_iq, x_fft, model, "train")
+        logits = fusenet_logits_batch(_stack(pairs, idx, "iq"), x_fft, model, "train")
     else:
-        raw = baseline_logits(x_fft, model, "train")
-        logits = [ops.index0(raw, b) for b in range(len(idx))]
-    total = None
-    for b, lg in enumerate(logits):
-        ce = cross_entropy_from_logits(lg, one_hot(pairs[idx[b]].label, n_classes))
-        total = ce if total is None else ops.add(total, ce)
-    return ops.scale(total, 1.0 / len(logits))
+        logits = baseline_logits(x_fft, model, "train")
+    targets = np.stack([one_hot(pairs[i].label, n_classes) for i in idx])
+    return cross_entropy_from_logits(logits, targets)
 
 
 def init_model(config, n_classes, kind):
@@ -82,7 +77,6 @@ def init_model(config, n_classes, kind):
             rng,
             embed_dim=config.embed_dim,
             heads=config.heads,
-            out_dim=config.out_dim,
         )
     raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
 

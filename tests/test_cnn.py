@@ -11,7 +11,6 @@ from cvradar.cnn import (
     baseline_logits,
     branch_forward,
     default_branch_config,
-    extract_features,
     init_baseline,
     init_batchnorm,
     init_branch,
@@ -270,26 +269,26 @@ class TestBranch:
     def test_zero_input_zero_features(self):
         rng = np.random.default_rng(15)
         weights = init_branch(TOY, rng)
-        zero = ComplexTensor(np.zeros((4, 8)), np.zeros((4, 8)))
-        fm = extract_features(zero, TOY, weights, mode="eval")
+        zero = ComplexTensor(np.zeros((1, 1, 4, 8)), np.zeros((1, 1, 4, 8)))
+        fm = ops.index0(branch_forward(zero, TOY, weights, mode="eval"), 0)
         assert fm.shape == TOY.feature_shape()
-        assert np.array_equal(fm.data.re, np.zeros(fm.shape))
-        assert np.array_equal(fm.data.im, np.zeros(fm.shape))
+        assert np.array_equal(fm.re, np.zeros(fm.shape))
+        assert np.array_equal(fm.im, np.zeros(fm.shape))
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         weights = init_branch(TOY, rng)
-        x = rand_ct(rng, (4, 8))
-        a = extract_features(x, TOY, weights, mode="eval")
-        b = extract_features(x, TOY, weights, mode="eval")
-        assert np.array_equal(a.data.re, b.data.re)
-        assert np.array_equal(a.data.im, b.data.im)
+        x = rand_ct(rng, (1, 1, 4, 8))
+        a = branch_forward(x, TOY, weights, mode="eval")
+        b = branch_forward(x, TOY, weights, mode="eval")
+        assert np.array_equal(a.re, b.re)
+        assert np.array_equal(a.im, b.im)
 
     def test_wrong_input_shape_names_stage(self):
         rng = np.random.default_rng(17)
         weights = init_branch(TOY, rng)
         with pytest.raises(ShapeError, match="input"):
-            extract_features(ComplexTensor(np.zeros((5, 8))), TOY, weights)
+            branch_forward(ComplexTensor(np.zeros((1, 1, 5, 8))), TOY, weights, mode="eval")
 
     def test_batched_forward_shape(self):
         rng = np.random.default_rng(18)
@@ -317,6 +316,18 @@ class TestBaseline:
         logits = baseline_logits(x, model, mode="train")
         assert logits.shape == (2, 4)
         assert np.array_equal(logits.im, np.zeros((2, 4)))
+
+    def test_batched_matches_per_sample(self):
+        # bench geometry, eval mode: one batch of 5 against 5 single-sample calls
+        from cvradar.traincli import bench_branch_config
+
+        rng = np.random.default_rng(22)
+        model = init_baseline(bench_branch_config(), n_classes=3, rng=rng)
+        x = rand_ct(rng, (5, 1, 64, 32))
+        batched = baseline_logits(x, model, mode="eval")
+        for n in range(5):
+            single = baseline_forward(ComplexTensor(x.re[n, 0], x.im[n, 0]), model)
+            assert np.max(np.abs(batched.re[n] - single.re)) <= 1e-12
 
     def test_end_to_end_gradient(self):
         from cvradar.ctensor.gradcheck import grad_check_multi

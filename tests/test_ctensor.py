@@ -65,13 +65,6 @@ class TestElementwise:
         msg = str(ei.value)
         assert "(2, 3)" in msg and "(4,)" in msg
 
-    def test_dispatcher(self):
-        a = ComplexTensor.scalar(2 + 1j)
-        b = ComplexTensor.scalar(1 + 1j)
-        assert ops.complex_elementwise(a, b, "sub").item() == (1 + 0j)
-        with pytest.raises(ValueError):
-            ops.complex_elementwise(a, b, "div")
-
     def test_mul_distributes(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -6,21 +6,20 @@ import pytest
 from cvradar.ctensor import ComplexTensor, ShapeError, ops
 from cvradar.cnn import BranchConfig, ConvSpec
 from cvradar.fusion import (
-    FuseNetModel,
     attention_weights,
     bidirectional_fuse,
     classify,
-    complex_to_real,
     cross_entropy,
     cross_entropy_from_logits,
     fusenet_forward,
+    fusenet_logits_batch,
     init_attention,
     init_fusenet,
     one_hot,
     scaled_dot_attention,
     softmax_np,
 )
-from cvradar.fusion.attention import RealFeature
+from cvradar.traincli import bench_branch_config
 
 
 def rand_ct(rng, shape, scale=1.0):
@@ -42,9 +41,10 @@ def attention_oracle(q, k, v):
 
 
 class TestComplexToReal:
+    # realification is ops.tokens_from_complex; a (C, L) map is the B = 1 case
     def test_hand_layout(self):
         fm = ComplexTensor(np.array([[1.0], [3.0]]), np.array([[2.0], [4.0]]))
-        tokens = complex_to_real(fm).tokens
+        tokens = ops.tokens_from_complex(fm)
         assert tokens.shape == (1, 4)
         assert tokens.re[0].tolist() == [1.0, 3.0, 2.0, 4.0]
         assert np.array_equal(tokens.im, np.zeros((1, 4)))
@@ -52,13 +52,13 @@ class TestComplexToReal:
     def test_purely_real_second_half_zero(self):
         rng = np.random.default_rng(0)
         fm = ComplexTensor(rng.standard_normal((3, 5)), np.zeros((3, 5)))
-        tokens = complex_to_real(fm).tokens
+        tokens = ops.tokens_from_complex(fm)
         assert np.array_equal(tokens.re[:, 3:], np.zeros((5, 3)))
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         fm = rand_ct(rng, (4, 6))
-        tokens = complex_to_real(fm).tokens
+        tokens = ops.tokens_from_complex(fm)
         src = np.sqrt(np.sum(fm.re**2 + fm.im**2))
         assert abs(np.linalg.norm(tokens.re) - src) <= 1e-12
 
@@ -66,8 +66,8 @@ class TestComplexToReal:
         rng = np.random.default_rng(2)
         a = rand_ct(rng, (2, 3))
         b = ComplexTensor(a.re, a.im + 1e-9)
-        ta = complex_to_real(a).tokens
-        tb = complex_to_real(b).tokens
+        ta = ops.tokens_from_complex(a)
+        tb = ops.tokens_from_complex(b)
         assert not np.array_equal(ta.re, tb.re)
 
 
@@ -134,79 +134,64 @@ class TestBidirectionalFuse:
     def test_default_output_shape(self):
         rng = np.random.default_rng(7)
         block = init_attention(d_in=8, embed_dim=256, heads=16, rng=rng)
-        ft = real_ct(rng, (5, 8))
-        Ft = real_ct(rng, (5, 8))
+        ft = real_ct(rng, (2, 5, 8))
+        Ft = real_ct(rng, (2, 5, 8))
         fused = bidirectional_fuse(ft, Ft, block)
-        assert fused.shape == (5, 512)
-        assert np.array_equal(fused.im, np.zeros((5, 512)))
-
-    def test_tied_identical_inputs_halves_equal(self):
-        rng = np.random.default_rng(8)
-        block = init_attention(d_in=6, embed_dim=8, heads=2, rng=rng, tied=True)
-        ft = real_ct(rng, (4, 6))
-        fused = bidirectional_fuse(ft, ft, block)
-        assert np.array_equal(fused.re[:, :8], fused.re[:, 8:])
-
-    def test_tied_swap_swaps_halves(self):
-        rng = np.random.default_rng(9)
-        block = init_attention(d_in=6, embed_dim=8, heads=4, rng=rng, tied=True)
-        a = real_ct(rng, (4, 6))
-        b = real_ct(rng, (4, 6))
-        fused = bidirectional_fuse(a, b, block)
-        swapped = bidirectional_fuse(b, a, block)
-        assert np.array_equal(fused.re[:, :8], swapped.re[:, 8:])
-        assert np.array_equal(fused.re[:, 8:], swapped.re[:, :8])
+        assert fused.shape == (2, 5, 512)
+        assert np.array_equal(fused.im, np.zeros((2, 5, 512)))
 
     def test_token_count_mismatch(self):
         rng = np.random.default_rng(10)
         block = init_attention(d_in=6, embed_dim=8, heads=2, rng=rng)
         with pytest.raises(ShapeError):
-            bidirectional_fuse(real_ct(rng, (4, 6)), real_ct(rng, (5, 6)), block)
+            bidirectional_fuse(real_ct(rng, (2, 4, 6)), real_ct(rng, (2, 5, 6)), block)
 
     def test_single_head_matches_plain_attention(self):
         rng = np.random.default_rng(11)
         block = init_attention(d_in=6, embed_dim=8, heads=1, rng=rng)
-        a = real_ct(rng, (4, 6))
-        b = real_ct(rng, (4, 6))
+        a = real_ct(rng, (3, 4, 6))
+        b = real_ct(rng, (3, 4, 6))
         fused = bidirectional_fuse(a, b, block)
-        q1 = ops.matmul(a, block.wq1)
-        k1 = ops.matmul(b, block.wk1)
-        v1 = ops.matmul(b, block.wv1)
-        want = scaled_dot_attention(q1, k1, v1)
-        assert np.max(np.abs(fused.re[:, :8] - want.re)) <= 1e-12
+        for n in range(3):
+            an, bn = ops.index0(a, n), ops.index0(b, n)
+            q1 = ops.matmul(an, block.wq1)
+            k1 = ops.matmul(bn, block.wk1)
+            v1 = ops.matmul(bn, block.wv1)
+            want = scaled_dot_attention(q1, k1, v1)
+            assert np.max(np.abs(fused.re[n, :, :8] - want.re)) <= 1e-12
 
     def test_finite_for_large_inputs(self):
         rng = np.random.default_rng(12)
         block = init_attention(d_in=4, embed_dim=8, heads=2, rng=rng)
-        huge = ComplexTensor(rng.standard_normal((3, 4)) * 1e6, np.zeros((3, 4)))
+        huge = ComplexTensor(rng.standard_normal((2, 3, 4)) * 1e6, np.zeros((2, 3, 4)))
         fused = bidirectional_fuse(huge, huge, block)
         assert np.all(np.isfinite(fused.re))
 
 
 class TestClassify:
     def test_zero_tokens_zero_logits(self):
-        fused = ComplexTensor(np.zeros((3, 4)), np.zeros((3, 4)))
+        fused = ComplexTensor(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
         w = ComplexTensor(np.ones((4, 2)), np.zeros((4, 2)))
         b = ComplexTensor(np.zeros(2), np.zeros(2))
         logits = classify(fused, w, b)
-        assert np.array_equal(logits.re, np.zeros(2))
+        assert np.array_equal(logits.re, np.zeros((2, 2)))
 
     def test_single_token_identity_pooling(self):
         rng = np.random.default_rng(13)
-        fused = real_ct(rng, (1, 4))
+        fused = real_ct(rng, (2, 1, 4))
         w = real_ct(rng, (4, 3))
         b = real_ct(rng, (3,))
         logits = classify(fused, w, b)
-        want = fused.re[0] @ w.re + b.re
+        want = fused.re[:, 0] @ w.re + b.re
         assert np.max(np.abs(logits.re - want)) <= 1e-14
 
     def test_token_permutation_invariant(self):
         rng = np.random.default_rng(14)
-        fused = real_ct(rng, (6, 4))
+        fused = real_ct(rng, (2, 6, 4))
         w = real_ct(rng, (4, 3))
         b = real_ct(rng, (3,))
         perm = rng.permutation(6)
-        shuffled = ComplexTensor(fused.re[perm], fused.im[perm])
+        shuffled = ComplexTensor(fused.re[:, perm], fused.im[:, perm])
         a = classify(fused, w, b)
         c = classify(shuffled, w, b)
         assert np.max(np.abs(a.re - c.re)) <= 1e-12
@@ -257,6 +242,14 @@ class TestCrossEntropy:
         via_probs = cross_entropy(softmax_np(raw), t)
         assert via_logits == pytest.approx(via_probs, abs=1e-12)
 
+    def test_batch_is_mean_of_rows(self):
+        rng = np.random.default_rng(23)
+        raw = rng.standard_normal((6, 4))
+        targets = np.stack([one_hot(int(c), 4) for c in rng.integers(0, 4, 6)])
+        batch = float(cross_entropy_from_logits(ComplexTensor(raw), targets).re)
+        rows = [float(cross_entropy_from_logits(ComplexTensor(r), t).re) for r, t in zip(raw, targets)]
+        assert abs(batch - np.mean(rows)) <= 1e-12
+
 
 TOY = BranchConfig(
     input_hw=(4, 8),
@@ -301,6 +294,21 @@ class TestFuseNet:
 
         err = grad_check_multi(f, [initial[n] for n in names])
         assert err <= 1e-4
+
+    def test_batched_matches_per_sample(self):
+        # bench geometry, eval mode: one batch of 5 against 5 single-sample calls
+        rng = np.random.default_rng(24)
+        model = init_fusenet(bench_branch_config(), n_classes=3, rng=rng, embed_dim=16, heads=2)
+        x_iq, x_fft = rand_ct(rng, (5, 1, 64, 32)), rand_ct(rng, (5, 1, 64, 32))
+        batched = fusenet_logits_batch(x_iq, x_fft, model, "eval")
+        assert batched.shape == (5, 3)
+        for n in range(5):
+            single = fusenet_forward(
+                ComplexTensor(x_iq.re[n, 0], x_iq.im[n, 0]),
+                ComplexTensor(x_fft.re[n, 0], x_fft.im[n, 0]),
+                model,
+            )
+            assert np.max(np.abs(batched.re[n] - single.re)) <= 1e-12
 
     def test_parameter_roundtrip(self):
         model = self._model()

@@ -118,6 +118,13 @@ class TestPrimitiveGradients:
             [rand_ct(rng, (2, 3, 4)), rand_ct(rng, (2, 4, 5))],
         )
         assert err <= TOL
+        # rank 4: the (B, heads) batch of the attention kernel
+        c4 = rand_ct(rng, (2, 3, 4, 2))
+        err = grad_check_multi(
+            lambda a, b: probe(ops.bmm(a, b), c4),
+            [rand_ct(rng, (2, 3, 4, 5)), rand_ct(rng, (2, 3, 5, 2))],
+        )
+        assert err <= TOL
 
     def test_sum_all(self):
         rng = np.random.default_rng(10)
@@ -171,6 +178,10 @@ class TestPrimitiveGradients:
         c = rand_ct(rng, (5, 6))
         err = grad_check(lambda a: probe(ops.tokens_from_complex(a), c), rand_ct(rng, (3, 5)))
         assert err <= TOL
+        # rank 3: a batch of 2 maps (C=3, L=4) -> 8 token rows of width 6
+        c3 = rand_ct(rng, (8, 6))
+        err = grad_check(lambda a: probe(ops.tokens_from_complex(a), c3), rand_ct(rng, (2, 3, 4)))
+        assert err <= TOL
 
     def test_cconv2d(self):
         rng = np.random.default_rng(18)
@@ -214,6 +225,12 @@ class TestPrimitiveGradients:
         target[2] = 1.0
         err = grad_check(
             lambda z: ops.cross_entropy_logits(z, target), rand_ct(rng, (5,))
+        )
+        assert err <= TOL
+        # (B, C) logits: the batch-mean loss
+        targets = np.eye(5)[[2, 0, 4]]
+        err = grad_check(
+            lambda z: ops.cross_entropy_logits(z, targets), rand_ct(rng, (3, 5))
         )
         assert err <= TOL
 

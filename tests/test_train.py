@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,6 +126,14 @@ class TestTrainConfig:
         doc["momentum"] = 0.9
         with pytest.raises(ConfigError, match="momentum"):
             config_from_dict(doc)
+
+    def test_removed_out_dim_rejected_with_path(self, tmp_path):
+        doc = config_to_dict(small_config())
+        doc["out_dim"] = 32
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="config.json.*out_dim"):
+            load_train_config(path)
 
 
 class TestAdam:
@@ -338,6 +347,22 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(CheckpointError, match="truncated|trailing"):
             load_checkpoint(path)
+
+    def test_header_with_null_out_dim_loads(self, tmp_path):
+        # earlier releases wrote "out_dim": null into every fusenet header
+        model = self._model("fusenet")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, "fusenet", meta={"seed": 4})
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8 : 8 + n])
+        header["out_dim"] = None
+        old = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(old)) + old + blob[8 + n :])
+        loaded, kind, meta = load_checkpoint(path)
+        assert kind == "fusenet" and meta == {"seed": 4}
+        for (name, a), (_, b) in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(b.re, a.re.astype("<f4").astype(np.float64)), name
 
     def test_bad_kind_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
