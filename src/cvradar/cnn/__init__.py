@@ -3,7 +3,6 @@
 from .layers import (
     ComplexBatchNormLayer,
     ComplexConvLayer,
-    complex_uniform,
     init_batchnorm,
     init_conv,
     real_uniform,
@@ -24,7 +23,6 @@ from .baseline import BaselineModel, baseline_forward, baseline_logits, init_bas
 __all__ = [
     "ComplexBatchNormLayer",
     "ComplexConvLayer",
-    "complex_uniform",
     "init_batchnorm",
     "init_conv",
     "real_uniform",

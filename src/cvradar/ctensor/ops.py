@@ -5,8 +5,9 @@ active, records a closure implementing the exact adjoint of the split-real
 computation (re and im treated as independent real arguments).
 
 Shape discipline is strict: no broadcasting anywhere. Mismatches raise
-ShapeError naming both shapes. Backward closures may return None for a
-plane to signal an exact zero contribution.
+ShapeError naming both shapes. A backward closure takes the output's two
+gradient planes as arrays and returns, per input, a pair of arrays of that
+input's shape; a plane that gets no gradient is returned as zeros.
 """
 
 import numpy as np
@@ -59,23 +60,6 @@ def _same_shape(op, a, b):
         raise ShapeError(f"{op}: shape {a.shape} does not match shape {b.shape}")
 
 
-def _mm(g, m):
-    return None if g is None else g @ m
-
-
-def _addn(*terms):
-    acc = None
-    for t in terms:
-        if t is None:
-            continue
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def _neg(g):
-    return None if g is None else -g
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
@@ -95,7 +79,7 @@ def sub(a, b):
     out = _wrap(a.re - b.re, a.im - b.im)
 
     def bwd(gre, gim):
-        return ((gre, gim), (_neg(gre), _neg(gim)))
+        return ((gre, gim), (-gre, -gim))
 
     return _record("sub", out, (a, b), bwd)
 
@@ -107,11 +91,8 @@ def mul(a, b):
     out = _wrap(ar * br - ai * bi, ar * bi + ai * br)
 
     def bwd(gre, gim):
-        da_re = _addn(None if gre is None else gre * br, None if gim is None else gim * bi)
-        da_im = _addn(None if gre is None else -gre * bi, None if gim is None else gim * br)
-        db_re = _addn(None if gre is None else gre * ar, None if gim is None else gim * ai)
-        db_im = _addn(None if gre is None else -gre * ai, None if gim is None else gim * ar)
-        return ((da_re, da_im), (db_re, db_im))
+        return ((gre * br + gim * bi, -gre * bi + gim * br),
+                (gre * ar + gim * ai, -gre * ai + gim * ar))
 
     return _record("mul", out, (a, b), bwd)
 
@@ -123,9 +104,7 @@ def scale(a, s):
     out = _wrap(sr * a.re - si * a.im, sr * a.im + si * a.re)
 
     def bwd(gre, gim):
-        dre = _addn(None if gre is None else sr * gre, None if gim is None else si * gim)
-        dim = _addn(None if gre is None else -si * gre, None if gim is None else sr * gim)
-        return ((dre, dim),)
+        return ((sr * gre + si * gim, -si * gre + sr * gim),)
 
     return _record("scale", out, (a,), bwd)
 
@@ -134,7 +113,7 @@ def conj(a):
     out = _wrap(a.re, -a.im)
 
     def bwd(gre, gim):
-        return ((gre, _neg(gim)),)
+        return ((gre, -gim),)
 
     return _record("conj", out, (a,), bwd)
 
@@ -144,7 +123,7 @@ def real(a):
     out = _wrap(a.re, np.zeros_like(a.re))
 
     def bwd(gre, gim):
-        return ((gre, None),)
+        return ((gre, np.zeros_like(gim)),)
 
     return _record("real", out, (a,), bwd)
 
@@ -163,8 +142,7 @@ def reshape(a, shape):
     old = a.shape
 
     def bwd(gre, gim):
-        return ((None if gre is None else gre.reshape(old),
-                 None if gim is None else gim.reshape(old)),)
+        return ((gre.reshape(old), gim.reshape(old)),)
 
     return _record("reshape", out, (a,), bwd)
 
@@ -177,8 +155,7 @@ def permute(a, axes):
     out = _wrap(a.re.transpose(axes), a.im.transpose(axes))
 
     def bwd(gre, gim):
-        return ((None if gre is None else gre.transpose(inv),
-                 None if gim is None else gim.transpose(inv)),)
+        return ((gre.transpose(inv), gim.transpose(inv)),)
 
     return _record("permute", out, (a,), bwd)
 
@@ -198,9 +175,7 @@ def concat(tensors, axis):
     bounds = np.cumsum(sizes)[:-1]
 
     def bwd(gre, gim):
-        parts_re = [None] * len(sizes) if gre is None else np.split(gre, bounds, axis=axis)
-        parts_im = [None] * len(sizes) if gim is None else np.split(gim, bounds, axis=axis)
-        return tuple((r, i) for r, i in zip(parts_re, parts_im))
+        return tuple(zip(np.split(gre, bounds, axis=axis), np.split(gim, bounds, axis=axis)))
 
     return _record("concat", out, tuple(tensors), bwd)
 
@@ -217,8 +192,6 @@ def index0(a, i):
 
     def bwd(gre, gim):
         def scatter(g):
-            if g is None:
-                return None
             buf = np.zeros(full, dtype=dtype)
             buf[i] = g
             return buf
@@ -239,8 +212,6 @@ def flatten_parts(a):
 
     def bwd(gre, gim):
         # out.im is constant zero, so gim never reaches the input
-        if gre is None:
-            return ((None, None),)
         return ((gre[:, :k].reshape((b,) + inner), gre[:, k:].reshape((b,) + inner)),)
 
     return _record("flatten_parts", out, (a,), bwd)
@@ -263,9 +234,6 @@ def tokens_from_complex(f):
     out = _wrap(out_re, np.zeros_like(out_re))
 
     def bwd(gre, gim):
-        if gre is None:
-            return ((None, None),)
-
         def maps(g):
             return np.ascontiguousarray(np.swapaxes(g.reshape(lead + (length, c)), -1, -2))
 
@@ -278,23 +246,27 @@ def tokens_from_complex(f):
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _product(op, a, b):
+    # (..., n, k) @ (..., k, m); callers have checked the shapes.
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    out = _wrap(ar @ br - ai @ bi, ar @ bi + ai @ br)
+
+    def bwd(gre, gim):
+        art, ait = np.swapaxes(ar, -1, -2), np.swapaxes(ai, -1, -2)
+        brt, bit = np.swapaxes(br, -1, -2), np.swapaxes(bi, -1, -2)
+        return ((gre @ brt + gim @ bit, -(gre @ bit) + gim @ brt),
+                (art @ gre + ait @ gim, -(ait @ gre) + art @ gim))
+
+    return _record(op, out, (a, b), bwd)
+
+
 def matmul(a, b):
     """Complex matrix product of rank-2 tensors: (n,k) @ (k,m)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: need rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
-    out = _wrap(ar @ br - ai @ bi, ar @ bi + ai @ br)
-
-    def bwd(gre, gim):
-        da_re = _addn(_mm(gre, br.T), _mm(gim, bi.T))
-        da_im = _addn(_neg(_mm(gre, bi.T)), _mm(gim, br.T))
-        db_re = _addn(None if gre is None else ar.T @ gre, None if gim is None else ai.T @ gim)
-        db_im = _addn(None if gre is None else -(ai.T @ gre), None if gim is None else ar.T @ gim)
-        return ((da_re, da_im), (db_re, db_im))
-
-    return _record("matmul", out, (a, b), bwd)
+    return _product("matmul", a, b)
 
 
 def bmm(a, b):
@@ -306,19 +278,7 @@ def bmm(a, b):
         raise ShapeError(f"bmm: need operands of equal rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} @ {b.shape}")
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
-    out = _wrap(ar @ br - ai @ bi, ar @ bi + ai @ br)
-
-    def bwd(gre, gim):
-        brt, bit = np.swapaxes(br, -1, -2), np.swapaxes(bi, -1, -2)
-        art, ait = np.swapaxes(ar, -1, -2), np.swapaxes(ai, -1, -2)
-        da_re = _addn(_mm(gre, brt), _mm(gim, bit))
-        da_im = _addn(_neg(_mm(gre, bit)), _mm(gim, brt))
-        db_re = _addn(None if gre is None else art @ gre, None if gim is None else ait @ gim)
-        db_im = _addn(None if gre is None else -(ait @ gre), None if gim is None else art @ gim)
-        return ((da_re, da_im), (db_re, db_im))
-
-    return _record("bmm", out, (a, b), bwd)
+    return _product("bmm", a, b)
 
 
 def add_row(x, b):
@@ -328,9 +288,7 @@ def add_row(x, b):
     out = _wrap(x.re + b.re[None, :], x.im + b.im[None, :])
 
     def bwd(gre, gim):
-        db_re = None if gre is None else gre.sum(axis=0)
-        db_im = None if gim is None else gim.sum(axis=0)
-        return ((gre, gim), (db_re, db_im))
+        return ((gre, gim), (gre.sum(axis=0), gim.sum(axis=0)))
 
     return _record("add_row", out, (x, b), bwd)
 
@@ -347,7 +305,7 @@ def sum_all(a):
 
     def bwd(gre, gim):
         def spread(g):
-            return None if g is None else np.full(shp, g, dtype=dtype)
+            return np.full(shp, g, dtype=dtype)
         return ((spread(gre), spread(gim)),)
 
     return _record("sum_all", out, (a,), bwd)
@@ -362,8 +320,6 @@ def mean_axis(a, axis):
 
     def bwd(gre, gim):
         def spread(g):
-            if g is None:
-                return None
             return np.repeat(np.expand_dims(g / n, axis), n, axis=axis)
         return ((spread(gre), spread(gim)),)
 
@@ -384,8 +340,7 @@ def crelu(a):
     out = _wrap(np.where(mask, a.re, 0.0), np.where(mask, a.im, 0.0))
 
     def bwd(gre, gim):
-        return ((None if gre is None else gre * mask,
-                 None if gim is None else gim * mask),)
+        return ((gre * mask, gim * mask),)
 
     return _record("crelu", out, (a,), bwd)
 
@@ -403,10 +358,8 @@ def softmax_last(a):
 
     def bwd(gre, gim):
         # function of re only; im receives an exact zero gradient
-        if gre is None:
-            return ((None, None),)
         inner = (gre * p).sum(axis=-1, keepdims=True)
-        return ((p * (gre - inner), None),)
+        return ((p * (gre - inner), np.zeros_like(gim)),)
 
     return _record("softmax_last", out, (a,), bwd)
 
@@ -441,8 +394,6 @@ def cavgpool_last(a, window):
 
     def bwd(gre, gim):
         def spread(g):
-            if g is None:
-                return None
             buf = np.zeros(full, dtype=dtype)
             buf[..., : blocks * window] = np.repeat(
                 np.expand_dims(g / window, -1), window, axis=-1
@@ -512,35 +463,20 @@ def cconv2d(x, kernels, bias, stride=(1, 1)):
     kshape = kernels.shape
 
     def bwd(gre, gim):
-        gr = None if gre is None else gre.reshape(b, cout, ho * wo)
-        gi = None if gim is None else gim.reshape(b, cout, ho * wo)
+        gr = gre.reshape(b, cout, ho * wo)
+        gi = gim.reshape(b, cout, ho * wo)
 
-        def pair_sum(g1, m1, g2, m2):
-            # sum over batch of g @ m^T, contracted as ('bop,bkp->ok')
-            acc = None
-            if g1 is not None:
-                acc = np.einsum("bop,bkp->ok", g1, m1)
-            if g2 is not None:
-                term = np.einsum("bop,bkp->ok", g2, m2)
-                acc = term if acc is None else acc + term
-            return acc
+        def gram(g, m):
+            # sum over batch of g @ m^T
+            return np.einsum("bop,bkp->ok", g, m)
 
-        dk_re = pair_sum(gr, cols_r, gi, cols_i)
-        neg = pair_sum(gr, cols_i, None, None)
-        dk_im = _addn(None if neg is None else -neg, pair_sum(gi, cols_r, None, None))
-        dk_re = None if dk_re is None else dk_re.reshape(kshape)
-        dk_im = None if dk_im is None else dk_im.reshape(kshape)
-
-        dcols_r = _addn(None if gr is None else kr.T @ gr,
-                        None if gi is None else ki.T @ gi)
-        dcols_i = _addn(None if gr is None else -(ki.T @ gr),
-                        None if gi is None else kr.T @ gi)
-        dx_re = None if dcols_r is None else _col2im(dcols_r, xshape, kh, kw, sh, sw, ho, wo)
-        dx_im = None if dcols_i is None else _col2im(dcols_i, xshape, kh, kw, sh, sw, ho, wo)
-
-        db_re = None if gr is None else gr.sum(axis=(0, 2))
-        db_im = None if gi is None else gi.sum(axis=(0, 2))
-        return ((dx_re, dx_im), (dk_re, dk_im), (db_re, db_im))
+        dk_re = (gram(gr, cols_r) + gram(gi, cols_i)).reshape(kshape)
+        dk_im = (-gram(gr, cols_i) + gram(gi, cols_r)).reshape(kshape)
+        dcols_r = kr.T @ gr + ki.T @ gi
+        dcols_i = -(ki.T @ gr) + kr.T @ gi
+        dx_re = _col2im(dcols_r, xshape, kh, kw, sh, sw, ho, wo)
+        dx_im = _col2im(dcols_i, xshape, kh, kw, sh, sw, ho, wo)
+        return ((dx_re, dx_im), (dk_re, dk_im), (gr.sum(axis=(0, 2)), gi.sum(axis=(0, 2))))
 
     return _record("cconv2d", out, (x, kernels, bias), bwd)
 
@@ -605,21 +541,15 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
     )
 
     def bwd(gre, gim):
-        dx = [None, None]
-        dgamma = [None, None]
-        dbeta = [None, None]
-        for slot, (g, part, gam) in enumerate(
-            ((gre, "re", gamma.re), (gim, "im", gamma.im))
-        ):
-            if g is None:
-                continue
+        per_plane = []
+        for g, part, gam in ((gre, "re", gamma.re), (gim, "im", gamma.im)):
             _, xhat, inv, _, _ = planes[part]
-            dbeta[slot] = g.sum(axis=axes)
-            dgamma[slot] = (g * xhat).sum(axis=axes)
             gm = g.mean(axis=axes, keepdims=True)
             gxm = (g * xhat).mean(axis=axes, keepdims=True)
-            dx[slot] = gam.reshape(pshape) * inv * (g - gm - xhat * gxm)
-        return ((dx[0], dx[1]), (dgamma[0], dgamma[1]), (dbeta[0], dbeta[1]))
+            dx = gam.reshape(pshape) * inv * (g - gm - xhat * gxm)
+            per_plane.append((dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)))
+        # [(dx, dgamma, dbeta) per plane] -> ((dx_re, dx_im), (dgamma_re, ...), ...)
+        return tuple(zip(*per_plane))
 
     return _record("cbatchnorm_train", out, (x, gamma, beta), bwd), stats
 
@@ -648,13 +578,10 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
     red = (0,) + tuple(range(2, x.ndim))
 
     def bwd(gre, gim):
-        dx_re = None if gre is None else gre * gamma.re.reshape(pshape) * inv_re
-        dx_im = None if gim is None else gim * gamma.im.reshape(pshape) * inv_im
-        dg_re = None if gre is None else (gre * xhat_re).sum(axis=red)
-        dg_im = None if gim is None else (gim * xhat_im).sum(axis=red)
-        db_re = None if gre is None else gre.sum(axis=red)
-        db_im = None if gim is None else gim.sum(axis=red)
-        return ((dx_re, dx_im), (dg_re, dg_im), (db_re, db_im))
+        dx_re = gre * gamma.re.reshape(pshape) * inv_re
+        dx_im = gim * gamma.im.reshape(pshape) * inv_im
+        dg = ((gre * xhat_re).sum(axis=red), (gim * xhat_im).sum(axis=red))
+        return ((dx_re, dx_im), dg, (gre.sum(axis=red), gim.sum(axis=red)))
 
     return _record("cbatchnorm_eval", out, (x, gamma, beta), bwd)
 
@@ -689,8 +616,6 @@ def cross_entropy_logits(logits, target):
     tsum = target.sum(axis=-1, keepdims=True)
 
     def bwd(gre, gim):
-        if gre is None:
-            return ((None, None),)
-        return ((float(gre) / rows.size * (p * tsum - target), None),)
+        return ((float(gre) / rows.size * (p * tsum - target), np.zeros_like(p)),)
 
     return _record("cross_entropy_logits", out, (logits,), bwd)

@@ -105,8 +105,9 @@ class GradTape:
         """Gradients of a real scalar loss with respect to every watched leaf.
 
         Walks the node record in reverse insertion order, accumulating
-        adjoints per tensor identity. A backward_fn may return None for an
-        input plane to mean an exact zero contribution.
+        adjoints per tensor identity. Every gradient plane is a dense array:
+        the loss adjoint is seeded as (1, 0), each backward_fn returns an
+        array pair per input, and a leaf the loss never reaches gets zeros.
         """
         if not isinstance(loss, ComplexTensor):
             raise TapeError("loss must be a ComplexTensor scalar")
@@ -117,32 +118,27 @@ class GradTape:
         if float(loss.im) != 0.0:
             raise TapeError("loss must be real (im part exactly zero)")
 
-        # adjoints[id(tensor)] = [re_grad or None, im_grad or None]
-        adjoints = {id(loss): [np.ones((), dtype=loss.dtype), None]}
+        # adjoints[id(tensor)] = [re_grad, im_grad]
+        adjoints = {id(loss): [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]}
 
         for node in reversed(self._nodes):
             acc = adjoints.get(id(node.output))
             if acc is None:
                 continue
-            contribs = node.backward_fn(acc[0], acc[1])
-            for tensor, contrib in zip(node.inputs, contribs):
-                if contrib is None:
-                    continue
-                gre, gim = contrib
+            for tensor, (gre, gim) in zip(node.inputs, node.backward_fn(acc[0], acc[1])):
                 slot = adjoints.get(id(tensor))
                 if slot is None:
                     adjoints[id(tensor)] = [gre, gim]
                 else:
-                    if gre is not None:
-                        slot[0] = gre if slot[0] is None else slot[0] + gre
-                    if gim is not None:
-                        slot[1] = gim if slot[1] is None else slot[1] + gim
+                    slot[0] = slot[0] + gre
+                    slot[1] = slot[1] + gim
 
         result = {}
         for leaf in self._leaves:
-            slot = adjoints.get(id(leaf), [None, None])
-            gre = slot[0] if slot[0] is not None else np.zeros(leaf.shape, dtype=leaf.dtype)
-            gim = slot[1] if slot[1] is not None else np.zeros(leaf.shape, dtype=leaf.dtype)
+            slot = adjoints.get(id(leaf))
+            if slot is None:
+                slot = [np.zeros(leaf.shape, dtype=leaf.dtype) for _ in range(2)]
+            gre, gim = slot
             if gre.shape != leaf.shape or gim.shape != leaf.shape:
                 raise ShapeError(
                     f"gradient shape {gre.shape} does not match leaf shape {leaf.shape}"

@@ -52,15 +52,6 @@ class ComplexTensor:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zeros(shape, dtype=np.float64):
-        return ComplexTensor(np.zeros(shape, dtype=dtype))
-
-    @staticmethod
-    def from_complex(arr, dtype=np.float64):
-        arr = np.asarray(arr)
-        return ComplexTensor(arr.real, arr.imag, dtype=dtype)
-
-    @staticmethod
     def scalar(value, dtype=np.float64):
         value = complex(value)
         return ComplexTensor(np.array(value.real), np.array(value.imag), dtype=dtype)
@@ -82,13 +73,6 @@ class ComplexTensor:
     def to_complex(self):
         """Materialize as a native numpy complex array (copy)."""
         return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
-    def astype(self, dtype):
-        return ComplexTensor(self.re, self.im, dtype=dtype)
-
-    def abs(self):
-        """Elementwise complex magnitude as a plain real array."""
-        return np.hypot(self.re, self.im)
 
     def is_finite(self):
         return bool(np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im)))

@@ -1,6 +1,6 @@
 """Signal pre-processing, cube file I/O, dataset handling, and scene synthesis."""
 
-from .fft import dft3d_direct, fft3d, fft3d_array, fft_last_axis
+from .fft import dft3d_direct, fft3d, fft3d_array
 from .cube import (
     CubeFormatError,
     OCCLUDED_CONFIG,
@@ -15,8 +15,6 @@ from .cube import (
 from .dataset import (
     Dataset,
     DatasetError,
-    DatasetManifest,
-    LoadedSample,
     ManifestEntry,
     Split,
     load_dataset,
@@ -37,7 +35,6 @@ __all__ = [
     "dft3d_direct",
     "fft3d",
     "fft3d_array",
-    "fft_last_axis",
     "CubeFormatError",
     "OCCLUDED_CONFIG",
     "RadarConfig",
@@ -49,8 +46,6 @@ __all__ = [
     "write_rfc1",
     "Dataset",
     "DatasetError",
-    "DatasetManifest",
-    "LoadedSample",
     "ManifestEntry",
     "Split",
     "load_dataset",

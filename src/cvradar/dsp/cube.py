@@ -57,10 +57,6 @@ class RadarConfig:
         # beat-frequency bin k = 2*B*R/c must stay below fast_time_samples
         return self.fast_time_samples * _SPEED_OF_LIGHT / (2.0 * self.bandwidth)
 
-    def with_shape(self, shape):
-        x, y, n = shape
-        return RadarConfig(self.center_frequency, self.bandwidth, self.eirp, x, y, n)
-
 
 OCCLUDED_CONFIG = RadarConfig(64.0e9, 4.0e9, -5.0, 20, 20, 100)
 

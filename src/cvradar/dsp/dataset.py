@@ -78,7 +78,10 @@ class Split:
 
 def load_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise DatasetError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")
     version = doc.get("version")
@@ -104,7 +107,7 @@ def load_manifest(path):
         if not isinstance(sample_path, str) or not sample_path:
             raise DatasetError(f"{where}: missing 'path'")
         class_index = raw.get("class")
-        if not isinstance(class_index, int) or not 0 <= class_index < len(classes):
+        if type(class_index) is not int or not 0 <= class_index < len(classes):
             raise DatasetError(
                 f"{where} ({sample_path}): class index {class_index!r} outside [0, {len(classes)})"
             )

@@ -154,7 +154,7 @@ def parse_scene_file(path):
         if not isinstance(raw, dict):
             raise DatasetError(f"{where}: must be an object")
         class_index = raw.get("class")
-        if not isinstance(class_index, int) or not 0 <= class_index < len(classes):
+        if type(class_index) is not int or not 0 <= class_index < len(classes):
             raise DatasetError(f"{where}: bad class index {class_index!r}")
         reflectors = []
         for j, refl in enumerate(raw.get("reflectors", [])):

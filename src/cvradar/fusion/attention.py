@@ -53,7 +53,7 @@ class AttentionBlock:
     heads: int
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
+        if self.heads < 1 or self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         d_in = self.wq1.shape[0]
         for name in ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2"):

@@ -2,10 +2,10 @@
 
 Each parameter is two independent real planes, so the optimizer runs the
 standard real recurrence twice per parameter. A plane whose gradient is
-exactly zero (or absent, the tape's encoding of a structural zero) is
-skipped outright: its values and moments stay untouched. That keeps
-provably-real planes (attention weights, classifier heads) exactly real
-forever instead of letting stale momentum drift them.
+exactly zero (or absent) is skipped outright: its values and moments stay
+untouched. The tape returns dense planes, so a provably-real plane
+(attention weights, classifier heads) arrives as all zeros and stays
+exactly real forever instead of letting stale momentum drift it.
 """
 
 from dataclasses import dataclass

@@ -61,11 +61,14 @@ def save_checkpoint(path, model, kind, meta=None):
 
 
 def _skeleton(header, path):
-    branch = branch_from_dict(header["branch"])
+    kind = header.get("kind")
+    if kind not in ("baseline", "fusenet"):
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     rng = np.random.default_rng(0)  # placeholder values; every tensor is overwritten
-    if header["kind"] == "baseline":
-        return init_baseline(branch, header["n_classes"], rng)
-    if header["kind"] == "fusenet":
+    try:
+        branch = branch_from_dict(header["branch"])
+        if kind == "baseline":
+            return init_baseline(branch, header["n_classes"], rng)
         return init_fusenet(
             branch,
             header["n_classes"],
@@ -73,7 +76,10 @@ def _skeleton(header, path):
             embed_dim=header["embed_dim"],
             heads=header["heads"],
         )
-    raise CheckpointError(f"{path}: unknown model kind {header['kind']!r}")
+    except KeyError as e:
+        raise CheckpointError(f"{path}: header lacks key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad header: {e}") from e
 
 
 def load_checkpoint(path):
@@ -89,6 +95,8 @@ def load_checkpoint(path):
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise CheckpointError(f"{path}: header and its 'meta' must be JSON objects")
     if header.get("version") != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
     model = _skeleton(header, path)
@@ -106,6 +114,12 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated at tensor {name!r}")
         (rank,) = struct.unpack("<I", blob[offset : offset + 4])
         offset += 4
+        if rank != len(shapes[name]):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has rank {rank}, expected {len(shapes[name])}"
+            )
+        if offset + 4 * rank > len(blob):
+            raise CheckpointError(f"{path}: truncated at tensor {name!r}")
         extents = struct.unpack(f"<{rank}I", blob[offset : offset + 4 * rank]) if rank else ()
         offset += 4 * rank
         if extents != shapes[name]:

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..cnn import BranchConfig, ConvSpec, default_branch_config
 
@@ -60,9 +60,6 @@ class TrainConfig:
             )
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-
-    def with_manifest(self, path):
-        return replace(self, manifest=path)
 
 
 def branch_to_dict(branch):

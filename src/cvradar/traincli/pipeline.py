@@ -57,14 +57,19 @@ def _load_pairs_manifest(path, doc):
     if not isinstance(classes, list) or not all(isinstance(c, str) and c for c in classes):
         raise DatasetError(f"{path}: 'classes' must be a non-empty array of names")
     root = os.path.dirname(os.path.abspath(path))
+    samples = doc.get("samples", [])
+    if not isinstance(samples, list):
+        raise DatasetError(f"{path}: 'samples' must be an array")
     pairs = []
     shape = None
-    for i, raw in enumerate(doc.get("samples", [])):
+    for i, raw in enumerate(samples):
         where = f"{path}: samples[{i}]"
-        if not isinstance(raw, dict) or "iq" not in raw or "fft" not in raw:
-            raise DatasetError(f"{where}: needs 'iq' and 'fft' cube paths")
+        if not isinstance(raw, dict) or not all(
+            isinstance(raw.get(key), str) and raw[key] for key in ("iq", "fft")
+        ):
+            raise DatasetError(f"{where}: needs 'iq' and 'fft' cube path strings")
         label = raw.get("class")
-        if not isinstance(label, int) or not 0 <= label < len(classes):
+        if type(label) is not int or not 0 <= label < len(classes):
             raise DatasetError(f"{where}: bad class index {label!r}")
         cubes = {}
         for key in ("iq", "fft"):
@@ -95,7 +100,10 @@ def _load_pairs_manifest(path, doc):
 def load_pairs(manifest_path):
     """(classes, pairs, input_hw) from either manifest kind."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise DatasetError(f"{manifest_path}: not valid JSON: {e}") from e
     if isinstance(doc, dict) and doc.get("kind") == "pairs":
         if doc.get("version") != 1:
             raise DatasetError(f"{manifest_path}: unsupported pairs manifest version")

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from cvradar.cnn import baseline_logits, init_baseline
 from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops
+from cvradar.fusion import cross_entropy_from_logits, fusenet_logits_batch, init_fusenet
+from cvradar.traincli.checks import toy_branch_config
 
 
 def rand_ct(rng, shape, scale=1.0):
@@ -171,3 +174,46 @@ class TestBackward:
         before = len(tape)
         ops.add(ComplexTensor([1.0]), ComplexTensor([2.0]))
         assert len(tape) == before
+
+
+class TestBackwardContract:
+    """Every backward call gets two dense planes and returns a dense pair per input."""
+
+    def test_train_steps_pass_dense_plane_pairs(self, monkeypatch):
+        calls = []
+        record = GradTape.record
+
+        def checked_record(tape, op, output, inputs, backward_fn):
+            def checked(gre, gim):
+                contribs = backward_fn(gre, gim)
+                calls.append((op, output.shape, [t.shape for t in inputs], gre, gim, contribs))
+                return contribs
+            record(tape, op, output, inputs, checked)
+
+        monkeypatch.setattr(GradTape, "record", checked_record)
+        rng = np.random.default_rng(0)
+        config = toy_branch_config()
+        x_iq = rand_ct(rng, (2, 1) + config.input_hw)
+        x_fft = rand_ct(rng, (2, 1) + config.input_hw)
+        targets = np.eye(2)
+        fusenet = init_fusenet(config, 2, rng, embed_dim=8, heads=2)
+        baseline = init_baseline(config, 2, rng)
+        steps = (
+            (fusenet, lambda: fusenet_logits_batch(x_iq, x_fft, fusenet, "train")),
+            (baseline, lambda: baseline_logits(x_fft, baseline, "train")),
+        )
+        for model, logits in steps:
+            with GradTape() as tape:
+                for _, t in model.parameters():
+                    tape.watch(t)
+                tape.backward(cross_entropy_from_logits(logits(), targets))
+
+        assert {"cross_entropy_logits", "add_row", "matmul", "bmm", "softmax_last", "scale",
+                "cconv2d", "cbatchnorm_train"} <= {c[0] for c in calls}
+        for op, out_shape, in_shapes, gre, gim, contribs in calls:
+            assert type(gre) is np.ndarray and type(gim) is np.ndarray, op
+            assert gre.shape == gim.shape == out_shape, op
+            assert len(contribs) == len(in_shapes), op
+            for shape, (dre, dim) in zip(in_shapes, contribs):
+                assert type(dre) is np.ndarray and type(dim) is np.ndarray, op
+                assert dre.shape == dim.shape == shape, op

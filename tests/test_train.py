@@ -11,6 +11,7 @@ import pytest
 
 from cvradar.ctensor import ComplexTensor
 from cvradar.cnn import BranchConfig, ConvSpec
+from cvradar.dsp import DatasetError, load_manifest, parse_scene_file
 from cvradar.traincli import (
     AdamState,
     CheckpointError,
@@ -296,6 +297,33 @@ class TestPipeline:
         with pytest.raises(Exception, match=r"samples\[0\]"):
             load_pairs(str(path))
 
+    _PAIRS = {"version": 1, "kind": "pairs", "classes": ["a", "b"]}
+    _SCENE_CONFIG = {"center_frequency": 64e9, "bandwidth": 4e9,
+                     "n_tx": 2, "n_rx": 2, "fast_time_samples": 16}
+
+    @pytest.mark.parametrize("loader, doc, match", [
+        (load_pairs, "{not json", "not valid JSON"),
+        (load_manifest, "{not json", "not valid JSON"),
+        (load_pairs, {**_PAIRS, "samples": 5}, "'samples' must be an array"),
+        (load_pairs, {**_PAIRS, "samples": [{"iq": 5, "fft": "f.rfc1", "class": 0}]},
+         "needs 'iq' and 'fft' cube path strings"),
+        (load_pairs, {**_PAIRS, "samples": [{"iq": "i.rfc1", "fft": ["f"], "class": 0}]},
+         "needs 'iq' and 'fft' cube path strings"),
+        (load_pairs, {**_PAIRS, "samples": [{"iq": "i.rfc1", "fft": "f.rfc1", "class": True}]},
+         "class index True"),
+        (load_manifest, {"version": 1, "classes": ["a", "b"],
+                         "samples": [{"path": "s.rfc1", "class": True}]}, "class index True"),
+        (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a", "b"],
+                            "scenes": [{"class": True}]}, "class index True"),
+    ], ids=["pairs-json", "manifest-json", "pairs-samples-int", "pairs-iq-int",
+            "pairs-fft-list", "pairs-class-bool", "manifest-class-bool", "scenes-class-bool"])
+    def test_malformed_manifest_names_path(self, tmp_path, loader, doc, match):
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(DatasetError, match=match) as info:
+            loader(str(path))
+        assert str(path) in str(info.value)
+
 
 class TestCheckpoint:
     def _model(self, kind, seed=4):
@@ -363,6 +391,40 @@ class TestCheckpoint:
         assert kind == "fusenet" and meta == {"seed": 4}
         for (name, a), (_, b) in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(b.re, a.re.astype("<f4").astype(np.float64)), name
+
+    @staticmethod
+    def _fault(name, header, body):
+        if name == "header-list":
+            return [header], body
+        if name in ("no-kind", "no-n_classes"):
+            del header[name[3:]]
+        if name == "bad-branch":
+            header["branch"] = {"convs": "xyz"}
+        if name == "zero-heads":
+            header["heads"] = 0
+        if name == "meta-list":
+            header["meta"] = [4]
+        if name == "huge-rank":
+            body = struct.pack("<I", 2**30) + body[4:]
+        if name == "extents-past-end":
+            body = body[:10]  # the first rank word, then half an extent
+        return header, body
+
+    @pytest.mark.parametrize("fault", [
+        "header-list", "meta-list", "no-kind", "no-n_classes", "bad-branch", "zero-heads",
+        "huge-rank", "extents-past-end",
+    ])
+    def test_malformed_file_names_path(self, tmp_path, fault):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model("fusenet"), "fusenet")
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[4:8])
+        header, body = self._fault(fault, json.loads(blob[8 : 8 + n]), blob[8 + n :])
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + body)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_bad_kind_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
