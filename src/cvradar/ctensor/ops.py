@@ -430,7 +430,10 @@ def cconv2d(x, kernels, bias, stride=(1, 1)):
     """Valid complex cross-correlation with per-output-channel bias.
 
     x: (B, C_in, H, W); kernels: (C_out, C_in, kh, kw); bias: (C_out,).
-    Every multiply-accumulate is the complex product ca-db + j(cb+da).
+    Every multiply-accumulate is the complex product ca-db + j(cb+da),
+    realified as one real GEMM: the re and im planes are stacked as 2*C_in
+    channels into one column matrix, and the kernels as the block matrix
+    [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
     """
     if x.ndim != 4:
         raise ShapeError(f"cconv2d: input must be (B, C, H, W), got {x.shape}")
@@ -450,33 +453,31 @@ def cconv2d(x, kernels, bias, stride=(1, 1)):
             f"cconv2d: kernel shape {kernels.shape} larger than input shape {x.shape}"
         )
 
-    cols_r, ho, wo = _im2col(x.re, kh, kw, sh, sw)
-    cols_i, _, _ = _im2col(x.im, kh, kw, sh, sw)
+    # cols rows [0, k) hold the re plane's patches, rows [k, 2k) the im plane's
+    cols, ho, wo = _im2col(np.concatenate([x.re, x.im], axis=1), kh, kw, sh, sw)
     kr = kernels.re.reshape(cout, -1)
     ki = kernels.im.reshape(cout, -1)
+    k = kr.shape[1]
+    wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
-    out_r = kr @ cols_r - ki @ cols_i + bias.re[:, None]
-    out_i = kr @ cols_i + ki @ cols_r + bias.im[:, None]
-    out = _wrap(out_r.reshape(b, cout, ho, wo), out_i.reshape(b, cout, ho, wo))
+    y = wblock @ cols
+    y[:, :cout] += bias.re[:, None]
+    y[:, cout:] += bias.im[:, None]
+    y = y.reshape(b, 2 * cout, ho, wo)
+    out = _wrap(y[:, :cout], y[:, cout:])
 
-    xshape = x.shape
+    stacked_shape = (b, 2 * cin, h, w)
     kshape = kernels.shape
 
     def bwd(gre, gim):
-        gr = gre.reshape(b, cout, ho * wo)
-        gi = gim.reshape(b, cout, ho * wo)
-
-        def gram(g, m):
-            # sum over batch of g @ m^T
-            return np.einsum("bop,bkp->ok", g, m)
-
-        dk_re = (gram(gr, cols_r) + gram(gi, cols_i)).reshape(kshape)
-        dk_im = (-gram(gr, cols_i) + gram(gi, cols_r)).reshape(kshape)
-        dcols_r = kr.T @ gr + ki.T @ gi
-        dcols_i = -(ki.T @ gr) + kr.T @ gi
-        dx_re = _col2im(dcols_r, xshape, kh, kw, sh, sw, ho, wo)
-        dx_im = _col2im(dcols_i, xshape, kh, kw, sh, sw, ho, wo)
-        return ((dx_re, dx_im), (dk_re, dk_im), (gr.sum(axis=(0, 2)), gi.sum(axis=(0, 2))))
+        g = np.concatenate([gre, gim], axis=1).reshape(b, 2 * cout, ho * wo)
+        gram = (g @ np.swapaxes(cols, 1, 2)).sum(axis=0)
+        # gram = [[G_rr, G_ri], [G_ir, G_ii]], G_pq = sum_b g_p @ cols_q^T
+        dk_re = (gram[:cout, :k] + gram[cout:, k:]).reshape(kshape)
+        dk_im = (gram[cout:, :k] - gram[:cout, k:]).reshape(kshape)
+        dx = _col2im(wblock.T @ g, stacked_shape, kh, kw, sh, sw, ho, wo)
+        return ((dx[:, :cin], dx[:, cin:]), (dk_re, dk_im),
+                (gre.sum(axis=(0, 2, 3)), gim.sum(axis=(0, 2, 3))))
 
     return _record("cconv2d", out, (x, kernels, bias), bwd)
 

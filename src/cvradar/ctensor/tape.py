@@ -108,6 +108,10 @@ class GradTape:
         adjoints per tensor identity. Every gradient plane is a dense array:
         the loss adjoint is seeded as (1, 0), each backward_fn returns an
         array pair per input, and a leaf the loss never reaches gets zeros.
+        An intermediate tensor's adjoint is freed as soon as the node that
+        produced it has run, so the walk holds only the adjoints still
+        awaiting their producer; watched tensors keep theirs. The recorded
+        closures stay on the tape, so backward may be called again.
         """
         if not isinstance(loss, ComplexTensor):
             raise TapeError("loss must be a ComplexTensor scalar")
@@ -122,7 +126,11 @@ class GradTape:
         adjoints = {id(loss): [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]}
 
         for node in reversed(self._nodes):
-            acc = adjoints.get(id(node.output))
+            # Every consumer of an op's output was recorded after it, so its
+            # adjoint is complete here and, unless the output is watched,
+            # is not needed again.
+            key = id(node.output)
+            acc = adjoints.get(key) if key in self._leaf_ids else adjoints.pop(key, None)
             if acc is None:
                 continue
             for tensor, (gre, gim) in zip(node.inputs, node.backward_fn(acc[0], acc[1])):

@@ -157,6 +157,8 @@ def read_rfc1(path):
             f"{path}: payload is {len(blob) - 16} bytes, expected {expected - 16}"
         )
     pairs = np.frombuffer(blob, dtype="<f4", offset=16).reshape(-1, 2)
+    if not np.isfinite(pairs).all():
+        raise CubeFormatError(f"{path}: payload holds non-finite values")
     re = pairs[:, 0].astype(np.float64).reshape(x, y, n)
     im = pairs[:, 1].astype(np.float64).reshape(x, y, n)
     return ComplexTensor(re, im)

@@ -14,6 +14,7 @@ so the transform of a single on-grid reflector peaks at bins
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,17 @@ def class_scene(class_index, distance_m, sample_seed, config, noise_level=0.05, 
     return SyntheticScene(tuple(reflectors), noise_level, sample_seed)
 
 
+def _finite_floats(values, where):
+    """float() of each value, or DatasetError naming `where` unless all are finite."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{where}: expected numbers, got {values!r}") from None
+    if not all(math.isfinite(v) for v in out):
+        raise DatasetError(f"{where}: non-finite value in {values!r}")
+    return out
+
+
 def parse_scene_file(path):
     """Parse a scene-set JSON document.
 
@@ -128,7 +140,10 @@ def parse_scene_file(path):
     (scene, class_index, distance_tag, split_hint).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise DatasetError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise DatasetError(f"{path}: unsupported scene file version")
     cfg = doc.get("config")
@@ -145,28 +160,38 @@ def parse_scene_file(path):
         )
     except KeyError as missing:
         raise DatasetError(f"{path}: config missing field {missing}") from None
+    except (TypeError, ValueError) as e:
+        raise DatasetError(f"{path}: bad config: {e}") from None
+    if not all(math.isfinite(v) for v in (config.center_frequency, config.bandwidth, config.eirp)):
+        raise DatasetError(f"{path}: config frequencies and eirp must be finite")
     classes = doc.get("classes")
     if not isinstance(classes, list) or not classes:
         raise DatasetError(f"{path}: 'classes' must be a non-empty array")
+    scenes = doc.get("scenes", [])
+    if not isinstance(scenes, list):
+        raise DatasetError(f"{path}: 'scenes' must be an array")
     entries = []
-    for i, raw in enumerate(doc.get("scenes", [])):
+    for i, raw in enumerate(scenes):
         where = f"{path}: scenes[{i}]"
         if not isinstance(raw, dict):
             raise DatasetError(f"{where}: must be an object")
         class_index = raw.get("class")
         if type(class_index) is not int or not 0 <= class_index < len(classes):
             raise DatasetError(f"{where}: bad class index {class_index!r}")
+        raw_reflectors = raw.get("reflectors", [])
+        if not isinstance(raw_reflectors, list):
+            raise DatasetError(f"{where}: 'reflectors' must be an array")
         reflectors = []
-        for j, refl in enumerate(raw.get("reflectors", [])):
+        for j, refl in enumerate(raw_reflectors):
             if not (isinstance(refl, list) and len(refl) == 5):
                 raise DatasetError(f"{where}: reflectors[{j}] must be [r, az, el, re, im]")
-            r, az, el, re_a, im_a = (float(v) for v in refl)
+            r, az, el, re_a, im_a = _finite_floats(refl, f"{where}: reflectors[{j}]")
             reflectors.append((r, az, el, complex(re_a, im_a)))
-        scene = SyntheticScene(
-            tuple(reflectors),
-            float(raw.get("noise_level", 0.0)),
-            int(raw.get("seed", 0)),
-        )
+        (noise_level,) = _finite_floats([raw.get("noise_level", 0.0)], f"{where}: noise_level")
+        try:
+            scene = SyntheticScene(tuple(reflectors), noise_level, int(raw.get("seed", 0)))
+        except (TypeError, ValueError) as e:
+            raise DatasetError(f"{where}: {e}") from None
         entries.append(
             (
                 scene,

@@ -52,6 +52,48 @@ def bn_oracle(q, gamma, beta, eps):
     return (q - mu) / np.sqrt(var + eps) * gamma.reshape(pshape) + beta.reshape(pshape)
 
 
+def conv_planes_reference(xr, xi, kr, ki, br, bi, stride, gr, gi):
+    """cconv2d's value and adjoints written plane by plane, one kernel tap at a time.
+
+    Returns (out_re, out_im), (dx_re, dx_im), (dk_re, dk_im), (db_re, db_im)
+    for upstream gradient planes (gr, gi): four real products per complex
+    product, einsum Gram sums for the kernels, and a col2im-style scatter
+    for the input.
+    """
+    bs, _, h, w = xr.shape
+    co, _, kh, kw = kr.shape
+    sh, sw = stride
+    ho = (h - kh) // sh + 1
+    wo = (w - kw) // sw + 1
+    out_re = np.zeros((bs, co, ho, wo)) + br[:, None, None]
+    out_im = np.zeros((bs, co, ho, wo)) + bi[:, None, None]
+    dx_re, dx_im = np.zeros_like(xr), np.zeros_like(xi)
+    dk_re, dk_im = np.zeros_like(kr), np.zeros_like(ki)
+
+    def prod(k, p):
+        return np.einsum("oc,bcij->boij", k, p)
+
+    def gram(g, p):
+        return np.einsum("boij,bcij->oc", g, p)
+
+    def back(k, g):
+        return np.einsum("oc,boij->bcij", k, g)
+
+    for u in range(kh):
+        for v in range(kw):
+            win = (slice(None), slice(None), slice(u, u + sh * ho, sh), slice(v, v + sw * wo, sw))
+            pr, pi = xr[win], xi[win]
+            tr, ti = kr[:, :, u, v], ki[:, :, u, v]
+            out_re += prod(tr, pr) - prod(ti, pi)
+            out_im += prod(tr, pi) + prod(ti, pr)
+            dk_re[:, :, u, v] = gram(gr, pr) + gram(gi, pi)
+            dk_im[:, :, u, v] = gram(gi, pr) - gram(gr, pi)
+            dx_re[win] += back(tr, gr) + back(ti, gi)
+            dx_im[win] += back(tr, gi) - back(ti, gr)
+    return ((out_re, out_im), (dx_re, dx_im), (dk_re, dk_im),
+            (gr.sum(axis=(0, 2, 3)), gi.sum(axis=(0, 2, 3))))
+
+
 class TestConv:
     def test_hand_value(self):
         x = ComplexTensor(np.full((1, 1, 1, 1), 2.0), np.full((1, 1, 1, 1), 3.0))
@@ -87,6 +129,34 @@ class TestConv:
         out = ops.cconv2d(x, k, b, stride=(2, 3))
         want = conv_oracle(x.to_complex(), k.to_complex(), b.to_complex(), (2, 3))
         assert np.max(np.abs(out.to_complex() - want)) <= 1e-12
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("cin, cout, hw, kernel, stride", [
+        (1, 4, (6, 40), (1, 7), (1, 2)),
+        (16, 8, (3, 30), (1, 5), (1, 2)),
+        (1, 8, (16, 12), (4, 5), (2, 2)),
+        (8, 12, (7, 5), (3, 3), (2, 2)),
+    ], ids=["paper-1x7", "paper-1x5", "bench-4x5", "bench-3x3"])
+    def test_value_and_gradients_match_plane_reference(self, b, cin, cout, hw, kernel, stride):
+        rng = np.random.default_rng(11)
+        x = rand_ct(rng, (b, cin) + hw)
+        k = rand_ct(rng, (cout, cin) + kernel)
+        bias = rand_ct(rng, (cout,))
+        with GradTape() as tape:
+            for leaf in (x, k, bias):
+                tape.watch(leaf)
+            out = ops.cconv2d(x, k, bias, stride=stride)
+            up = rand_ct(rng, out.shape)
+            # Re(sum(out * up)) has adjoint (up.re, -up.im) on out's planes
+            loss = ops.real(ops.sum_all(ops.mul(out, up)))
+        grads = tape.backward(loss)
+        want = conv_planes_reference(x.re, x.im, k.re, k.im, bias.re, bias.im, stride,
+                                     up.re, -up.im)
+        got = ((out.re, out.im),) + tuple((grads[t].re, grads[t].im) for t in (x, k, bias))
+        for got_pair, want_pair in zip(got, want):
+            for g, w in zip(got_pair, want_pair):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w)) <= 1e-12
 
     def test_kernel_too_large_names_shapes(self):
         x = ComplexTensor(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)))

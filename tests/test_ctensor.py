@@ -1,5 +1,7 @@
 """Tensor construction, elementwise contracts, and tape backward behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,34 @@ class TestBackward:
         g1 = tape.backward(loss)
         g2 = tape.backward(loss)
         for leaf in (x, y):
+            assert np.array_equal(g1[leaf].re, g2[leaf].re)
+            assert np.array_equal(g1[leaf].im, g2[leaf].im)
+
+    def test_intermediate_adjoints_are_freed(self):
+        """A 40-op chain on a 1 MiB tensor: backward holds a few adjoints, not 40."""
+        mib = 1 << 20
+        x = ComplexTensor(np.ones((64, 1024)), np.ones((64, 1024)))
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                tape.watch(x)
+                chain = [x]
+                for _ in range(40):
+                    chain.append(ops.scale(chain[-1], 0.5))
+                mid = tape.watch(chain[20])
+                loss = ops.real(ops.sum_all(chain[-1]))
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            g1 = tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 8 * mib, f"backward peak {(peak - start) / mib:.1f} MiB"
+        assert np.array_equal(g1[mid].re, np.full(x.shape, 0.5**20))
+        assert np.array_equal(g1[mid].im, np.zeros(x.shape))
+        assert np.array_equal(g1[x].re, np.full(x.shape, 0.5**40))
+        g2 = tape.backward(loss)
+        for leaf in (x, mid):
             assert np.array_equal(g1[leaf].re, g2[leaf].re)
             assert np.array_equal(g1[leaf].im, g2[leaf].im)
 

@@ -11,7 +11,14 @@ import pytest
 
 from cvradar.ctensor import ComplexTensor
 from cvradar.cnn import BranchConfig, ConvSpec
-from cvradar.dsp import DatasetError, load_manifest, parse_scene_file
+from cvradar.dsp import (
+    CubeFormatError,
+    DatasetError,
+    load_manifest,
+    parse_scene_file,
+    read_rfc1,
+    write_rfc1,
+)
 from cvradar.traincli import (
     AdamState,
     CheckpointError,
@@ -323,6 +330,51 @@ class TestPipeline:
         with pytest.raises(DatasetError, match=match) as info:
             loader(str(path))
         assert str(path) in str(info.value)
+
+    def test_malformed_scene_file_names_path(self, tmp_path):
+        def scene_doc(config=self._SCENE_CONFIG, reflector=(0.3, 0.1, 0.0, 1.0, 0.0),
+                      scenes=None):
+            if scenes is None:
+                scenes = [{"class": 0, "reflectors": [list(reflector)]}]
+            return json.dumps({"version": 1, "config": config, "classes": ["a"],
+                               "scenes": scenes})
+
+        cases = {
+            "bad-json": ("{not json", "not valid JSON"),
+            "scenes-int": (scene_doc(scenes=5), "'scenes' must be an array"),
+            "n_tx-str": (scene_doc(config={**self._SCENE_CONFIG, "n_tx": "x"}), "bad config"),
+            "reflector-str": (scene_doc(reflector=(0.3, "left", 0.0, 1.0, 0.0)),
+                              r"scenes\[0\]: reflectors\[0\]: expected numbers"),
+            "range-nan": (scene_doc(reflector=("NaN", 0.1, 0.0, 1.0, 0.0)),
+                          r"scenes\[0\]: reflectors\[0\]: non-finite"),
+            "reflectors-int": (scene_doc(scenes=[{"class": 0, "reflectors": 5}]),
+                               r"scenes\[0\]: 'reflectors' must be an array"),
+            "noise-nan": (scene_doc(scenes=[{"class": 0, "noise_level": "NaN"}]),
+                          r"scenes\[0\]: noise_level: non-finite"),
+            "bandwidth-inf": (scene_doc(config={**self._SCENE_CONFIG, "bandwidth": "inf"}),
+                              "must be finite"),
+        }
+        for name, (text, match) in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            with pytest.raises(DatasetError, match=match) as info:
+                parse_scene_file(str(path))
+            assert str(path) in str(info.value), name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_cube_names_path(self, tmp_path, bad):
+        payload = np.arange(24, dtype="<f4")
+        payload[7] = bad
+        cube = tmp_path / "bad.rfc1"
+        cube.write_bytes(b"RFC1" + struct.pack("<III", 2, 2, 3) + payload.tobytes())
+        write_rfc1(tmp_path / "good.rfc1", ComplexTensor(np.ones((2, 2, 3)), np.ones((2, 2, 3))))
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({**self._PAIRS, "samples": [
+            {"iq": "good.rfc1", "fft": "bad.rfc1", "class": 0}]}))
+        for load, arg in ((read_rfc1, cube), (load_pairs, manifest)):
+            with pytest.raises(CubeFormatError, match="non-finite") as info:
+                load(str(arg))
+            assert str(cube) in str(info.value)
 
 
 class TestCheckpoint:
