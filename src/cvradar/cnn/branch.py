@@ -54,6 +54,11 @@ class BranchConfig:
         for i, spec in enumerate(self.convs, start=1):
             kh, kw = spec.kernel
             sh, sw = spec.stride
+            if min(spec.out_channels, kh, kw, sh, sw) < 1:
+                raise ShapeError(
+                    f"conv{i}: out_channels {spec.out_channels}, kernel {spec.kernel} "
+                    f"and stride {spec.stride} must be positive"
+                )
             h2 = (h - kh) // sh + 1
             w2 = (w - kw) // sw + 1
             if kh > h or kw > w or h2 < 1 or w2 < 1:

@@ -100,10 +100,6 @@ class ComplexBatchNormLayer:
         self.eps = eps
         self.momentum = momentum
 
-    @property
-    def channels(self):
-        return self.gamma.shape[0]
-
     def apply(self, x, mode):
         """x: (B, C, ...) -> same shape; mode 'train' updates running stats."""
         if mode == "train":

@@ -560,8 +560,7 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
 
     running_mean/running_var pack the per-plane statistics as (re, im).
     """
-    axes = _bn_axes(x)
-    del axes
+    red = _bn_axes(x)
     pshape = _bn_param_shape(x, gamma, beta)
     c = x.shape[1]
     for name, t in (("running_mean", running_mean), ("running_var", running_var)):
@@ -576,7 +575,6 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
         xhat_re * gamma.re.reshape(pshape) + beta.re.reshape(pshape),
         xhat_im * gamma.im.reshape(pshape) + beta.im.reshape(pshape),
     )
-    red = (0,) + tuple(range(2, x.ndim))
 
     def bwd(gre, gim):
         dx_re = gre * gamma.re.reshape(pshape) * inv_re

@@ -1,15 +1,13 @@
 """Signal pre-processing, cube file I/O, dataset handling, and scene synthesis."""
 
-from .fft import dft3d_direct, fft3d, fft3d_array
+from .fft import dft3d_direct, fft3d_array
 from .cube import (
     CubeFormatError,
     OCCLUDED_CONFIG,
     RadarConfig,
     RadarCube,
-    SpectrumCube,
     flatten_channels,
     read_rfc1,
-    unflatten_channels,
     write_rfc1,
 )
 from .dataset import (
@@ -33,16 +31,13 @@ from .scenes import (
 
 __all__ = [
     "dft3d_direct",
-    "fft3d",
     "fft3d_array",
     "CubeFormatError",
     "OCCLUDED_CONFIG",
     "RadarConfig",
     "RadarCube",
-    "SpectrumCube",
     "flatten_channels",
     "read_rfc1",
-    "unflatten_channels",
     "write_rfc1",
     "Dataset",
     "DatasetError",

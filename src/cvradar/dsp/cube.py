@@ -10,10 +10,8 @@ from ..ctensor import ComplexTensor, ShapeError
 __all__ = [
     "RadarConfig",
     "RadarCube",
-    "SpectrumCube",
     "OCCLUDED_CONFIG",
     "flatten_channels",
-    "unflatten_channels",
     "write_rfc1",
     "read_rfc1",
     "CubeFormatError",
@@ -88,24 +86,6 @@ class RadarCube:
         return self.data.shape
 
 
-class SpectrumCube:
-    """3D transform of a RadarCube: (azimuth, elevation, range) bins."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        if not isinstance(data, ComplexTensor) or data.ndim != 3:
-            raise ShapeError("spectrum data must be a 3-dimensional ComplexTensor")
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectrumCube is immutable")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
 def flatten_channels(t):
     """(X, Y, N) -> (X*Y, N); row r = x*Y + y holds channel (x, y)."""
     if not isinstance(t, ComplexTensor) or t.ndim != 3:
@@ -113,18 +93,6 @@ def flatten_channels(t):
         raise ShapeError(f"flatten_channels expects a 3-dimensional tensor, got {shape}")
     x, y, n = t.shape
     return ComplexTensor(t.re.reshape(x * y, n), t.im.reshape(x * y, n))
-
-
-def unflatten_channels(t, spatial):
-    """Inverse of flatten_channels given the original (X, Y) extents."""
-    x, y = spatial
-    if not isinstance(t, ComplexTensor) or t.ndim != 2:
-        shape = getattr(t, "shape", None)
-        raise ShapeError(f"unflatten_channels expects a 2-dimensional tensor, got {shape}")
-    if t.shape[0] != x * y:
-        raise ShapeError(f"row count {t.shape[0]} does not equal {x}*{y}")
-    n = t.shape[1]
-    return ComplexTensor(t.re.reshape(x, y, n), t.im.reshape(x, y, n))
 
 
 def write_rfc1(path, t):

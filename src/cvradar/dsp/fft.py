@@ -1,18 +1,17 @@
-"""Unnormalized forward 3D DFT and its fast mixed-radix implementation.
+"""Unnormalized forward 3D DFT: numpy's FFT and a direct-sum oracle for it.
 
 The transform convention is the plain direct sum
 
     S(l,m,k) = sum_x sum_y sum_n s(x,y,n) * exp(-j*2*pi*(l*x/X + m*y/Y + k*n/N))
 
-with no normalization factor anywhere. ``dft3d_direct`` evaluates that sum
-literally (vectorized) and serves as the correctness oracle for ``fft3d``.
+with no normalization factor anywhere. ``fft3d_array`` computes it with
+``np.fft.fftn``; ``dft3d_direct`` evaluates the sum literally (vectorized)
+and serves as the independent correctness oracle for ``fft3d_array``.
 """
 
 import numpy as np
 
-from ..ctensor import ComplexTensor
-
-__all__ = ["dft3d_direct", "fft3d_array", "fft3d", "fft_last_axis"]
+__all__ = ["dft3d_direct", "fft3d_array"]
 
 
 def _dft_matrix(n):
@@ -37,55 +36,9 @@ def dft3d_direct(values):
     )
 
 
-def _smallest_factor(n):
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
-def fft_last_axis(x):
-    """Mixed-radix decimation-in-time FFT along the last axis of a complex array.
-
-    Arbitrary lengths: composite sizes split by their smallest prime factor,
-    prime sizes fall back to the dense DFT matrix.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    p = _smallest_factor(n)
-    if p == n:
-        return x @ _dft_matrix(n).T
-    m = n // p
-    # batch the p stride-p subsequences and transform them in one call
-    sub = x.reshape(x.shape[:-1] + (m, p))
-    sub = fft_last_axis(np.swapaxes(sub, -1, -2))
-    k = np.arange(n)
-    twiddle = np.exp((-2j * np.pi / n) * (np.arange(p)[:, None] * k[None, :]))
-    return np.einsum("...pn,pn->...n", sub[..., k % m], twiddle, optimize=True)
-
-
 def fft3d_array(values):
     """Fast evaluation of the same transform as dft3d_direct."""
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 3:
         raise ValueError(f"expected a 3-dimensional cube, got shape {values.shape}")
-    out = values
-    for axis in range(3):
-        out = np.moveaxis(fft_last_axis(np.moveaxis(out, axis, -1)), -1, axis)
-    return out
-
-
-def fft3d(cube):
-    """Transform a RadarCube into its range/azimuth/elevation SpectrumCube."""
-    from .cube import RadarCube, SpectrumCube
-
-    if not isinstance(cube, RadarCube):
-        raise TypeError(f"expected RadarCube, got {type(cube).__name__}")
-    spectrum = fft3d_array(cube.data.to_complex())
-    return SpectrumCube(ComplexTensor(spectrum.real, spectrum.imag))
+    return np.fft.fftn(values)

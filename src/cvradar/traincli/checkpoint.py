@@ -60,22 +60,57 @@ def save_checkpoint(path, model, kind, meta=None):
             fh.write(t.im.astype("<f4").tobytes())
 
 
-def _skeleton(header, path):
+def _implied_values(kind, branch, n_classes, embed_dim):
+    """Complex values stored by a model of these dimensions, from shapes alone.
+
+    Equals the total size of ``_all_tensors`` of that model, without building it.
+    """
+    shapes = branch.stage_shapes()
+    per_branch = 0
+    in_c = 1
+    for spec, (out_c, _, _) in zip(branch.convs, shapes):
+        kh, kw = spec.kernel
+        # conv kernels and bias, then bn gamma, beta, running mean and variance
+        per_branch += out_c * (in_c * kh * kw + 5)
+        in_c = out_c
+    c_f, length = shapes[-1]
+    if kind == "baseline":
+        return per_branch + (2 * c_f * length + 1) * n_classes
+    # six (2*C_f, E) attention projections, then the (2E, C) head and its bias
+    return 2 * per_branch + 12 * c_f * embed_dim + (2 * embed_dim + 1) * n_classes
+
+
+def _positive_int(header, key):
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _skeleton(header, path, payload_bytes):
+    """Build a placeholder model once the header's dimensions fit the payload."""
     kind = header.get("kind")
     if kind not in ("baseline", "fusenet"):
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    rng = np.random.default_rng(0)  # placeholder values; every tensor is overwritten
     try:
         branch = branch_from_dict(header["branch"])
+        n_classes = _positive_int(header, "n_classes")
+        embed_dim = heads = None
+        if kind == "fusenet":
+            embed_dim = _positive_int(header, "embed_dim")
+            heads = _positive_int(header, "heads")
+        need = 8 * _implied_values(kind, branch, n_classes, embed_dim)
+        if need > payload_bytes:
+            raise CheckpointError(
+                f"{path}: header dimensions need {need} payload bytes, "
+                f"only {payload_bytes} follow the header"
+            )
+        rng = np.random.default_rng(0)  # placeholder values; every tensor is overwritten
         if kind == "baseline":
-            return init_baseline(branch, header["n_classes"], rng)
-        return init_fusenet(
-            branch,
-            header["n_classes"],
-            rng,
-            embed_dim=header["embed_dim"],
-            heads=header["heads"],
-        )
+            return init_baseline(branch, n_classes, rng)
+        return init_fusenet(branch, n_classes, rng, embed_dim=embed_dim, heads=heads)
+    except CheckpointError:
+        raise
     except KeyError as e:
         raise CheckpointError(f"{path}: header lacks key {e}") from e
     except (TypeError, ValueError) as e:
@@ -99,7 +134,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: header and its 'meta' must be JSON objects")
     if header.get("version") != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
-    model = _skeleton(header, path)
+    model = _skeleton(header, path, len(blob) - 8 - header_len)
     expected = [name for name, _ in _all_tensors(model)]
     if header.get("tensors") != expected:
         raise CheckpointError(

@@ -1,6 +1,7 @@
 """Training configuration: typed dataclass plus the JSON document the CLI reads."""
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -39,6 +40,9 @@ class TrainConfig:
     def __post_init__(self):
         if not self.manifest:
             raise ConfigError("manifest path must be non-empty")
+        for name in ("learning_rate", "beta1", "beta2", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         # train-mode batch norm needs at least 2 samples to form a variance
@@ -88,7 +92,7 @@ def branch_from_dict(doc):
             convs=convs,
             pool_window=int(doc["pool_window"]),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad branch config: {e}") from e
 
 

@@ -336,6 +336,14 @@ class TestBranch:
                 pool_window=1,
             )
 
+    @pytest.mark.parametrize("spec", [
+        ConvSpec(0, (1, 2), (1, 1)), ConvSpec(-2, (1, 2), (1, 1)),
+        ConvSpec(2, (1, -2), (1, 1)), ConvSpec(2, (1, 2), (0, 1)),
+    ], ids=["zero-channels", "negative-channels", "negative-kernel", "zero-stride"])
+    def test_non_positive_conv_extents_rejected(self, spec):
+        with pytest.raises(ShapeError, match="conv3"):
+            BranchConfig(input_hw=(4, 8), convs=TOY.convs[:2] + (spec,), pool_window=1)
+
     def test_zero_input_zero_features(self):
         rng = np.random.default_rng(15)
         weights = init_branch(TOY, rng)

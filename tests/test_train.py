@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,7 @@ from cvradar.traincli import (
     train,
     write_train_config,
 )
+from cvradar.traincli.checkpoint import _all_tensors, _implied_values
 from cvradar.traincli.cli import main
 
 
@@ -142,6 +144,32 @@ class TestTrainConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="config.json.*out_dim"):
             load_train_config(path)
+
+    @staticmethod
+    def _bad_doc(name, doc):
+        if name == "lr-nan":
+            doc["learning_rate"] = float("nan")
+        if name == "lr-inf":
+            doc["learning_rate"] = float("inf")
+        if name == "eps-nan":
+            doc["eps"] = float("nan")
+        if name == "two-convs":
+            doc["branch"]["convs"] = doc["branch"]["convs"][:2]
+        if name == "kernel-too-big":
+            doc["branch"]["convs"][0]["kernel"] = [99, 99]
+        if name == "channels-not-int":
+            doc["branch"]["convs"][0]["out_channels"] = "x"
+        return doc
+
+    @pytest.mark.parametrize("name", [
+        "lr-nan", "lr-inf", "eps-nan", "two-convs", "kernel-too-big", "channels-not-int",
+    ])
+    def test_bad_value_names_path(self, tmp_path, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self._bad_doc(name, config_to_dict(small_config()))))
+        with pytest.raises(ConfigError) as info:
+            load_train_config(path)
+        assert str(path) in str(info.value)
 
 
 class TestAdam:
@@ -477,6 +505,44 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["baseline", "fusenet"])
+    @pytest.mark.parametrize("geometry", ["toy", "bench"])
+    def test_implied_values_match_model(self, kind, geometry):
+        cfg = small_config() if geometry == "toy" else bench_train_config("m.json", 0, 1)
+        model = init_model(cfg, 3, kind)
+        total = sum(t.size for _, t in _all_tensors(model))
+        assert _implied_values(kind, cfg.branch, 3, cfg.embed_dim) == total
+
+    @pytest.mark.parametrize("kind, field", [
+        ("fusenet", "embed_dim"), ("baseline", "n_classes"), ("fusenet", "n_classes"),
+        ("fusenet", "out_channels"),
+    ])
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, kind, field):
+        # a header alone, with no tensors, declaring a model of tens of MB
+        cfg = bench_train_config("m.json", 0, 1)
+        header = {
+            "version": 1, "kind": kind, "n_classes": 2, "tensors": [], "meta": {},
+            "branch": config_to_dict(cfg)["branch"],
+        }
+        if kind == "fusenet":
+            header.update(embed_dim=cfg.embed_dim, heads=1)
+        if field == "out_channels":
+            header["branch"]["convs"][2]["out_channels"] = 8192
+        else:
+            header[field] = 8192
+        text = json.dumps(header).encode("utf-8")
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(b"CVW1" + struct.pack("<I", len(text)) + text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(info.value)
+        assert peak < 2 * 2**20
 
     def test_bad_kind_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
