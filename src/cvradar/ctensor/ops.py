@@ -316,11 +316,12 @@ def mean_axis(a, axis):
     if not 0 <= axis < a.ndim:
         raise ShapeError(f"mean_axis: axis {axis} out of range for shape {a.shape}")
     n = a.shape[axis]
+    shp = a.shape
     out = _wrap(a.re.mean(axis=axis), a.im.mean(axis=axis))
 
     def bwd(gre, gim):
         def spread(g):
-            return np.repeat(np.expand_dims(g / n, axis), n, axis=axis)
+            return np.broadcast_to(np.expand_dims(g / n, axis), shp)
         return ((spread(gre), spread(gim)),)
 
     return _record("mean_axis", out, (a,), bwd)
@@ -335,9 +336,14 @@ def crelu(a):
 
     Subgradient at the boundary: 1 for the passing branch, 0 otherwise,
     matching the real-ReLU convention applied componentwise.
+
+    One bool mask is built in place and each plane is multiplied by it once,
+    so a blocked entry is x * 0: -0.0 where x < 0 (equal to 0.0), and NaN
+    where x is not finite.
     """
-    mask = (a.re >= 0) & (a.im >= 0)
-    out = _wrap(np.where(mask, a.re, 0.0), np.where(mask, a.im, 0.0))
+    mask = a.re >= 0
+    mask &= a.im >= 0
+    out = _wrap(a.re * mask, a.im * mask)
 
     def bwd(gre, gim):
         return ((gre * mask, gim * mask),)
@@ -498,18 +504,18 @@ class BatchStats:
         self.var_im = var_im
 
 
-def _bn_axes(x):
+def _bn_view(x, **per_channel):
+    """The (B, C, L) shape both batch norms work on, L = the flattened rest.
+
+    Per-channel (C,) vectors act on that view as v[:, None].
+    """
     if x.ndim < 2:
         raise ShapeError(f"batchnorm: need (B, C, ...) input, got shape {x.shape}")
-    return (0,) + tuple(range(2, x.ndim))
-
-
-def _bn_param_shape(x, gamma, beta):
     c = x.shape[1]
-    for name, p in (("gamma", gamma), ("beta", beta)):
+    for name, p in per_channel.items():
         if p.shape != (c,):
             raise ShapeError(f"batchnorm: {name} shape {p.shape} != ({c},)")
-    return (1, c) + (1,) * (x.ndim - 2)
+    return (x.shape[0], c, -1)
 
 
 def cbatchnorm_train(x, gamma, beta, eps=1e-5):
@@ -518,37 +524,49 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
     Normalizes re and im per channel by biased batch statistics over all
     non-channel axes, then applies the per-plane affine (gamma, beta).
     Returns (output, BatchStats) so the caller can update running buffers.
+
+    Each plane is read as a (B, C, L) view, L the flattened trailing axes.
+    The forward centres it once into d = v - mu, takes the variance from d
+    as row dot products d . d (two-pass, never E[x^2] - mu^2), scales d in
+    place into xhat, and writes xhat * gamma + beta into one fresh output;
+    the input is never written. The backward reduces g . xhat once for both
+    dgamma and the xhat term and g once for both dbeta and the mean term,
+    then builds dx in one buffer.
     """
-    axes = _bn_axes(x)
+    vshape = _bn_view(x, gamma=gamma, beta=beta)
     if x.shape[0] < 2:
         raise ShapeError(f"batchnorm train mode needs batch >= 2, got {x.shape[0]}")
-    pshape = _bn_param_shape(x, gamma, beta)
-    n = 1
-    for ax in axes:
-        n *= x.shape[ax]
+    n = x.size // x.shape[1]
 
-    planes = {}
-    for part, q, g, bta in (("re", x.re, gamma.re, beta.re), ("im", x.im, gamma.im, beta.im)):
-        mu = q.mean(axis=axes, keepdims=True)
-        var = q.var(axis=axes, keepdims=True)
+    planes = []
+    for q, gam, bta in ((x.re, gamma.re, beta.re), (x.im, gamma.im, beta.im)):
+        v = q.reshape(vshape)
+        mu = v.mean(axis=(0, 2))
+        xhat = v - mu[:, None]
+        var = np.vecdot(xhat, xhat).sum(axis=0) / n
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (q - mu) * inv
-        planes[part] = (xhat * g.reshape(pshape) + bta.reshape(pshape), xhat, inv, mu, var)
+        xhat *= inv[:, None]
+        y = xhat * gam[:, None]
+        y += bta[:, None]
+        planes.append((y.reshape(x.shape), xhat, inv, mu, var))
 
-    out = _wrap(planes["re"][0], planes["im"][0])
-    stats = BatchStats(
-        planes["re"][3].reshape(-1), planes["re"][4].reshape(-1),
-        planes["im"][3].reshape(-1), planes["im"][4].reshape(-1),
-    )
+    (y_re, xhat_re, inv_re, mu_re, var_re), (y_im, xhat_im, inv_im, mu_im, var_im) = planes
+    out = _wrap(y_re, y_im)
+    stats = BatchStats(mu_re, var_re, mu_im, var_im)
 
     def bwd(gre, gim):
         per_plane = []
-        for g, part, gam in ((gre, "re", gamma.re), (gim, "im", gamma.im)):
-            _, xhat, inv, _, _ = planes[part]
-            gm = g.mean(axis=axes, keepdims=True)
-            gxm = (g * xhat).mean(axis=axes, keepdims=True)
-            dx = gam.reshape(pshape) * inv * (g - gm - xhat * gxm)
-            per_plane.append((dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)))
+        for g, xhat, inv, gam in ((gre, xhat_re, inv_re, gamma.re),
+                                  (gim, xhat_im, inv_im, gamma.im)):
+            gv = g.reshape(vshape)
+            dgamma = np.vecdot(gv, xhat).sum(axis=0)
+            dbeta = gv.sum(axis=(0, 2))
+            # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat))
+            dx = xhat * (-dgamma / n)[:, None]
+            dx += gv
+            dx -= (dbeta / n)[:, None]
+            dx *= (gam * inv)[:, None]
+            per_plane.append((dx.reshape(x.shape), dgamma, dbeta))
         # [(dx, dgamma, dbeta) per plane] -> ((dx_re, dx_im), (dgamma_re, ...), ...)
         return tuple(zip(*per_plane))
 
@@ -559,28 +577,35 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
     """Eval-mode complex batch norm using frozen running statistics.
 
     running_mean/running_var pack the per-plane statistics as (re, im).
+    Each plane is read as a (B, C, L) view and written into one fresh
+    output as (x - m) * (gamma * inv) + beta, in place, with per-channel
+    factors; centring first keeps x * a + (beta - m * a) cancellation out.
+    No full-size xhat is kept: the backward recomputes it from x.
     """
-    red = _bn_axes(x)
-    pshape = _bn_param_shape(x, gamma, beta)
-    c = x.shape[1]
-    for name, t in (("running_mean", running_mean), ("running_var", running_var)):
-        if t.shape != (c,):
-            raise ShapeError(f"batchnorm: {name} shape {t.shape} != ({c},)")
+    vshape = _bn_view(x, gamma=gamma, beta=beta,
+                      running_mean=running_mean, running_var=running_var)
+    inv_re = 1.0 / np.sqrt(running_var.re + eps)
+    inv_im = 1.0 / np.sqrt(running_var.im + eps)
+    affine = ((x.re, running_mean.re, inv_re, gamma.re, beta.re),
+              (x.im, running_mean.im, inv_im, gamma.im, beta.im))
 
-    inv_re = (1.0 / np.sqrt(running_var.re + eps)).reshape(pshape)
-    inv_im = (1.0 / np.sqrt(running_var.im + eps)).reshape(pshape)
-    xhat_re = (x.re - running_mean.re.reshape(pshape)) * inv_re
-    xhat_im = (x.im - running_mean.im.reshape(pshape)) * inv_im
-    out = _wrap(
-        xhat_re * gamma.re.reshape(pshape) + beta.re.reshape(pshape),
-        xhat_im * gamma.im.reshape(pshape) + beta.im.reshape(pshape),
-    )
+    ys = []
+    for q, m, inv, gam, bta in affine:
+        y = q.reshape(vshape) - m[:, None]
+        y *= (gam * inv)[:, None]
+        y += bta[:, None]
+        ys.append(y.reshape(x.shape))
+    out = _wrap(*ys)
 
     def bwd(gre, gim):
-        dx_re = gre * gamma.re.reshape(pshape) * inv_re
-        dx_im = gim * gamma.im.reshape(pshape) * inv_im
-        dg = ((gre * xhat_re).sum(axis=red), (gim * xhat_im).sum(axis=red))
-        return ((dx_re, dx_im), dg, (gre.sum(axis=red), gim.sum(axis=red)))
+        per_plane = []
+        for g, (q, m, inv, gam, _) in zip((gre, gim), affine):
+            gv = g.reshape(vshape)
+            xhat = q.reshape(vshape) - m[:, None]
+            xhat *= inv[:, None]
+            per_plane.append(((gv * (gam * inv)[:, None]).reshape(x.shape),
+                              np.vecdot(gv, xhat).sum(axis=0), gv.sum(axis=(0, 2))))
+        return tuple(zip(*per_plane))
 
     return _record("cbatchnorm_eval", out, (x, gamma, beta), bwd)
 

@@ -77,23 +77,44 @@ def branch_to_dict(branch):
     }
 
 
+def _json_int(value, name):
+    # JSON integers only: a bool, float or numeric string is an error, not a cast
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def branch_from_dict(doc):
     try:
         convs = tuple(
             ConvSpec(
-                out_channels=int(c["out_channels"]),
-                kernel=tuple(int(v) for v in c["kernel"]),
-                stride=tuple(int(v) for v in c["stride"]),
+                out_channels=_json_int(c["out_channels"], "out_channels"),
+                kernel=tuple(_json_int(v, "kernel") for v in c["kernel"]),
+                stride=tuple(_json_int(v, "stride") for v in c["stride"]),
             )
             for c in doc["convs"]
         )
         return BranchConfig(
-            input_hw=tuple(int(v) for v in doc["input_hw"]),
+            input_hw=tuple(_json_int(v, "input_hw") for v in doc["input_hw"]),
             convs=convs,
-            pool_window=int(doc["pool_window"]),
+            pool_window=_json_int(doc["pool_window"], "pool_window"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad branch config: {e}") from e
+
+
+# the numeric TrainConfig fields a config document may set, and how each parses
+_NUMBER_FIELDS = {
+    "learning_rate": _json_float, "batch_size": _json_int, "epochs": _json_int,
+    "seed": _json_int, "beta1": _json_float, "beta2": _json_float, "eps": _json_float,
+    "embed_dim": _json_int, "heads": _json_int,
+}
 
 
 def config_to_dict(config):
@@ -121,31 +142,14 @@ def config_from_dict(doc, base_dir=None):
     if base_dir and not os.path.isabs(manifest):
         manifest = os.path.join(base_dir, manifest)
     branch = branch_from_dict(doc["branch"]) if "branch" in doc else default_branch_config()
-    known = {
-        "manifest", "learning_rate", "batch_size", "epochs", "seed",
-        "beta1", "beta2", "eps", "branch", "embed_dim", "heads",
-    }
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - {"manifest", "branch"} - set(_NUMBER_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    try:
-        return TrainConfig(
-            manifest=manifest,
-            learning_rate=float(doc.get("learning_rate", 0.001)),
-            batch_size=int(doc.get("batch_size", 16)),
-            epochs=int(doc.get("epochs", 15)),
-            seed=int(doc.get("seed", 0)),
-            beta1=float(doc.get("beta1", 0.9)),
-            beta2=float(doc.get("beta2", 0.999)),
-            eps=float(doc.get("eps", 1e-8)),
-            branch=branch,
-            embed_dim=int(doc.get("embed_dim", 256)),
-            heads=int(doc.get("heads", 16)),
-        )
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"bad training config: {e}") from e
+    fields = {
+        name: parse(doc[name], f"config field {name!r}")
+        for name, parse in _NUMBER_FIELDS.items() if name in doc
+    }
+    return TrainConfig(manifest=manifest, branch=branch, **fields)
 
 
 def load_train_config(path):

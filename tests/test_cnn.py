@@ -94,6 +94,148 @@ def conv_planes_reference(xr, xi, kr, ki, br, bi, stride, gr, gi):
             (gr.sum(axis=(0, 2, 3)), gi.sum(axis=(0, 2, 3))))
 
 
+def bn_train_plane_reference(q, gam, bta, eps, g):
+    """Train batch norm of one plane over the (B, ...) axes, written out directly.
+
+    Returns the value, the batch mean and variance per channel, and the
+    adjoints (dx, dgamma, dbeta) for the upstream gradient plane g.
+    """
+    axes = (0,) + tuple(range(2, q.ndim))
+    pshape = (1, q.shape[1]) + (1,) * (q.ndim - 2)
+    mu = q.mean(axis=axes, keepdims=True)
+    var = q.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (q - mu) * inv
+    gm = g.mean(axis=axes, keepdims=True)
+    gxm = (g * xhat).mean(axis=axes, keepdims=True)
+    dx = gam.reshape(pshape) * inv * (g - gm - xhat * gxm)
+    return (xhat * gam.reshape(pshape) + bta.reshape(pshape), mu.reshape(-1), var.reshape(-1),
+            dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+def bn_eval_plane_reference(q, gam, bta, m, v, eps, g):
+    """Eval batch norm of one plane with frozen statistics: value, dx, dgamma, dbeta."""
+    axes = (0,) + tuple(range(2, q.ndim))
+    pshape = (1, q.shape[1]) + (1,) * (q.ndim - 2)
+    inv = (1.0 / np.sqrt(v + eps)).reshape(pshape)
+    xhat = (q - m.reshape(pshape)) * inv
+    return (xhat * gam.reshape(pshape) + bta.reshape(pshape),
+            g * gam.reshape(pshape) * inv, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+def crelu_planes_reference(re, im, gr, gi):
+    """crelu's value and adjoint with two selects per plane."""
+    mask = (re >= 0) & (im >= 0)
+    return (np.where(mask, re, 0.0), np.where(mask, im, 0.0)), (gr * mask, gi * mask)
+
+
+def conv_output_planes(rng, b, c, hw):
+    """A (b, c) + hw tensor whose planes are views of one (b, 2c) + hw array, as
+    cconv2d returns them (a 1x1 conv, run off the tape)."""
+    x = rand_ct(rng, (b, 2) + hw)
+    out = ops.cconv2d(x, rand_ct(rng, (c, 2, 1, 1)), rand_ct(rng, (c,)))
+    assert out.re.base is not None and out.re.base is out.im.base
+    return out
+
+
+def plane_case_input(rng, b, rank, layout):
+    if layout == "fresh":
+        return rand_ct(rng, (b, 3, 4, 5) if rank == 4 else (b, 3, 20))
+    out = conv_output_planes(rng, b, 3, (4, 5))
+    return out if rank == 4 else ops.reshape(out, (b, 3, 20))
+
+
+def assert_all_close(got, want, tol=1e-12):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= tol
+
+
+class TestPlaneReference:
+    """Value and every gradient plane of batch norm and crelu against the
+    direct per-plane formulas, within 1e-12."""
+
+    CASES = [(b, rank, layout) for b in (2, 3) for rank in (3, 4) for layout in ("fresh", "conv")]
+
+    @pytest.mark.parametrize("b, rank, layout", CASES)
+    def test_cbatchnorm_train(self, b, rank, layout):
+        rng = np.random.default_rng(40 + b + rank)
+        x = plane_case_input(rng, b, rank, layout)
+        gamma = ComplexTensor(rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3))
+        beta = rand_ct(rng, (3,))
+        with GradTape() as tape:
+            for leaf in (x, gamma, beta):
+                tape.watch(leaf)
+            out, stats = ops.cbatchnorm_train(x, gamma, beta)
+            up = rand_ct(rng, out.shape)
+            # Re(sum(out * up)) has adjoint (up.re, -up.im) on out's planes
+            loss = ops.real(ops.sum_all(ops.mul(out, up)))
+        grads = tape.backward(loss)
+        want_re = bn_train_plane_reference(x.re, gamma.re, beta.re, 1e-5, up.re)
+        want_im = bn_train_plane_reference(x.im, gamma.im, beta.im, 1e-5, -up.im)
+        assert_all_close(
+            (out.re, stats.mean_re, stats.var_re, grads[x].re, grads[gamma].re, grads[beta].re),
+            want_re,
+        )
+        assert_all_close(
+            (out.im, stats.mean_im, stats.var_im, grads[x].im, grads[gamma].im, grads[beta].im),
+            want_im,
+        )
+
+    @pytest.mark.parametrize("b, rank, layout", CASES)
+    def test_cbatchnorm_eval(self, b, rank, layout):
+        rng = np.random.default_rng(50 + b + rank)
+        x = plane_case_input(rng, b, rank, layout)
+        gamma, beta, mean = rand_ct(rng, (3,)), rand_ct(rng, (3,)), rand_ct(rng, (3,))
+        var = ComplexTensor(rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3))
+        with GradTape() as tape:
+            for leaf in (x, gamma, beta):
+                tape.watch(leaf)
+            out = ops.cbatchnorm_eval(x, gamma, beta, mean, var)
+            up = rand_ct(rng, out.shape)
+            loss = ops.real(ops.sum_all(ops.mul(out, up)))
+        grads = tape.backward(loss)
+        assert_all_close(
+            (out.re, grads[x].re, grads[gamma].re, grads[beta].re),
+            bn_eval_plane_reference(x.re, gamma.re, beta.re, mean.re, var.re, 1e-5, up.re),
+        )
+        assert_all_close(
+            (out.im, grads[x].im, grads[gamma].im, grads[beta].im),
+            bn_eval_plane_reference(x.im, gamma.im, beta.im, mean.im, var.im, 1e-5, -up.im),
+        )
+
+    @pytest.mark.parametrize("b, rank, layout", CASES)
+    def test_crelu(self, b, rank, layout):
+        rng = np.random.default_rng(60 + b + rank)
+        x = plane_case_input(rng, b, rank, layout)
+        with GradTape() as tape:
+            tape.watch(x)
+            out = ops.crelu(x)
+            up = rand_ct(rng, out.shape)
+            loss = ops.real(ops.sum_all(ops.mul(out, up)))
+        grads = tape.backward(loss)
+        (want_re, want_im), (dre, dim) = crelu_planes_reference(x.re, x.im, up.re, -up.im)
+        assert_all_close((out.re, out.im, grads[x].re, grads[x].im), (want_re, want_im, dre, dim))
+
+    def test_crelu_boundary(self):
+        # re == 0 or im == 0 passes (-0.0 too); exactly one negative plane blocks
+        re = np.array([0.0, 2.0, 0.0, -0.0, -1.0, 3.0, -2.0, -0.5])
+        im = np.array([4.0, 0.0, 0.0, 1.0, 2.0, -1.5, -3.0, 0.0])
+        passes = np.array([True, True, True, True, False, False, False, False])
+        x = ComplexTensor(re, im)
+        with GradTape() as tape:
+            tape.watch(x)
+            out = ops.crelu(x)
+            loss = ops.real(ops.sum_all(ops.mul(out, ComplexTensor(np.ones(8), np.ones(8)))))
+        grads = tape.backward(loss)
+        assert np.all(np.isfinite(out.re)) and np.all(np.isfinite(out.im))
+        assert np.array_equal(out.re, np.where(passes, re, 0.0))
+        assert np.array_equal(out.im, np.where(passes, im, 0.0))
+        assert np.all(out.re[~passes] == 0) and np.all(out.im[~passes] == 0)
+        assert np.array_equal(grads[x].re, passes.astype(float))
+        assert np.array_equal(grads[x].im, -passes.astype(float))
+
+
 class TestConv:
     def test_hand_value(self):
         x = ComplexTensor(np.full((1, 1, 1, 1), 2.0), np.full((1, 1, 1, 1), 3.0))

@@ -171,6 +171,27 @@ class TestTrainConfig:
             load_train_config(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.7), ("epochs", 1.9), ("embed_dim", 16.5), ("heads", 2.0),
+        ("seed", True), ("batch_size", "8"), ("learning_rate", "0.01"),
+        ("learning_rate", True), ("eps", "1e-8"), ("kernel", [1.0, 3.0]),
+        ("pool_window", "1"), ("out_channels", True),
+    ])
+    def test_number_fields_are_not_cast(self, tmp_path, field, value):
+        # integer fields take JSON integers only; float fields take numbers, not bools
+        doc = config_to_dict(small_config())
+        if field in ("kernel", "out_channels"):
+            doc["branch"]["convs"][0][field] = value
+        elif field == "pool_window":
+            doc["branch"][field] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as info:
+            load_train_config(path)
+        assert str(path) in str(info.value) and field in str(info.value)
+
 
 class TestAdam:
     def _params(self, re, im=None):
@@ -484,6 +505,8 @@ class TestCheckpoint:
             header["heads"] = 0
         if name == "meta-list":
             header["meta"] = [4]
+        if name == "float-kernel":
+            header["branch"]["convs"][0]["kernel"] = [1.0, 3.0]
         if name == "huge-rank":
             body = struct.pack("<I", 2**30) + body[4:]
         if name == "extents-past-end":
@@ -492,7 +515,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("fault", [
         "header-list", "meta-list", "no-kind", "no-n_classes", "bad-branch", "zero-heads",
-        "huge-rank", "extents-past-end",
+        "huge-rank", "extents-past-end", "float-kernel",
     ])
     def test_malformed_file_names_path(self, tmp_path, fault):
         path = tmp_path / "m.ckpt"
