@@ -518,6 +518,15 @@ def _bn_view(x, **per_channel):
     return (x.shape[0], c, -1)
 
 
+def _channel_dot(a, b):
+    """Per-channel sum of a * b over B and L for (B, C, L) arrays.
+
+    Each (B, C) row is one dot product (a (1, L) @ (L, 1) matmul), so no
+    full-size product is written.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0].sum(axis=0)
+
+
 def cbatchnorm_train(x, gamma, beta, eps=1e-5):
     """Train-mode complex batch norm: each plane normalized independently.
 
@@ -543,7 +552,7 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
         v = q.reshape(vshape)
         mu = v.mean(axis=(0, 2))
         xhat = v - mu[:, None]
-        var = np.vecdot(xhat, xhat).sum(axis=0) / n
+        var = _channel_dot(xhat, xhat) / n
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv[:, None]
         y = xhat * gam[:, None]
@@ -559,7 +568,7 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
         for g, xhat, inv, gam in ((gre, xhat_re, inv_re, gamma.re),
                                   (gim, xhat_im, inv_im, gamma.im)):
             gv = g.reshape(vshape)
-            dgamma = np.vecdot(gv, xhat).sum(axis=0)
+            dgamma = _channel_dot(gv, xhat)
             dbeta = gv.sum(axis=(0, 2))
             # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat))
             dx = xhat * (-dgamma / n)[:, None]
@@ -604,7 +613,7 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
             xhat = q.reshape(vshape) - m[:, None]
             xhat *= inv[:, None]
             per_plane.append(((gv * (gam * inv)[:, None]).reshape(x.shape),
-                              np.vecdot(gv, xhat).sum(axis=0), gv.sum(axis=(0, 2))))
+                              _channel_dot(gv, xhat), gv.sum(axis=(0, 2))))
         return tuple(zip(*per_plane))
 
     return _record("cbatchnorm_eval", out, (x, gamma, beta), bwd)

@@ -235,6 +235,15 @@ class TestPlaneReference:
         assert np.array_equal(grads[x].re, passes.astype(float))
         assert np.array_equal(grads[x].im, -passes.astype(float))
 
+    def test_crelu_non_finite(self):
+        # a passing inf stays; a blocked non-finite entry is x * 0 = NaN
+        re = np.array([np.inf, -np.inf, np.nan, np.inf, 1.0, 2.0])
+        im = np.array([1.0, 1.0, 1.0, -1.0, np.nan, -np.inf])
+        with np.errstate(invalid="ignore"):
+            out = ops.crelu(ComplexTensor(re, im))
+        np.testing.assert_array_equal(out.re, [np.inf, np.nan, np.nan, np.nan, 0.0, 0.0])
+        np.testing.assert_array_equal(out.im, [1.0, 0.0, 0.0, 0.0, np.nan, np.nan])
+
 
 class TestConv:
     def test_hand_value(self):

@@ -146,51 +146,41 @@ class TestTrainConfig:
             load_train_config(path)
 
     @staticmethod
-    def _bad_doc(name, doc):
-        if name == "lr-nan":
-            doc["learning_rate"] = float("nan")
-        if name == "lr-inf":
-            doc["learning_rate"] = float("inf")
-        if name == "eps-nan":
-            doc["eps"] = float("nan")
-        if name == "two-convs":
-            doc["branch"]["convs"] = doc["branch"]["convs"][:2]
-        if name == "kernel-too-big":
-            doc["branch"]["convs"][0]["kernel"] = [99, 99]
-        if name == "channels-not-int":
-            doc["branch"]["convs"][0]["out_channels"] = "x"
+    def _bad_doc(field, value, doc):
+        """doc with field set to value; a callable value maps the old one.
+
+        Conv fields go to the first conv, convs and pool_window to the branch.
+        """
+        parent = doc
+        if field in ("kernel", "out_channels"):
+            parent = doc["branch"]["convs"][0]
+        elif field in ("convs", "pool_window"):
+            parent = doc["branch"]
+        parent[field] = value(parent[field]) if callable(value) else value
         return doc
 
-    @pytest.mark.parametrize("name", [
-        "lr-nan", "lr-inf", "eps-nan", "two-convs", "kernel-too-big", "channels-not-int",
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("learning_rate", float("nan"), id="lr-nan"),
+        pytest.param("learning_rate", float("inf"), id="lr-inf"),
+        pytest.param("eps", float("nan"), id="eps-nan"),
+        pytest.param("convs", lambda convs: convs[:2], id="two-convs"),
+        pytest.param("kernel", [99, 99], id="kernel-too-big"),
+        pytest.param("out_channels", "x", id="channels-not-int"),
+        # numbers are not cast: integer fields take JSON integers only,
+        # float fields take int or float but not bool or string
+        ("batch_size", 2.7), ("epochs", 1.9), ("embed_dim", 16.5), ("heads", 2.0),
+        ("seed", True), ("batch_size", "8"), ("learning_rate", "0.01"),
+        ("learning_rate", True), ("eps", "1e-8"), ("pool_window", "1"), ("out_channels", True),
+        pytest.param("kernel", [1.0, 3.0], id="kernel-floats"),
     ])
-    def test_bad_value_names_path(self, tmp_path, name):
+    def test_bad_value_names_path(self, tmp_path, field, value):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(self._bad_doc(name, config_to_dict(small_config()))))
+        path.write_text(json.dumps(self._bad_doc(field, value, config_to_dict(small_config()))))
         with pytest.raises(ConfigError) as info:
             load_train_config(path)
         assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize("field, value", [
-        ("batch_size", 2.7), ("epochs", 1.9), ("embed_dim", 16.5), ("heads", 2.0),
-        ("seed", True), ("batch_size", "8"), ("learning_rate", "0.01"),
-        ("learning_rate", True), ("eps", "1e-8"), ("kernel", [1.0, 3.0]),
-        ("pool_window", "1"), ("out_channels", True),
-    ])
-    def test_number_fields_are_not_cast(self, tmp_path, field, value):
-        # integer fields take JSON integers only; float fields take numbers, not bools
-        doc = config_to_dict(small_config())
-        if field in ("kernel", "out_channels"):
-            doc["branch"]["convs"][0][field] = value
-        elif field == "pool_window":
-            doc["branch"][field] = value
-        else:
-            doc[field] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError) as info:
-            load_train_config(path)
-        assert str(path) in str(info.value) and field in str(info.value)
+        # two-convs is reported as a layer count; every other case names its field
+        assert field in str(info.value) or field == "convs"
 
 
 class TestAdam:
