@@ -575,7 +575,8 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
             dx += gv
             dx -= (dbeta / n)[:, None]
             dx *= (gam * inv)[:, None]
-            per_plane.append((dx.reshape(x.shape), dgamma, dbeta))
+            # g has x's shape; naming x here would keep the input alive on the tape
+            per_plane.append((dx.reshape(g.shape), dgamma, dbeta))
         # [(dx, dgamma, dbeta) per plane] -> ((dx_re, dx_im), (dgamma_re, ...), ...)
         return tuple(zip(*per_plane))
 

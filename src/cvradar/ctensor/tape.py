@@ -8,7 +8,17 @@ gradients come back as one real pair per watched leaf.
 A tape is single-writer: one training step builds and consumes one tape.
 Backward is a pure function of the tape, so repeated calls produce
 bit-identical gradients.
+
+Nodes hold integer keys, not tensors. The tape gives each tensor it sees
+(recorded outputs, recorded inputs, watched leaves) a fresh key through a
+weak map, so it keeps no op's output or input alive: an intermediate is
+freed as soon as its consumers have run, and only what the recorded
+backward closures captured stays. Because the map is weak, a tensor
+allocated at a freed tensor's address gets a new key, never the old one.
 """
+
+import itertools
+import weakref
 
 import numpy as np
 
@@ -39,12 +49,12 @@ class Gradient:
 
 
 class _Node:
-    __slots__ = ("op", "output", "inputs", "backward_fn")
+    __slots__ = ("op", "out_key", "in_keys", "backward_fn")
 
-    def __init__(self, op, output, inputs, backward_fn):
+    def __init__(self, op, out_key, in_keys, backward_fn):
         self.op = op
-        self.output = output
-        self.inputs = inputs
+        self.out_key = out_key
+        self.in_keys = in_keys
         self.backward_fn = backward_fn
 
 
@@ -61,13 +71,24 @@ class GradTape:
 
     Node order is topological by construction: tensors are immutable, so
     every input of a recorded op was produced (or watched) earlier.
+
+    Nodes refer to tensors by key, and the tape holds strong references
+    only to watched leaves, so recording does not extend the life of any
+    op's output or inputs.
     """
 
     def __init__(self):
         self._nodes = []
-        self._leaves = []
-        self._leaf_ids = set()
-        self._output_ids = set()
+        self._leaves = {}  # key -> watched tensor, in watch order
+        self._keys = weakref.WeakKeyDictionary()
+        self._next_key = itertools.count()
+        self._output_keys = set()
+
+    def _key(self, tensor):
+        key = self._keys.get(tensor)
+        if key is None:
+            key = self._keys[tensor] = next(self._next_key)
+        return key
 
     # -- recording --------------------------------------------------------
 
@@ -87,14 +108,16 @@ class GradTape:
         """Mark a tensor as a leaf whose gradient backward() must produce."""
         if not isinstance(tensor, ComplexTensor):
             raise TypeError(f"can only watch ComplexTensor, got {type(tensor).__name__}")
-        if id(tensor) not in self._leaf_ids:
-            self._leaf_ids.add(id(tensor))
-            self._leaves.append(tensor)
+        self._leaves.setdefault(self._key(tensor), tensor)
         return tensor
 
     def record(self, op, output, inputs, backward_fn):
-        self._nodes.append(_Node(op, output, inputs, backward_fn))
-        self._output_ids.add(id(output))
+        # Key every input, known or not: a tensor consumed here and watched
+        # later must still reach this node's adjoint.
+        in_keys = tuple(self._key(t) for t in inputs)
+        out_key = self._key(output)
+        self._nodes.append(_Node(op, out_key, in_keys, backward_fn))
+        self._output_keys.add(out_key)
 
     def __len__(self):
         return len(self._nodes)
@@ -105,45 +128,48 @@ class GradTape:
         """Gradients of a real scalar loss with respect to every watched leaf.
 
         Walks the node record in reverse insertion order, accumulating
-        adjoints per tensor identity. Every gradient plane is a dense array:
+        adjoints per tensor key. Every gradient plane is a dense array:
         the loss adjoint is seeded as (1, 0), each backward_fn returns an
         array pair per input, and a leaf the loss never reaches gets zeros.
         An intermediate tensor's adjoint is freed as soon as the node that
         produced it has run, so the walk holds only the adjoints still
         awaiting their producer; watched tensors keep theirs. The recorded
-        closures stay on the tape, so backward may be called again.
+        closures stay on the tape, so backward may be called again. The
+        tensors themselves are not needed: each node holds only keys, and
+        each closure holds the arrays its own gradient reads.
         """
         if not isinstance(loss, ComplexTensor):
             raise TapeError("loss must be a ComplexTensor scalar")
         if loss.shape != ():
             raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
-        if id(loss) not in self._output_ids:
+        loss_key = self._keys.get(loss)
+        if loss_key not in self._output_keys:
             raise TapeError("loss was not produced on this tape")
         if float(loss.im) != 0.0:
             raise TapeError("loss must be real (im part exactly zero)")
 
-        # adjoints[id(tensor)] = [re_grad, im_grad]
-        adjoints = {id(loss): [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]}
+        # adjoints[key] = [re_grad, im_grad]
+        adjoints = {loss_key: [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]}
 
         for node in reversed(self._nodes):
             # Every consumer of an op's output was recorded after it, so its
             # adjoint is complete here and, unless the output is watched,
             # is not needed again.
-            key = id(node.output)
-            acc = adjoints.get(key) if key in self._leaf_ids else adjoints.pop(key, None)
+            key = node.out_key
+            acc = adjoints.get(key) if key in self._leaves else adjoints.pop(key, None)
             if acc is None:
                 continue
-            for tensor, (gre, gim) in zip(node.inputs, node.backward_fn(acc[0], acc[1])):
-                slot = adjoints.get(id(tensor))
+            for in_key, (gre, gim) in zip(node.in_keys, node.backward_fn(acc[0], acc[1])):
+                slot = adjoints.get(in_key)
                 if slot is None:
-                    adjoints[id(tensor)] = [gre, gim]
+                    adjoints[in_key] = [gre, gim]
                 else:
                     slot[0] = slot[0] + gre
                     slot[1] = slot[1] + gim
 
         result = {}
-        for leaf in self._leaves:
-            slot = adjoints.get(id(leaf))
+        for key, leaf in self._leaves.items():
+            slot = adjoints.get(key)
             if slot is None:
                 slot = [np.zeros(leaf.shape, dtype=leaf.dtype) for _ in range(2)]
             gre, gim = slot

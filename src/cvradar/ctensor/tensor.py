@@ -28,7 +28,7 @@ class ComplexTensor:
     Rank 0 (shape ()) is the scalar, with element count 1.
     """
 
-    __slots__ = ("re", "im", "shape")
+    __slots__ = ("re", "im", "shape", "__weakref__")
 
     def __init__(self, re, im=None, dtype=np.float64):
         re = np.array(re, dtype=dtype)

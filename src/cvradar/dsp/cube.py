@@ -96,14 +96,24 @@ def flatten_channels(t):
 
 
 def write_rfc1(path, t):
-    """Write a 3-dimensional ComplexTensor as an RFC1 cube file."""
+    """Write a 3-dimensional ComplexTensor as an RFC1 cube file.
+
+    The payload is float32, and read_rfc1 rejects non-finite values, so a
+    tensor holding NaN, Inf or a value beyond float32 range raises
+    CubeFormatError before the file is opened.
+    """
     if not isinstance(t, ComplexTensor) or t.ndim != 3:
         shape = getattr(t, "shape", None)
         raise ShapeError(f"RFC1 payload must be a 3-dimensional tensor, got {shape}")
     x, y, n = t.shape
     interleaved = np.empty((t.size, 2), dtype="<f4")
-    interleaved[:, 0] = t.re.reshape(-1)
-    interleaved[:, 1] = t.im.reshape(-1)
+    with np.errstate(over="ignore"):
+        interleaved[:, 0] = t.re.reshape(-1)
+        interleaved[:, 1] = t.im.reshape(-1)
+    if not np.isfinite(interleaved).all():
+        raise CubeFormatError(
+            f"{path}: payload holds NaN, Inf or values beyond float32 range"
+        )
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", x, y, n))

@@ -1,6 +1,7 @@
 """Tensor construction, elementwise contracts, and tape backward behavior."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -165,6 +166,93 @@ class TestBackward:
         for leaf in (x, mid):
             assert np.array_equal(g1[leaf].re, g2[leaf].re)
             assert np.array_equal(g1[leaf].im, g2[leaf].im)
+
+    def test_consumed_outputs_are_released(self):
+        """A 40-op chain on a 1 MiB tensor: the tape keeps no consumed output alive."""
+        mib = 1 << 20
+        x = ComplexTensor(np.ones((64, 1024)), np.ones((64, 1024)))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            with GradTape() as tape:
+                tape.watch(x)
+                h = x
+                for _ in range(40):
+                    h = ops.scale(h, 0.5)
+                loss = ops.real(ops.sum_all(h))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - start <= 8 * mib, f"forward holds {(held - start) / mib:.1f} MiB"
+        g = tape.backward(loss)[x]
+        assert np.array_equal(g.re, np.full(x.shape, 0.5**40))
+        assert np.array_equal(g.im, np.zeros(x.shape))
+
+    def test_stage_closures_do_not_keep_tensors(self):
+        """conv -> batch norm -> crelu: no intermediate outlives its last reference,
+        and the gradients equal those of a run that keeps every intermediate."""
+        rng = np.random.default_rng(4)
+        x = rand_ct(rng, (2, 2, 6, 5))
+        params = [rand_ct(rng, (3, 2, 2, 2)), rand_ct(rng, (3,)), rand_ct(rng, (3,)),
+                  rand_ct(rng, (3,))]
+
+        def stage(keep):
+            with GradTape() as tape:
+                for p in params:
+                    tape.watch(p)
+                conv = ops.cconv2d(x, params[0], params[1])
+                bn, _ = ops.cbatchnorm_train(conv, params[2], params[3])
+                act = ops.crelu(bn)
+                loss = abs2_loss(act)
+            refs = [weakref.ref(t) for t in (conv, bn, act)]
+            if keep is not None:
+                keep.extend((conv, bn, act))
+            del conv, bn, act
+            return tape.backward(loss), [r() is not None for r in refs]
+
+        kept = []
+        g_kept, _ = stage(kept)
+        g_freed, alive = stage(None)
+        assert alive == [False, False, False]
+        for p in params:
+            assert np.array_equal(g_freed[p].re, g_kept[p].re)
+            assert np.array_equal(g_freed[p].im, g_kept[p].im)
+
+    def test_reused_address_does_not_alias(self):
+        """A constant allocated where a freed intermediate lived starts with no adjoint."""
+        x = ComplexTensor([1.0, 2.0])
+        with GradTape() as tape:
+            tape.watch(x)
+            # Keep the chain alive until the forward is done, so that no later
+            # tape object takes one of its addresses; then free it at once.
+            chain = [x]
+            for _ in range(50):
+                chain.append(ops.scale(chain[-1], 0.5))
+            total = ops.real(ops.sum_all(chain[-1]))
+            refs = [weakref.ref(t) for t in chain[1:]]
+            freed = {id(t) for t in chain[1:]}
+            del chain
+            assert all(r() is None for r in refs)
+            constants = []
+            while len(constants) < 10000:
+                constants.append(ComplexTensor.scalar(3.0))
+                if id(constants[-1]) in freed:
+                    break
+            assert id(constants[-1]) in freed, "no constant landed on a freed address"
+            loss = ops.add(total, constants[-1])
+        g = tape.backward(loss)[x]
+        assert np.array_equal(g.re, np.full(2, 0.5**50))
+        assert np.array_equal(g.im, np.zeros(2))
+
+    def test_watch_after_use(self):
+        x = ComplexTensor([1.0, 2.0], [0.5, -1.0])
+        with GradTape() as tape:
+            y = ops.scale(x, 3.0)
+            tape.watch(x)
+            loss = ops.real(ops.sum_all(y))
+        g = tape.backward(loss)[x]
+        assert np.array_equal(g.re, np.full(2, 3.0))
+        assert np.array_equal(g.im, np.zeros(2))
 
     def test_loss_must_be_scalar(self):
         x = ComplexTensor([1.0, 2.0])

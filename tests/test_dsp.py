@@ -145,6 +145,17 @@ class TestRfc1:
             write_rfc1(p2, back)
             assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf], ids=["over", "neg-over", "nan", "inf"])
+    @pytest.mark.parametrize("plane", ["re", "im"])
+    def test_unwritable_payload_rejected(self, tmp_path, plane, value):
+        """A value read_rfc1 would reject fails at write time and no file is made."""
+        planes = {"re": np.ones((2, 2, 2)), "im": np.zeros((2, 2, 2))}
+        planes[plane][1, 0, 1] = value
+        p = tmp_path / "bad.rfc1"
+        with pytest.raises(CubeFormatError, match="bad.rfc1"):
+            write_rfc1(p, ComplexTensor(planes["re"], planes["im"]))
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.rfc1"
         p.write_bytes(b"NOPE" + b"\x00" * 12)
