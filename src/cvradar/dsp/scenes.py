@@ -11,6 +11,11 @@ reflectivity alpha, for antenna indices (x, y) and fast-time sample n:
 
 so the transform of a single on-grid reflector peaks at bins
 (l, m, k) = (X*nu_az mod X, Y*nu_el mod Y, N*nu_rng mod N).
+
+The phase is linear in each index, so each term factors into per-axis
+phasors, alpha*exp(j*2*pi*nu_az*x) * exp(j*2*pi*nu_el*y) * exp(j*2*pi*nu_rng*n):
+X + Y + N exponentials per reflector instead of X*Y*N, and the sum over
+reflectors is one (X, R) @ (R, Y*N) complex product.
 """
 
 import json
@@ -21,7 +26,7 @@ import numpy as np
 
 from ..ctensor import ComplexTensor
 from .cube import RadarConfig, RadarCube, _SPEED_OF_LIGHT
-from .dataset import DatasetError
+from .dataset import _SPLIT_HINTS, DatasetError
 
 __all__ = [
     "SyntheticScene",
@@ -62,12 +67,19 @@ def predicted_bins(reflector, config):
 
 
 def synth_fmcw_cube(scene, config):
-    """Deterministic cube for a scene; fully determined by scene.seed."""
+    """Deterministic cube for a scene; fully determined by scene.seed.
+
+    With R reflectors, A is (X, R) with columns alpha*exp(j*2*pi*nu_az*x) and
+    B is (R, Y*N) with rows the flattened outer product of exp(j*2*pi*nu_el*y)
+    and exp(j*2*pi*nu_rng*n); the noise-free cube is (A @ B).reshape(X, Y, N).
+    Noise adds sigma times one standard_normal((X, Y, N)) draw to the real
+    plane, then sigma times a second draw to the imaginary plane.
+    """
     x, y, n = config.shape
-    xi = np.arange(x, dtype=np.float64)[:, None, None]
-    yi = np.arange(y, dtype=np.float64)[None, :, None]
-    ni = np.arange(n, dtype=np.float64)[None, None, :]
-    acc = np.zeros((x, y, n), dtype=np.complex128)
+    two_pi_j = 2j * np.pi
+    count = len(scene.reflectors)
+    a = np.empty((x, count), dtype=np.complex128)
+    b = np.empty((count, y, n), dtype=np.complex128)
     for idx, (r, az, el, alpha) in enumerate(scene.reflectors):
         if not 0.0 < r < config.unambiguous_range:
             raise ValueError(
@@ -76,20 +88,24 @@ def synth_fmcw_cube(scene, config):
         nu_az = 0.5 * np.sin(az)
         nu_el = 0.5 * np.sin(el)
         nu_rng = 2.0 * config.bandwidth * r / (_SPEED_OF_LIGHT * n)
-        acc += complex(alpha) * np.exp(
-            2j * np.pi * (nu_az * xi + nu_el * yi + nu_rng * ni)
+        a[:, idx] = complex(alpha) * np.exp(two_pi_j * nu_az * np.arange(x))
+        np.multiply(
+            np.exp(two_pi_j * nu_el * np.arange(y))[:, None],
+            np.exp(two_pi_j * nu_rng * np.arange(n)),
+            out=b[idx],
         )
+    acc = (a @ b.reshape(count, y * n)).reshape(x, y, n)
+    re, im = acc.real, acc.imag
     if scene.noise_level > 0.0:
         rng = np.random.default_rng(scene.seed)
-        if scene.reflectors:
+        if count:
             scale = float(np.sqrt(np.mean(np.abs(acc) ** 2)))
         else:
             scale = 1.0
         sigma = scene.noise_level * scale / np.sqrt(2.0)
-        acc = acc + sigma * (
-            rng.standard_normal((x, y, n)) + 1j * rng.standard_normal((x, y, n))
-        )
-    return RadarCube(ComplexTensor(acc.real, acc.imag), config)
+        re += sigma * rng.standard_normal((x, y, n))
+        im += sigma * rng.standard_normal((x, y, n))
+    return RadarCube(ComplexTensor(re, im), config)
 
 
 def class_scene(class_index, distance_m, sample_seed, config, noise_level=0.05, n_reflectors=3):
@@ -130,6 +146,13 @@ def _finite_floats(values, where):
     return out
 
 
+def _json_int(value, field):
+    """value if it is a JSON integer, else DatasetError naming the field; callers add the path."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_scene_file(path):
     """Parse a scene-set JSON document.
 
@@ -154,9 +177,9 @@ def parse_scene_file(path):
             center_frequency=float(cfg["center_frequency"]),
             bandwidth=float(cfg["bandwidth"]),
             eirp=float(cfg.get("eirp", 0.0)),
-            n_tx=int(cfg["n_tx"]),
-            n_rx=int(cfg["n_rx"]),
-            fast_time_samples=int(cfg["fast_time_samples"]),
+            n_tx=_json_int(cfg["n_tx"], "n_tx"),
+            n_rx=_json_int(cfg["n_rx"], "n_rx"),
+            fast_time_samples=_json_int(cfg["fast_time_samples"], "fast_time_samples"),
         )
     except KeyError as missing:
         raise DatasetError(f"{path}: config missing field {missing}") from None
@@ -186,18 +209,20 @@ def parse_scene_file(path):
             if not (isinstance(refl, list) and len(refl) == 5):
                 raise DatasetError(f"{where}: reflectors[{j}] must be [r, az, el, re, im]")
             r, az, el, re_a, im_a = _finite_floats(refl, f"{where}: reflectors[{j}]")
+            if not 0.0 < r < config.unambiguous_range:
+                raise DatasetError(
+                    f"{where}: reflectors[{j}]: range {r} m outside "
+                    f"(0, {config.unambiguous_range:.3f}) m"
+                )
             reflectors.append((r, az, el, complex(re_a, im_a)))
         (noise_level,) = _finite_floats([raw.get("noise_level", 0.0)], f"{where}: noise_level")
         try:
-            scene = SyntheticScene(tuple(reflectors), noise_level, int(raw.get("seed", 0)))
+            seed = _json_int(raw.get("seed", 0), "seed")
+            scene = SyntheticScene(tuple(reflectors), noise_level, seed)
         except (TypeError, ValueError) as e:
             raise DatasetError(f"{where}: {e}") from None
-        entries.append(
-            (
-                scene,
-                class_index,
-                str(raw.get("distance_tag", "")),
-                str(raw.get("split_hint", "auto")),
-            )
-        )
+        split_hint = raw.get("split_hint", "auto")
+        if split_hint not in _SPLIT_HINTS:
+            raise DatasetError(f"{where}: split_hint {split_hint!r} not in {_SPLIT_HINTS}")
+        entries.append((scene, class_index, str(raw.get("distance_tag", "")), split_hint))
     return config, tuple(classes), tuple(entries)

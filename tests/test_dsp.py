@@ -10,6 +10,7 @@ from cvradar.dsp import (
     CubeFormatError,
     DatasetError,
     ManifestEntry,
+    OCCLUDED_CONFIG,
     RadarConfig,
     RadarCube,
     SyntheticScene,
@@ -287,8 +288,49 @@ class TestDataset:
             split_dataset(ds, 1.0, seed=0)
 
 
+def exp_per_sample_cube(scene, config):
+    """The cube as one exponential of the summed phase per sample and reflector."""
+    x, y, n = config.shape
+    xi = np.arange(x, dtype=np.float64)[:, None, None]
+    yi = np.arange(y, dtype=np.float64)[None, :, None]
+    ni = np.arange(n, dtype=np.float64)[None, None, :]
+    acc = np.zeros((x, y, n), dtype=np.complex128)
+    for r, az, el, alpha in scene.reflectors:
+        nu_az = 0.5 * np.sin(az)
+        nu_el = 0.5 * np.sin(el)
+        nu_rng = 2.0 * config.bandwidth * r / (299_792_458.0 * n)
+        acc += complex(alpha) * np.exp(2j * np.pi * (nu_az * xi + nu_el * yi + nu_rng * ni))
+    if scene.noise_level > 0.0:
+        rng = np.random.default_rng(scene.seed)
+        scale = float(np.sqrt(np.mean(np.abs(acc) ** 2))) if scene.reflectors else 1.0
+        sigma = scene.noise_level * scale / np.sqrt(2.0)
+        acc = acc + sigma * (rng.standard_normal((x, y, n)) + 1j * rng.standard_normal((x, y, n)))
+    return acc
+
+
 class TestScenes:
     CONFIG = RadarConfig(65.5e9, 5.0e9, -5.0, 8, 8, 32)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize("n_reflectors", [0, 1, 3])
+    @pytest.mark.parametrize("config", [CONFIG, OCCLUDED_CONFIG], ids=["8x8x32", "20x20x100"])
+    def test_matches_exp_per_sample_oracle(self, config, n_reflectors, noise):
+        scene = class_scene(
+            2, 0.4 * config.unambiguous_range, sample_seed=17, config=config,
+            noise_level=noise, n_reflectors=n_reflectors,
+        )
+        want = exp_per_sample_cube(scene, config)
+        got = synth_fmcw_cube(scene, config).data
+        for g, w in ((got.re, want.real), (got.im, want.imag)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_empty_scene_noise_is_the_rng_stream(self):
+        scene = SyntheticScene((), 0.1, seed=23)
+        cube = synth_fmcw_cube(scene, self.CONFIG)
+        rng = np.random.default_rng(23)
+        sigma = 0.1 / np.sqrt(2.0)
+        assert np.array_equal(cube.data.re, sigma * rng.standard_normal((8, 8, 32)))
+        assert np.array_equal(cube.data.im, sigma * rng.standard_normal((8, 8, 32)))
 
     def test_empty_scene_zero_noise(self):
         cube = synth_fmcw_cube(SyntheticScene((), 0.0, seed=0), self.CONFIG)

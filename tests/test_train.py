@@ -392,6 +392,22 @@ class TestPipeline:
                           r"scenes\[0\]: noise_level: non-finite"),
             "bandwidth-inf": (scene_doc(config={**self._SCENE_CONFIG, "bandwidth": "inf"}),
                               "must be finite"),
+            "range-beyond": (scene_doc(reflector=(5.0, 0.1, 0.0, 1.0, 0.0)),
+                             r"scenes\[0\]: reflectors\[0\]: range 5.0 m outside"),
+            "range-negative": (scene_doc(reflector=(-0.3, 0.1, 0.0, 1.0, 0.0)),
+                               r"scenes\[0\]: reflectors\[0\]: range -0.3 m outside"),
+            "n_tx-float": (scene_doc(config={**self._SCENE_CONFIG, "n_tx": 8.7}),
+                           "'n_tx' must be an integer, got 8.7"),
+            "n_rx-bool": (scene_doc(config={**self._SCENE_CONFIG, "n_rx": True}),
+                          "'n_rx' must be an integer, got True"),
+            "fast_time-str": (scene_doc(config={**self._SCENE_CONFIG, "fast_time_samples": "32"}),
+                              "'fast_time_samples' must be an integer, got '32'"),
+            "seed-float": (scene_doc(scenes=[{"class": 0, "seed": 1.9}]),
+                           r"scenes\[0\]: 'seed' must be an integer, got 1.9"),
+            "seed-bool": (scene_doc(scenes=[{"class": 0, "seed": True}]),
+                          r"scenes\[0\]: 'seed' must be an integer, got True"),
+            "split-train": (scene_doc(scenes=[{"class": 0, "split_hint": "train"}]),
+                            r"scenes\[0\]: split_hint 'train' not in"),
         }
         for name, (text, match) in cases.items():
             path = tmp_path / f"{name}.json"
