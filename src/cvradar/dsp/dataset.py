@@ -39,16 +39,9 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    version: int
     classes: tuple
     samples: tuple
     shape: tuple  # expected cube shape, or None to infer from the first sample
-    root: str  # directory relative sample paths resolve against
-
-    def resolve(self, entry):
-        if os.path.isabs(entry.path):
-            return entry.path
-        return os.path.join(self.root, entry.path)
 
 
 @dataclass(frozen=True)
@@ -76,52 +69,70 @@ class Split:
     unseen: tuple
 
 
-def load_manifest(path):
+def _read_json(path):
+    """The JSON document in the file at path; DatasetError naming it if it does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as e:
             raise DatasetError(f"{path}: not valid JSON: {e}") from e
+
+
+def _check_samples(path, doc, path_keys, list_key="samples"):
+    """Validate a sample-list document: a cube manifest, a pairs manifest or a scene file.
+
+    The document must be a version-1 object with a non-empty `classes` array of
+    non-empty strings and an array under list_key. Each sample must be an
+    object with a class index into `classes`, a string `distance_tag`
+    (default ""), a `split_hint` of "auto" (default) or "unseen", and a
+    non-empty string under each of path_keys. Returns (classes, samples), each
+    sample as (raw object, class_index, distance_tag, split_hint); any fault
+    raises DatasetError naming the path and, for a sample, its index.
+    """
     if not isinstance(doc, dict):
-        raise DatasetError(f"{path}: manifest must be a JSON object")
+        raise DatasetError(f"{path}: must be a JSON object")
     version = doc.get("version")
-    if version != MANIFEST_VERSION:
-        raise DatasetError(f"{path}: unsupported manifest version {version!r}")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise DatasetError(f"{path}: unsupported version {version!r}")
     classes = doc.get("classes")
-    if not isinstance(classes, list) or not classes or not all(isinstance(c, str) for c in classes):
-        raise DatasetError(f"{path}: 'classes' must be a non-empty array of strings")
-    raw_samples = doc.get("samples")
+    if not isinstance(classes, list) or not classes or not all(isinstance(c, str) and c for c in classes):
+        raise DatasetError(f"{path}: 'classes' must be a non-empty array of non-empty strings")
+    raw_samples = doc.get(list_key)
     if not isinstance(raw_samples, list):
-        raise DatasetError(f"{path}: 'samples' must be an array")
-    shape = doc.get("shape")
-    if shape is not None:
-        if not (isinstance(shape, list) and len(shape) == 3 and all(isinstance(v, int) and v > 0 for v in shape)):
-            raise DatasetError(f"{path}: 'shape' must be three positive integers")
-        shape = tuple(shape)
-    entries = []
+        raise DatasetError(f"{path}: {list_key!r} must be an array")
+    samples = []
     for i, raw in enumerate(raw_samples):
-        where = f"{path}: samples[{i}]"
+        where = f"{path}: {list_key}[{i}]"
         if not isinstance(raw, dict):
             raise DatasetError(f"{where}: must be an object")
-        sample_path = raw.get("path")
-        if not isinstance(sample_path, str) or not sample_path:
-            raise DatasetError(f"{where}: missing 'path'")
+        if not all(isinstance(raw.get(key), str) and raw[key] for key in path_keys):
+            raise DatasetError(f"{where}: needs {' and '.join(map(repr, path_keys))} cube path strings")
         class_index = raw.get("class")
         if type(class_index) is not int or not 0 <= class_index < len(classes):
-            raise DatasetError(
-                f"{where} ({sample_path}): class index {class_index!r} outside [0, {len(classes)})"
-            )
+            raise DatasetError(f"{where}: class index {class_index!r} outside [0, {len(classes)})")
         distance_tag = raw.get("distance_tag", "")
         if not isinstance(distance_tag, str):
-            raise DatasetError(f"{where} ({sample_path}): 'distance_tag' must be a string")
+            raise DatasetError(f"{where}: 'distance_tag' must be a string, got {distance_tag!r}")
         split_hint = raw.get("split_hint", "auto")
         if split_hint not in _SPLIT_HINTS:
-            raise DatasetError(
-                f"{where} ({sample_path}): split_hint {split_hint!r} not in {_SPLIT_HINTS}"
-            )
-        entries.append(ManifestEntry(sample_path, class_index, distance_tag, split_hint))
-    root = os.path.dirname(os.path.abspath(path))
-    return DatasetManifest(version, tuple(classes), tuple(entries), shape, root)
+            raise DatasetError(f"{where}: split_hint {split_hint!r} not in {_SPLIT_HINTS}")
+        samples.append((raw, class_index, distance_tag, split_hint))
+    return tuple(classes), samples
+
+
+def _manifest(path, doc):
+    classes, samples = _check_samples(path, doc, ("path",))
+    shape = doc.get("shape")
+    if shape is not None:
+        if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
+            raise DatasetError(f"{path}: 'shape' must be three positive integers")
+        shape = tuple(shape)
+    entries = tuple(ManifestEntry(raw["path"], *fields) for raw, *fields in samples)
+    return DatasetManifest(classes, entries, shape)
+
+
+def load_manifest(path):
+    return _manifest(path, _read_json(path))
 
 
 def write_manifest(path, classes, entries, shape=None):
@@ -147,11 +158,16 @@ def write_manifest(path, classes, entries, shape=None):
 
 def load_dataset(manifest_path):
     """Load every sample in manifest order, validating shape and existence."""
-    manifest = load_manifest(manifest_path)
+    return _dataset(manifest_path, _read_json(manifest_path))
+
+
+def _dataset(manifest_path, doc):
+    manifest = _manifest(manifest_path, doc)
+    root = os.path.dirname(os.path.abspath(manifest_path))
     expected_shape = manifest.shape
     samples = []
     for i, entry in enumerate(manifest.samples):
-        full = manifest.resolve(entry)
+        full = os.path.join(root, entry.path)
         if not os.path.exists(full):
             raise DatasetError(f"{manifest_path}: samples[{i}]: file not found: {full}")
         data = read_rfc1(full)

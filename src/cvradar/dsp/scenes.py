@@ -18,7 +18,6 @@ X + Y + N exponentials per reflector instead of X*Y*N, and the sum over
 reflectors is one (X, R) @ (R, Y*N) complex product.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from ..ctensor import ComplexTensor
 from .cube import RadarConfig, RadarCube, _SPEED_OF_LIGHT
-from .dataset import _SPLIT_HINTS, DatasetError
+from .dataset import DatasetError, _check_samples, _read_json
 
 __all__ = [
     "SyntheticScene",
@@ -162,13 +161,8 @@ def parse_scene_file(path):
     Returns (config, classes, entries) where each entry is
     (scene, class_index, distance_tag, split_hint).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise DatasetError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise DatasetError(f"{path}: unsupported scene file version")
+    doc = _read_json(path)
+    classes, samples = _check_samples(path, doc, (), "scenes")
     cfg = doc.get("config")
     if not isinstance(cfg, dict):
         raise DatasetError(f"{path}: missing 'config' object")
@@ -187,20 +181,9 @@ def parse_scene_file(path):
         raise DatasetError(f"{path}: bad config: {e}") from None
     if not all(math.isfinite(v) for v in (config.center_frequency, config.bandwidth, config.eirp)):
         raise DatasetError(f"{path}: config frequencies and eirp must be finite")
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not classes:
-        raise DatasetError(f"{path}: 'classes' must be a non-empty array")
-    scenes = doc.get("scenes", [])
-    if not isinstance(scenes, list):
-        raise DatasetError(f"{path}: 'scenes' must be an array")
     entries = []
-    for i, raw in enumerate(scenes):
+    for i, (raw, class_index, distance_tag, split_hint) in enumerate(samples):
         where = f"{path}: scenes[{i}]"
-        if not isinstance(raw, dict):
-            raise DatasetError(f"{where}: must be an object")
-        class_index = raw.get("class")
-        if type(class_index) is not int or not 0 <= class_index < len(classes):
-            raise DatasetError(f"{where}: bad class index {class_index!r}")
         raw_reflectors = raw.get("reflectors", [])
         if not isinstance(raw_reflectors, list):
             raise DatasetError(f"{where}: 'reflectors' must be an array")
@@ -221,8 +204,5 @@ def parse_scene_file(path):
             scene = SyntheticScene(tuple(reflectors), noise_level, seed)
         except (TypeError, ValueError) as e:
             raise DatasetError(f"{where}: {e}") from None
-        split_hint = raw.get("split_hint", "auto")
-        if split_hint not in _SPLIT_HINTS:
-            raise DatasetError(f"{where}: split_hint {split_hint!r} not in {_SPLIT_HINTS}")
-        entries.append((scene, class_index, str(raw.get("distance_tag", "")), split_hint))
-    return config, tuple(classes), tuple(entries)
+        entries.append((scene, class_index, distance_tag, split_hint))
+    return config, classes, tuple(entries)

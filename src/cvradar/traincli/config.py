@@ -157,7 +157,7 @@ def load_train_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from e
     try:
         return config_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -5,6 +5,11 @@ one RFC1 file per sample and the spectrum is computed here on load. A pairs
 manifest, produced by preprocess_dataset, lists two RFC1 files per sample so
 the transform cost is paid once; note RFC1 payloads are 32-bit floats, so
 cached spectra are quantized exactly like every other stored cube.
+
+Both kinds are read once and validated by dsp.dataset's sample-list check,
+the one that scene files also pass: `classes`, and each sample's `class`,
+`distance_tag` and `split_hint`. A pairs manifest carries the cube paths
+under `iq` and `fft`; a cube manifest under `path`.
 """
 
 import json
@@ -22,6 +27,7 @@ from ..dsp import (
     split_dataset,
     write_rfc1,
 )
+from ..dsp.dataset import _check_samples, _dataset, _read_json
 
 __all__ = ["SamplePair", "load_pairs", "split_pairs", "preprocess_dataset"]
 
@@ -52,71 +58,33 @@ def _pair_from_cube(cube_tensor, label, distance_tag, unseen):
     )
 
 
-def _load_pairs_manifest(path, doc):
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not all(isinstance(c, str) and c for c in classes):
-        raise DatasetError(f"{path}: 'classes' must be a non-empty array of names")
-    root = os.path.dirname(os.path.abspath(path))
-    samples = doc.get("samples", [])
-    if not isinstance(samples, list):
-        raise DatasetError(f"{path}: 'samples' must be an array")
-    pairs = []
-    shape = None
-    for i, raw in enumerate(samples):
-        where = f"{path}: samples[{i}]"
-        if not isinstance(raw, dict) or not all(
-            isinstance(raw.get(key), str) and raw[key] for key in ("iq", "fft")
-        ):
-            raise DatasetError(f"{where}: needs 'iq' and 'fft' cube path strings")
-        label = raw.get("class")
-        if type(label) is not int or not 0 <= label < len(classes):
-            raise DatasetError(f"{where}: bad class index {label!r}")
-        cubes = {}
-        for key in ("iq", "fft"):
-            full = raw[key] if os.path.isabs(raw[key]) else os.path.join(root, raw[key])
-            if not os.path.exists(full):
-                raise DatasetError(f"{where}: file not found: {full}")
-            cubes[key] = read_rfc1(full)
-            if shape is None:
-                shape = cubes[key].shape
-            if cubes[key].shape != shape:
-                raise DatasetError(
-                    f"{where}: cube shape {cubes[key].shape} does not match expected {shape}"
-                )
-        pairs.append(
-            SamplePair(
-                iq=flatten_channels(cubes["iq"]),
-                fft=flatten_channels(cubes["fft"]),
-                label=label,
-                distance_tag=str(raw.get("distance_tag", "")),
-                unseen=raw.get("split_hint", "auto") == "unseen",
-            )
-        )
-    if not pairs:
-        raise DatasetError(f"{path}: manifest lists no samples")
-    return tuple(classes), tuple(pairs)
-
-
 def load_pairs(manifest_path):
     """(classes, pairs, input_hw) from either manifest kind."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise DatasetError(f"{manifest_path}: not valid JSON: {e}") from e
+    doc = _read_json(manifest_path)
     if isinstance(doc, dict) and doc.get("kind") == "pairs":
-        if doc.get("version") != 1:
-            raise DatasetError(f"{manifest_path}: unsupported pairs manifest version")
-        classes, pairs = _load_pairs_manifest(manifest_path, doc)
+        classes, samples = _check_samples(manifest_path, doc, ("iq", "fft"))
+        root = os.path.dirname(os.path.abspath(manifest_path))
+        pairs, shape = [], None
+        for i, (raw, label, distance_tag, split_hint) in enumerate(samples):
+            where = f"{manifest_path}: samples[{i}]"
+            cubes = []
+            for key in ("iq", "fft"):
+                full = os.path.join(root, raw[key])
+                if not os.path.exists(full):
+                    raise DatasetError(f"{where}: file not found: {full}")
+                cube = read_rfc1(full)
+                shape = shape or cube.shape
+                if cube.shape != shape:
+                    raise DatasetError(f"{where}: cube shape {cube.shape} does not match expected {shape}")
+                cubes.append(flatten_channels(cube))
+            pairs.append(SamplePair(*cubes, label, distance_tag, split_hint == "unseen"))
     else:
-        ds = load_dataset(manifest_path)
-        if not ds.samples:
-            raise DatasetError(f"{manifest_path}: manifest lists no samples")
+        ds = _dataset(manifest_path, doc)
         classes = ds.classes
-        pairs = tuple(
-            _pair_from_cube(s.data, s.label, s.distance_tag, s.unseen) for s in ds.samples
-        )
-    return classes, pairs, pairs[0].iq.shape
+        pairs = [_pair_from_cube(s.data, s.label, s.distance_tag, s.unseen) for s in ds.samples]
+    if not pairs:
+        raise DatasetError(f"{manifest_path}: manifest lists no samples")
+    return classes, tuple(pairs), pairs[0].iq.shape
 
 
 def split_pairs(classes, pairs, seed, ratio=SPLIT_RATIO):

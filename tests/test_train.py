@@ -182,6 +182,13 @@ class TestTrainConfig:
         # two-convs is reported as a layer count; every other case names its field
         assert field in str(info.value) or field == "convs"
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"manifest": "\xff"}')
+        with pytest.raises(ConfigError, match="not valid JSON") as info:
+            load_train_config(path)
+        assert str(path) in str(info.value)
+
 
 class TestAdam:
     def _params(self, re, im=None):
@@ -361,8 +368,30 @@ class TestPipeline:
                          "samples": [{"path": "s.rfc1", "class": True}]}, "class index True"),
         (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a", "b"],
                             "scenes": [{"class": True}]}, "class index True"),
+        (load_pairs, {**_PAIRS, "samples": [{"iq": "i.rfc1", "fft": "f.rfc1", "class": 0,
+                                             "split_hint": "unsen"}]},
+         r"samples\[0\]: split_hint 'unsen'"),
+        (load_pairs, {**_PAIRS, "samples": [{"iq": "i.rfc1", "fft": "f.rfc1", "class": 0,
+                                             "distance_tag": 5}]},
+         r"samples\[0\]: 'distance_tag' must be a string"),
+        (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a"],
+                            "scenes": [{"class": 0, "distance_tag": [1, 2]}]},
+         r"scenes\[0\]: 'distance_tag' must be a string"),
+        (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a"],
+                            "scenes": [{"class": 0, "distance_tag": None}]},
+         r"scenes\[0\]: 'distance_tag' must be a string"),
+        (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": [1, 2],
+                            "scenes": []}, "'classes' must be"),
+        (load_manifest, {"version": 1, "classes": ["a", ""], "samples": []}, "'classes' must be"),
+        (load_manifest, {"version": 1, "classes": ["a"], "shape": [True, 2, 3], "samples": []},
+         "'shape' must be three positive integers"),
+        (load_manifest, {"version": True, "classes": ["a"], "samples": []},
+         "unsupported version True"),
     ], ids=["pairs-json", "manifest-json", "pairs-samples-int", "pairs-iq-int",
-            "pairs-fft-list", "pairs-class-bool", "manifest-class-bool", "scenes-class-bool"])
+            "pairs-fft-list", "pairs-class-bool", "manifest-class-bool", "scenes-class-bool",
+            "pairs-hint-typo", "pairs-tag-int", "scenes-tag-list", "scenes-tag-null",
+            "scenes-classes-int", "manifest-class-empty", "manifest-shape-bool",
+            "manifest-version-bool"])
     def test_malformed_manifest_names_path(self, tmp_path, loader, doc, match):
         path = tmp_path / "doc.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -818,3 +847,14 @@ class TestCli:
         classes, pairs, _ = load_pairs(str(tmp_path / "a" / "manifest.json"))
         assert classes == ("foam", "steel")
         assert [p.unseen for p in pairs] == [False, True]
+
+    def test_synth_rejects_bad_classes_before_writing(self, tmp_path):
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps({
+            "version": 1, "config": TestPipeline._SCENE_CONFIG, "classes": [1, 2],
+            "scenes": [{"class": 0, "reflectors": [[0.3, 0.1, 0.0, 1.0, 0.0]]}],
+        }))
+        out = tmp_path / "cubes"
+        with pytest.raises(DatasetError, match="'classes'"):
+            main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "0"])
+        assert not list(tmp_path.rglob("*.rfc1"))
