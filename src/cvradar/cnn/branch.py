@@ -1,5 +1,9 @@
 """Single-branch feature extractor: three conv/BN/crelu stages + pooling.
 
+Each stage is two tape ops: a bias-free conv, since train-mode batch norm
+subtracts the batch mean and would cancel a bias, and a batch norm that
+applies crelu to its own output.
+
 The (H, W) input matrix enters as one channel of a 2D image. Kernels are
 1 x k by default so the W axis (fast time or range bins) is the learned
 axis; after the conv stack the H axis (the X*Y flattened channels) is
@@ -121,10 +125,9 @@ def branch_forward(x, config, weights, mode):
         except ShapeError as e:
             raise ShapeError(f"conv{i}: {e}") from e
         try:
-            h = bn.apply(h, mode)
+            h = bn.apply(h, mode, gate=True)
         except ShapeError as e:
             raise ShapeError(f"bn{i}: {e}") from e
-        h = ops.crelu(h)
     h = ops.mean_axis(h, 2)  # collapse the spatial H axis
     return ops.cavgpool_last(h, config.pool_window)
 
@@ -134,7 +137,6 @@ def branch_parameters(prefix, weights):
     pairs = []
     for i, (conv, bn) in enumerate(zip(weights.convs, weights.bns)):
         pairs.append((f"{prefix}.conv{i}.kernels", conv.kernels))
-        pairs.append((f"{prefix}.conv{i}.bias", conv.bias))
         pairs.append((f"{prefix}.bn{i}.gamma", bn.gamma))
         pairs.append((f"{prefix}.bn{i}.beta", bn.beta))
     return pairs
@@ -157,7 +159,7 @@ def rebuild_branch(prefix, weights, mapping):
         convs.append(
             ComplexConvLayer(
                 kernels=mapping.get(f"{prefix}.conv{i}.kernels", conv.kernels),
-                bias=mapping.get(f"{prefix}.conv{i}.bias", conv.bias),
+                bias=None,
                 stride=conv.stride,
             )
         )

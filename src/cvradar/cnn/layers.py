@@ -1,7 +1,8 @@
 """Parameterized complex layers: convolution, batch norm, and initializers.
 
-The activation (crelu) and pooling (cavgpool_last) need no parameters and
-are used directly from ctensor.ops.
+The activation (crelu) runs inside batch norm (``apply(..., gate=True)``),
+and pooling (cavgpool_last) needs no parameters and is used directly from
+ctensor.ops.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class ComplexConvLayer:
     """Valid-padding complex cross-correlation weights."""
 
     kernels: ComplexTensor  # (out_channels, in_channels, kh, kw)
-    bias: ComplexTensor  # (out_channels,)
+    bias: ComplexTensor | None  # (out_channels,), or None for no bias
     stride: tuple
 
     def __post_init__(self):
@@ -51,7 +52,7 @@ class ComplexConvLayer:
             raise ShapeError(f"kernels must be rank 4, got {self.kernels.shape}")
         if min(self.kernels.shape) < 1:
             raise ShapeError(f"kernel extents must be >= 1, got {self.kernels.shape}")
-        if self.bias.shape != (self.kernels.shape[0],):
+        if self.bias is not None and self.bias.shape != (self.kernels.shape[0],):
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match {self.kernels.shape[0]} output channels"
             )
@@ -64,11 +65,13 @@ class ComplexConvLayer:
 
 
 def init_conv(rng, out_channels, in_channels, kernel_hw, stride):
+    """A conv layer without bias: every conv here feeds a train-mode batch
+    norm, whose mean subtraction cancels a bias exactly."""
     kh, kw = kernel_hw
     fan_in = in_channels * kh * kw
     return ComplexConvLayer(
         kernels=complex_uniform(rng, (out_channels, in_channels, kh, kw), fan_in),
-        bias=ComplexTensor(np.zeros(out_channels), np.zeros(out_channels)),
+        bias=None,
         stride=tuple(stride),
     )
 
@@ -100,10 +103,13 @@ class ComplexBatchNormLayer:
         self.eps = eps
         self.momentum = momentum
 
-    def apply(self, x, mode):
-        """x: (B, C, ...) -> same shape; mode 'train' updates running stats."""
+    def apply(self, x, mode, gate=False):
+        """x: (B, C, ...) -> same shape; mode 'train' updates running stats.
+
+        gate=True applies crelu to the output inside the batch-norm op.
+        """
         if mode == "train":
-            out, stats = ops.cbatchnorm_train(x, self.gamma, self.beta, eps=self.eps)
+            out, stats = ops.cbatchnorm_train(x, self.gamma, self.beta, eps=self.eps, gate=gate)
             m = self.momentum
             self.running_mean = ComplexTensor(
                 (1.0 - m) * self.running_mean.re + m * stats.mean_re,
@@ -116,7 +122,8 @@ class ComplexBatchNormLayer:
             return out
         if mode == "eval":
             return ops.cbatchnorm_eval(
-                x, self.gamma, self.beta, self.running_mean, self.running_var, eps=self.eps
+                x, self.gamma, self.beta, self.running_mean, self.running_var, eps=self.eps,
+                gate=gate,
             )
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 

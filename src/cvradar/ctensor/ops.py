@@ -331,6 +331,13 @@ def mean_axis(a, axis):
 # nonlinearities
 # ---------------------------------------------------------------------------
 
+def _gate_mask(re, im):
+    """crelu's gate: True where Re{z} >= 0 and Im{z} >= 0, built in one bool buffer."""
+    mask = re >= 0
+    mask &= im >= 0
+    return mask
+
+
 def crelu(a):
     """Pass z through iff both Re{z} >= 0 and Im{z} >= 0, else 0.
 
@@ -341,8 +348,7 @@ def crelu(a):
     so a blocked entry is x * 0: -0.0 where x < 0 (equal to 0.0), and NaN
     where x is not finite.
     """
-    mask = a.re >= 0
-    mask &= a.im >= 0
+    mask = _gate_mask(a.re, a.im)
     out = _wrap(a.re * mask, a.im * mask)
 
     def bwd(gre, gim):
@@ -432,20 +438,24 @@ def _col2im(dcols, xshape, kh, kw, sh, sw, ho, wo):
     return buf
 
 
-def cconv2d(x, kernels, bias, stride=(1, 1)):
-    """Valid complex cross-correlation with per-output-channel bias.
+def cconv2d(x, kernels, bias=None, stride=(1, 1)):
+    """Valid complex cross-correlation with an optional per-output-channel bias.
 
-    x: (B, C_in, H, W); kernels: (C_out, C_in, kh, kw); bias: (C_out,).
+    x: (B, C_in, H, W); kernels: (C_out, C_in, kh, kw); bias: (C_out,) or None.
     Every multiply-accumulate is the complex product ca-db + j(cb+da),
     realified as one real GEMM: the re and im planes are stacked as 2*C_in
     channels into one column matrix, and the kernels as the block matrix
     [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
+
+    The backward builds the input gradient only if the tape tracks x (a
+    watched leaf or a recorded output); for a data batch it returns a
+    read-only zero instead of the Wᵀ @ g product and its scatter.
     """
     if x.ndim != 4:
         raise ShapeError(f"cconv2d: input must be (B, C, H, W), got {x.shape}")
     if kernels.ndim != 4:
         raise ShapeError(f"cconv2d: kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
-    if bias.ndim != 1 or bias.shape[0] != kernels.shape[0]:
+    if bias is not None and (bias.ndim != 1 or bias.shape[0] != kernels.shape[0]):
         raise ShapeError(f"cconv2d: bias shape {bias.shape} != (C_out,) = ({kernels.shape[0]},)")
     b, cin, h, w = x.shape
     cout, kcin, kh, kw = kernels.shape
@@ -467,13 +477,18 @@ def cconv2d(x, kernels, bias, stride=(1, 1)):
     wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
     y = wblock @ cols
-    y[:, :cout] += bias.re[:, None]
-    y[:, cout:] += bias.im[:, None]
+    if bias is not None:
+        y[:, :cout] += bias.re[:, None]
+        y[:, cout:] += bias.im[:, None]
     y = y.reshape(b, 2 * cout, ho, wo)
     out = _wrap(y[:, :cout], y[:, cout:])
 
     stacked_shape = (b, 2 * cin, h, w)
     kshape = kernels.shape
+    # a predicate on x's tape key, never x itself: naming x in bwd would keep it alive
+    tape = active_tape()
+    x_tracked = tape.tracks(x) if tape is not None else None
+    has_bias = bias is not None
 
     def bwd(gre, gim):
         g = np.concatenate([gre, gim], axis=1).reshape(b, 2 * cout, ho * wo)
@@ -481,16 +496,37 @@ def cconv2d(x, kernels, bias, stride=(1, 1)):
         # gram = [[G_rr, G_ri], [G_ir, G_ii]], G_pq = sum_b g_p @ cols_q^T
         dk_re = (gram[:cout, :k] + gram[cout:, k:]).reshape(kshape)
         dk_im = (gram[cout:, :k] - gram[:cout, k:]).reshape(kshape)
-        dx = _col2im(wblock.T @ g, stacked_shape, kh, kw, sh, sw, ho, wo)
-        return ((dx[:, :cin], dx[:, cin:]), (dk_re, dk_im),
-                (gre.sum(axis=(0, 2, 3)), gim.sum(axis=(0, 2, 3))))
+        if x_tracked():
+            dx = _col2im(wblock.T @ g, stacked_shape, kh, kw, sh, sw, ho, wo)
+            dx_pair = (dx[:, :cin], dx[:, cin:])
+        else:
+            zero = np.broadcast_to(np.zeros((), dtype=g.dtype), (b, cin, h, w))
+            dx_pair = (zero, zero)
+        if not has_bias:
+            return (dx_pair, (dk_re, dk_im))
+        return (dx_pair, (dk_re, dk_im), (gre.sum(axis=(0, 2, 3)), gim.sum(axis=(0, 2, 3))))
 
-    return _record("cconv2d", out, (x, kernels, bias), bwd)
+    inputs = (x, kernels, bias) if has_bias else (x, kernels)
+    return _record("cconv2d", out, inputs, bwd)
 
 
 # ---------------------------------------------------------------------------
 # batch normalization
 # ---------------------------------------------------------------------------
+
+def _gate_output(y_re, y_im):
+    """Apply crelu to a batch norm's fresh output planes in place; returns the mask.
+
+    Multiplying in place by crelu's mask gives crelu's values bit for bit,
+    and the backward multiplies g by the same mask before the batch-norm
+    adjoint, as the two-op sequence would, so the gate costs no tape node
+    and no second pair of output planes.
+    """
+    mask = _gate_mask(y_re, y_im)
+    y_re *= mask
+    y_im *= mask
+    return mask
+
 
 class BatchStats:
     """Per-channel batch statistics of one normalization pass (plain arrays)."""
@@ -527,12 +563,14 @@ def _channel_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0].sum(axis=0)
 
 
-def cbatchnorm_train(x, gamma, beta, eps=1e-5):
+def cbatchnorm_train(x, gamma, beta, eps=1e-5, gate=False):
     """Train-mode complex batch norm: each plane normalized independently.
 
     Normalizes re and im per channel by biased batch statistics over all
     non-channel axes, then applies the per-plane affine (gamma, beta).
     Returns (output, BatchStats) so the caller can update running buffers.
+    With gate=True the op applies crelu to its own output (see _gate_output):
+    the result equals crelu(cbatchnorm_train(...)) bit for bit, in one op.
 
     Each plane is read as a (B, C, L) view, L the flattened trailing axes.
     The forward centres it once into d = v - mu, takes the variance from d
@@ -560,10 +598,13 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
         planes.append((y.reshape(x.shape), xhat, inv, mu, var))
 
     (y_re, xhat_re, inv_re, mu_re, var_re), (y_im, xhat_im, inv_im, mu_im, var_im) = planes
+    mask = _gate_output(y_re, y_im) if gate else None
     out = _wrap(y_re, y_im)
     stats = BatchStats(mu_re, var_re, mu_im, var_im)
 
     def bwd(gre, gim):
+        if mask is not None:
+            gre, gim = gre * mask, gim * mask
         per_plane = []
         for g, xhat, inv, gam in ((gre, xhat_re, inv_re, gamma.re),
                                   (gim, xhat_im, inv_im, gamma.im)):
@@ -583,14 +624,15 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5):
     return _record("cbatchnorm_train", out, (x, gamma, beta), bwd), stats
 
 
-def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
+def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5, gate=False):
     """Eval-mode complex batch norm using frozen running statistics.
 
     running_mean/running_var pack the per-plane statistics as (re, im).
     Each plane is read as a (B, C, L) view and written into one fresh
     output as (x - m) * (gamma * inv) + beta, in place, with per-channel
     factors; centring first keeps x * a + (beta - m * a) cancellation out.
-    No full-size xhat is kept: the backward recomputes it from x.
+    No full-size xhat is kept: the backward recomputes it from x. gate=True
+    applies crelu in the same op, as in cbatchnorm_train.
     """
     vshape = _bn_view(x, gamma=gamma, beta=beta,
                       running_mean=running_mean, running_var=running_var)
@@ -605,9 +647,12 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
         y *= (gam * inv)[:, None]
         y += bta[:, None]
         ys.append(y.reshape(x.shape))
+    mask = _gate_output(*ys) if gate else None
     out = _wrap(*ys)
 
     def bwd(gre, gim):
+        if mask is not None:
+            gre, gim = gre * mask, gim * mask
         per_plane = []
         for g, (q, m, inv, gam, _) in zip((gre, gim), affine):
             gv = g.reshape(vshape)

@@ -111,6 +111,18 @@ class GradTape:
         self._leaves.setdefault(self._key(tensor), tensor)
         return tensor
 
+    def tracks(self, tensor):
+        """A zero-argument predicate: does backward need this tensor's gradient?
+
+        True once the tensor is a watched leaf or a recorded output. An op
+        asks it from its backward closure, so a tensor watched after the op
+        consumed it still counts. The predicate holds the tensor's key, not
+        the tensor, and not the tape.
+        """
+        key = self._key(tensor)
+        leaves, outputs = self._leaves, self._output_keys
+        return lambda: key in leaves or key in outputs
+
     def record(self, op, output, inputs, backward_fn):
         # Key every input, known or not: a tensor consumed here and watched
         # later must still reach this node's adjoint.

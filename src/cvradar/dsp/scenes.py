@@ -134,11 +134,23 @@ def class_scene(class_index, distance_m, sample_seed, config, noise_level=0.05, 
     return SyntheticScene(tuple(reflectors), noise_level, sample_seed)
 
 
-def _finite_floats(values, where):
-    """float() of each value, or DatasetError naming `where` unless all are finite."""
+def _json_float(value, field):
+    """float(value) if it is a JSON number, else DatasetError naming the field;
+    callers add the path. Booleans and strings are refused, not cast, as in
+    the train config; an integer beyond float range reads as infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetError(f"{field!r} must be a number, got {value!r}")
     try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite_floats(values, where):
+    """Each value as a float, or DatasetError naming `where` unless all are finite numbers."""
+    try:
+        out = tuple(_json_float(v, "value") for v in values)
+    except DatasetError:
         raise DatasetError(f"{where}: expected numbers, got {values!r}") from None
     if not all(math.isfinite(v) for v in out):
         raise DatasetError(f"{where}: non-finite value in {values!r}")
@@ -168,9 +180,9 @@ def parse_scene_file(path):
         raise DatasetError(f"{path}: missing 'config' object")
     try:
         config = RadarConfig(
-            center_frequency=float(cfg["center_frequency"]),
-            bandwidth=float(cfg["bandwidth"]),
-            eirp=float(cfg.get("eirp", 0.0)),
+            center_frequency=_json_float(cfg["center_frequency"], "center_frequency"),
+            bandwidth=_json_float(cfg["bandwidth"], "bandwidth"),
+            eirp=_json_float(cfg.get("eirp", 0.0), "eirp"),
             n_tx=_json_int(cfg["n_tx"], "n_tx"),
             n_rx=_json_int(cfg["n_rx"], "n_rx"),
             fast_time_samples=_json_int(cfg["fast_time_samples"], "fast_time_samples"),

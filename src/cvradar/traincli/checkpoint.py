@@ -70,8 +70,8 @@ def _implied_values(kind, branch, n_classes, embed_dim):
     in_c = 1
     for spec, (out_c, _, _) in zip(branch.convs, shapes):
         kh, kw = spec.kernel
-        # conv kernels and bias, then bn gamma, beta, running mean and variance
-        per_branch += out_c * (in_c * kh * kw + 5)
+        # conv kernels (no bias), then bn gamma, beta, running mean and variance
+        per_branch += out_c * (in_c * kh * kw + 4)
         in_c = out_c
     c_f, length = shapes[-1]
     if kind == "baseline":

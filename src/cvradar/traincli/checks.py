@@ -84,12 +84,13 @@ def toy_branch_config():
 def toy_fusenet_instance(model_seed=2, data_seed=46):
     """A full-model check point off every gate boundary.
 
-    Freshly initialized models have zero biases and betas, which parks many
-    gate inputs exactly at 0 (gated windows propagate exact zeros); the
-    activation is discontinuous there in any additive parameter. Biases and
-    betas are therefore redrawn from a signed band [0.05, 0.3], and the seeds
-    were scanned so the smallest gate-input magnitude on the forward pass
-    (about 1.6e-3) clears the 1e-5 probe step by two decades.
+    Freshly initialized models have zero betas, which parks many gate
+    inputs exactly at 0 (gated windows propagate exact zeros); the
+    activation is discontinuous there in any additive parameter. The betas
+    (the branch convs have no bias) are therefore redrawn from a signed band
+    [0.05, 0.3], and the seeds were scanned so the smallest gate-input
+    magnitude on the forward pass (about 1.2e-3) clears the 1e-5 probe step
+    by two decades.
     """
     model = init_fusenet(
         toy_branch_config(), n_classes=2, rng=np.random.default_rng(model_seed),
@@ -102,7 +103,7 @@ def toy_fusenet_instance(model_seed=2, data_seed=46):
 
     replacements = {}
     for name, t in model.parameters():
-        if name.endswith(".bias") or name.endswith(".beta"):
+        if name.endswith(".beta"):
             replacements[name] = ComplexTensor(band(t.shape), band(t.shape))
     model = model.with_tensors(replacements)
     rng = np.random.default_rng(data_seed)

@@ -245,6 +245,75 @@ class TestPlaneReference:
         np.testing.assert_array_equal(out.im, [1.0, 0.0, 0.0, 0.0, np.nan, np.nan])
 
 
+def gated_bn_planes(mode, fused, x, gamma, beta, up, stats=None):
+    """Output and every gradient plane of batch norm with crelu, either fused
+    into the batch-norm op (gate=True) or as a second op after it."""
+    with GradTape() as tape:
+        for leaf in (x, gamma, beta):
+            tape.watch(leaf)
+        if mode == "train":
+            out, _ = ops.cbatchnorm_train(x, gamma, beta, gate=fused)
+        else:
+            out = ops.cbatchnorm_eval(x, gamma, beta, *stats, gate=fused)
+        if not fused:
+            out = ops.crelu(out)
+        loss = ops.real(ops.sum_all(ops.mul(out, up)))
+    grads = tape.backward(loss)
+    return [out.re, out.im] + [p for t in (x, gamma, beta) for p in (grads[t].re, grads[t].im)]
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestFusedGate:
+    """Batch norm with gate=True equals crelu(batch norm) bit for bit: the
+    output and every gradient plane, including -0.0, NaN and the boundary."""
+
+    @staticmethod
+    def stats(rng, c):
+        return rand_ct(rng, (c,)), ComplexTensor(rng.uniform(0.5, 2.0, c), rng.uniform(0.5, 2.0, c))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("b, rank, layout", TestPlaneReference.CASES)
+    def test_matches_two_ops(self, mode, b, rank, layout):
+        rng = np.random.default_rng(70 + b + rank)
+        x = plane_case_input(rng, b, rank, layout)
+        gamma, beta, up = rand_ct(rng, (3,)), rand_ct(rng, (3,)), rand_ct(rng, x.shape)
+        stats = self.stats(rng, 3)
+        fused = gated_bn_planes(mode, True, x, gamma, beta, up, stats)
+        assert_same_bits(fused, gated_bn_planes(mode, False, x, gamma, beta, up, stats))
+        blocked = (fused[0] == 0) & (fused[1] == 0)
+        assert 0 < blocked.sum() < blocked.size
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("case", ["boundary", "non-finite"])
+    def test_edge_values_match_two_ops(self, mode, case):
+        # gamma = 0 makes each channel's output its beta, so the gate sees
+        # exactly test_crelu_boundary's and test_crelu_non_finite's values
+        if case == "boundary":
+            re = np.array([0.0, 2.0, 0.0, -0.0, -1.0, 3.0, -2.0, -0.5])
+            im = np.array([4.0, 0.0, 0.0, 1.0, 2.0, -1.5, -3.0, 0.0])
+        else:
+            re = np.array([np.inf, -np.inf, np.nan, np.inf, 1.0, 2.0])
+            im = np.array([1.0, 1.0, 1.0, -1.0, np.nan, -np.inf])
+        c = re.size
+        rng = np.random.default_rng(80)
+        x, up = rand_ct(rng, (2, c, 3)), rand_ct(rng, (2, c, 3))
+        gamma = ComplexTensor(np.zeros(c), np.zeros(c))
+        beta = ComplexTensor(re, im)
+        stats = self.stats(rng, c)
+        with np.errstate(invalid="ignore"):
+            fused = gated_bn_planes(mode, True, x, gamma, beta, up, stats)
+            two_ops = gated_bn_planes(mode, False, x, gamma, beta, up, stats)
+            gated_beta = ops.crelu(beta)
+        assert_same_bits(fused, two_ops)
+        np.testing.assert_array_equal(fused[0][:, :, 0], np.stack([gated_beta.re] * 2))
+        np.testing.assert_array_equal(fused[1][:, :, 0], np.stack([gated_beta.im] * 2))
+
+
 class TestConv:
     def test_hand_value(self):
         x = ComplexTensor(np.full((1, 1, 1, 1), 2.0), np.full((1, 1, 1, 1), 3.0))
@@ -335,7 +404,11 @@ class TestConv:
         x = rand_ct(rng, (2, 2, 4, 9))
         out = layer.apply(x)
         assert out.shape == (2, 3, 4, 4)
-        assert np.array_equal(layer.bias.re, np.zeros(3))
+        # no bias: the layer acts as the conv with a zero bias
+        assert layer.bias is None
+        zero_b = ComplexTensor(np.zeros(3), np.zeros(3))
+        biased = ops.cconv2d(x, layer.kernels, zero_b, stride=(1, 2))
+        assert np.array_equal(out.re, biased.re) and np.array_equal(out.im, biased.im)
 
 
 class TestBatchNorm:

@@ -218,6 +218,60 @@ class TestBackward:
             assert np.array_equal(g_freed[p].re, g_kept[p].re)
             assert np.array_equal(g_freed[p].im, g_kept[p].im)
 
+    def test_untracked_conv_input_is_freed_and_skipped(self, monkeypatch):
+        """conv -> gated batch norm on an unwatched input: the input is freed
+        after the forward, no input gradient is built, and the parameter
+        gradients equal those of a run that watches the input."""
+        rng = np.random.default_rng(5)
+        planes = (rng.standard_normal((2, 2, 6, 5)), rng.standard_normal((2, 2, 6, 5)))
+        params = [rand_ct(rng, (3, 2, 2, 2)), rand_ct(rng, (3,)), rand_ct(rng, (3,))]
+        scatters = []
+        col2im = ops._col2im
+
+        def counted_col2im(*args):
+            scatters.append(args[1])
+            return col2im(*args)
+
+        monkeypatch.setattr(ops, "_col2im", counted_col2im)
+
+        def stage(watch_x):
+            x = ComplexTensor(*planes)
+            with GradTape() as tape:
+                for p in params:
+                    tape.watch(p)
+                if watch_x:
+                    tape.watch(x)
+                out, _ = ops.cbatchnorm_train(ops.cconv2d(x, params[0]), *params[1:], gate=True)
+                loss = abs2_loss(out)
+            ref = weakref.ref(x)
+            del x, out
+            return tape.backward(loss), ref() is None
+
+        g_free, freed = stage(False)
+        assert freed and scatters == []
+        g_watched, freed = stage(True)
+        assert not freed and len(scatters) == 1
+        for p in params:
+            assert np.array_equal(g_free[p].re, g_watched[p].re)
+            assert np.array_equal(g_free[p].im, g_watched[p].im)
+
+    def test_conv_input_watched_after_use_gets_gradient(self):
+        rng = np.random.default_rng(6)
+        x, k = rand_ct(rng, (2, 2, 4, 5)), rand_ct(rng, (3, 2, 2, 2))
+
+        def grad_x(watch_first):
+            with GradTape() as tape:
+                if watch_first:
+                    tape.watch(x)
+                out = ops.cconv2d(x, k)
+                tape.watch(x)
+                loss = abs2_loss(out)
+            return tape.backward(loss)[x]
+
+        late, early = grad_x(False), grad_x(True)
+        assert np.any(late.re != 0) and np.any(late.im != 0)
+        assert np.array_equal(late.re, early.re) and np.array_equal(late.im, early.im)
+
     def test_reused_address_does_not_alias(self):
         """A constant allocated where a freed intermediate lived starts with no adjoint."""
         x = ComplexTensor([1.0, 2.0])

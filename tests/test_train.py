@@ -52,6 +52,7 @@ from cvradar.traincli import (
     train,
     write_train_config,
 )
+from cvradar.traincli import checkpoint as checkpoint_module
 from cvradar.traincli.checkpoint import _all_tensors, _implied_values
 from cvradar.traincli.cli import main
 
@@ -400,6 +401,7 @@ class TestPipeline:
         assert str(path) in str(info.value)
 
     def test_malformed_scene_file_names_path(self, tmp_path):
+        # json.dumps writes math.nan and math.inf as the NaN and Infinity tokens
         def scene_doc(config=self._SCENE_CONFIG, reflector=(0.3, 0.1, 0.0, 1.0, 0.0),
                       scenes=None):
             if scenes is None:
@@ -413,14 +415,26 @@ class TestPipeline:
             "n_tx-str": (scene_doc(config={**self._SCENE_CONFIG, "n_tx": "x"}), "bad config"),
             "reflector-str": (scene_doc(reflector=(0.3, "left", 0.0, 1.0, 0.0)),
                               r"scenes\[0\]: reflectors\[0\]: expected numbers"),
-            "range-nan": (scene_doc(reflector=("NaN", 0.1, 0.0, 1.0, 0.0)),
+            "range-nan": (scene_doc(reflector=(math.nan, 0.1, 0.0, 1.0, 0.0)),
                           r"scenes\[0\]: reflectors\[0\]: non-finite"),
             "reflectors-int": (scene_doc(scenes=[{"class": 0, "reflectors": 5}]),
                                r"scenes\[0\]: 'reflectors' must be an array"),
-            "noise-nan": (scene_doc(scenes=[{"class": 0, "noise_level": "NaN"}]),
+            "noise-nan": (scene_doc(scenes=[{"class": 0, "noise_level": math.nan}]),
                           r"scenes\[0\]: noise_level: non-finite"),
-            "bandwidth-inf": (scene_doc(config={**self._SCENE_CONFIG, "bandwidth": "inf"}),
+            "bandwidth-inf": (scene_doc(config={**self._SCENE_CONFIG, "bandwidth": math.inf}),
                               "must be finite"),
+            "range-huge-int": (scene_doc(reflector=(10**400, 0.1, 0.0, 1.0, 0.0)),
+                               r"scenes\[0\]: reflectors\[0\]: non-finite"),
+            "frequency-str": (scene_doc(config={**self._SCENE_CONFIG, "center_frequency": "64e9"}),
+                              "'center_frequency' must be a number, got '64e9'"),
+            "eirp-bool": (scene_doc(config={**self._SCENE_CONFIG, "eirp": True}),
+                          "'eirp' must be a number, got True"),
+            "reflector-bool-str": (scene_doc(reflector=(0.3, True, "0.1", 1.0, False)),
+                                   r"scenes\[0\]: reflectors\[0\]: expected numbers"),
+            "noise-bool": (scene_doc(scenes=[{"class": 0, "noise_level": True}]),
+                           r"scenes\[0\]: noise_level: expected numbers"),
+            "noise-str": (scene_doc(scenes=[{"class": 0, "noise_level": "0.1"}]),
+                          r"scenes\[0\]: noise_level: expected numbers"),
             "range-beyond": (scene_doc(reflector=(5.0, 0.1, 0.0, 1.0, 0.0)),
                              r"scenes\[0\]: reflectors\[0\]: range 5.0 m outside"),
             "range-negative": (scene_doc(reflector=(-0.3, 0.1, 0.0, 1.0, 0.0)),
@@ -560,6 +574,31 @@ class TestCheckpoint:
         header, body = self._fault(fault, json.loads(blob[8 : 8 + n]), blob[8 + n :])
         text = json.dumps(header).encode("utf-8")
         path.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + body)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["baseline", "fusenet"])
+    def test_conv_bias_checkpoint_names_path(self, tmp_path, monkeypatch, kind):
+        """A file written when the branch convs still had a bias (the old
+        manifest: each conv's kernels followed by its bias) is refused."""
+        def with_conv_biases(model):
+            pairs = []
+            for name, t in _all_tensors(model):
+                pairs.append((name, t))
+                if name.endswith(".kernels"):
+                    zeros = np.zeros(t.shape[0])
+                    pairs.append((name[: -len("kernels")] + "bias", ComplexTensor(zeros, zeros)))
+            return pairs
+
+        path = tmp_path / "old.ckpt"
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_module, "_all_tensors", with_conv_biases)
+            save_checkpoint(path, self._model(kind), kind)
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[4:8])
+        assert sum(name.endswith(".bias") for name in json.loads(blob[8 : 8 + n])["tensors"]) \
+            == (6 if kind == "fusenet" else 3)
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
