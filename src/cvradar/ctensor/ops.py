@@ -658,7 +658,8 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5, gate=Fa
             gv = g.reshape(vshape)
             xhat = q.reshape(vshape) - m[:, None]
             xhat *= inv[:, None]
-            per_plane.append(((gv * (gam * inv)[:, None]).reshape(x.shape),
+            # g has x's shape; naming x here would keep the input alive on the tape
+            per_plane.append(((gv * (gam * inv)[:, None]).reshape(g.shape),
                               _channel_dot(gv, xhat), gv.sum(axis=(0, 2))))
         return tuple(zip(*per_plane))
 

@@ -1,25 +1,15 @@
-"""Signal pre-processing, cube file I/O, dataset handling, and scene synthesis."""
+"""Signal pre-processing, cube file I/O, sample-list files, and scene synthesis."""
 
 from .fft import dft3d_direct, fft3d_array
 from .cube import (
     CubeFormatError,
     OCCLUDED_CONFIG,
     RadarConfig,
-    RadarCube,
     flatten_channels,
     read_rfc1,
     write_rfc1,
 )
-from .dataset import (
-    Dataset,
-    DatasetError,
-    ManifestEntry,
-    Split,
-    load_dataset,
-    load_manifest,
-    split_dataset,
-    write_manifest,
-)
+from .dataset import DatasetError, ManifestEntry, load_samples, write_manifest
 from .scenes import (
     SyntheticScene,
     class_scene,
@@ -35,17 +25,12 @@ __all__ = [
     "CubeFormatError",
     "OCCLUDED_CONFIG",
     "RadarConfig",
-    "RadarCube",
     "flatten_channels",
     "read_rfc1",
     "write_rfc1",
-    "Dataset",
     "DatasetError",
     "ManifestEntry",
-    "Split",
-    "load_dataset",
-    "load_manifest",
-    "split_dataset",
+    "load_samples",
     "write_manifest",
     "SyntheticScene",
     "class_scene",

@@ -1,4 +1,8 @@
-"""Radar cube containers, channel flattening, and the RFC1 binary format."""
+"""Radar sensor geometry, channel flattening, and the RFC1 binary format.
+
+A cube is a 3-dimensional ComplexTensor over (tx index, rx index, fast
+time); RadarConfig.shape gives its extents.
+"""
 
 import struct
 from dataclasses import dataclass
@@ -6,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ctensor import ComplexTensor, ShapeError
+from ..ctensor.ops import reshape
 
 __all__ = [
     "RadarConfig",
-    "RadarCube",
     "OCCLUDED_CONFIG",
     "flatten_channels",
     "write_rfc1",
@@ -59,40 +63,16 @@ class RadarConfig:
 OCCLUDED_CONFIG = RadarConfig(64.0e9, 4.0e9, -5.0, 20, 20, 100)
 
 
-class RadarCube:
-    """Raw IQ samples over (tx index, rx index, fast time)."""
-
-    __slots__ = ("data", "config")
-
-    def __init__(self, data, config=None):
-        if not isinstance(data, ComplexTensor):
-            data = ComplexTensor(np.asarray(data).real, np.asarray(data).imag)
-        if data.ndim != 3:
-            raise ShapeError(f"cube data must be 3-dimensional, got shape {data.shape}")
-        if not data.is_finite():
-            raise ValueError("cube data contains non-finite values")
-        if config is not None and data.shape != config.shape:
-            raise ShapeError(
-                f"cube shape {data.shape} does not match config shape {config.shape}"
-            )
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "config", config)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadarCube is immutable")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
 def flatten_channels(t):
-    """(X, Y, N) -> (X*Y, N); row r = x*Y + y holds channel (x, y)."""
+    """(X, Y, N) -> (X*Y, N); row r = x*Y + y holds channel (x, y).
+
+    The result is a view: it shares t's read-only planes and copies nothing.
+    """
     if not isinstance(t, ComplexTensor) or t.ndim != 3:
         shape = getattr(t, "shape", None)
         raise ShapeError(f"flatten_channels expects a 3-dimensional tensor, got {shape}")
     x, y, n = t.shape
-    return ComplexTensor(t.re.reshape(x * y, n), t.im.reshape(x * y, n))
+    return reshape(t, (x * y, n))
 
 
 def write_rfc1(path, t):

@@ -1,25 +1,18 @@
-"""Dataset manifests, sample loading, and the stratified train/test split."""
+"""Sample-list files: the shared validator, the one cube read loop, and the manifest writer.
+
+Cube manifests, pairs manifests and scene files are all checked by
+_check_samples. load_samples reads the cubes a manifest lists: one per
+sample under `path` in a cube manifest, two under `iq` and `fft` in a pairs
+manifest ("kind": "pairs").
+"""
 
 import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cube import read_rfc1
 
-__all__ = [
-    "DatasetError",
-    "ManifestEntry",
-    "DatasetManifest",
-    "LoadedSample",
-    "Dataset",
-    "Split",
-    "load_manifest",
-    "write_manifest",
-    "load_dataset",
-    "split_dataset",
-]
+__all__ = ["DatasetError", "ManifestEntry", "load_samples", "write_manifest"]
 
 MANIFEST_VERSION = 1
 _SPLIT_HINTS = ("auto", "unseen")
@@ -35,38 +28,6 @@ class ManifestEntry:
     class_index: int
     distance_tag: str
     split_hint: str
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    classes: tuple
-    samples: tuple
-    shape: tuple  # expected cube shape, or None to infer from the first sample
-
-
-@dataclass(frozen=True)
-class LoadedSample:
-    data: object  # ComplexTensor (X, Y, N)
-    label: int
-    distance_tag: str
-    unseen: bool
-    path: str
-
-
-@dataclass(frozen=True)
-class Dataset:
-    classes: tuple
-    samples: tuple
-
-    def __len__(self):
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
-class Split:
-    train: tuple
-    test: tuple
-    unseen: tuple
 
 
 def _read_json(path):
@@ -120,19 +81,46 @@ def _check_samples(path, doc, path_keys, list_key="samples"):
     return tuple(classes), samples
 
 
-def _manifest(path, doc):
-    classes, samples = _check_samples(path, doc, ("path",))
+def load_samples(manifest_path):
+    """Every sample of a cube or pairs manifest, its cubes read in manifest order.
+
+    Returns (classes, samples), each sample as (cubes, class_index,
+    distance_tag, unseen) with cubes a tuple of (X, Y, N) ComplexTensors: the
+    one `path` cube, or the `iq` and `fft` cubes. Every cube must have one
+    shape, the manifest's `shape` if it gives one, else the first cube's. An
+    empty sample list raises DatasetError naming the manifest; a missing file
+    or a wrong shape raises it naming the manifest, samples[i] and the cube
+    file.
+    """
+    doc = _read_json(manifest_path)
+    pairs = isinstance(doc, dict) and doc.get("kind") == "pairs"
+    path_keys = ("iq", "fft") if pairs else ("path",)
+    classes, checked = _check_samples(manifest_path, doc, path_keys)
     shape = doc.get("shape")
     if shape is not None:
         if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
-            raise DatasetError(f"{path}: 'shape' must be three positive integers")
+            raise DatasetError(f"{manifest_path}: 'shape' must be three positive integers")
         shape = tuple(shape)
-    entries = tuple(ManifestEntry(raw["path"], *fields) for raw, *fields in samples)
-    return DatasetManifest(classes, entries, shape)
-
-
-def load_manifest(path):
-    return _manifest(path, _read_json(path))
+    if not checked:
+        raise DatasetError(f"{manifest_path}: manifest lists no samples")
+    root = os.path.dirname(os.path.abspath(manifest_path))
+    samples = []
+    for i, (raw, class_index, distance_tag, split_hint) in enumerate(checked):
+        cubes = []
+        for key in path_keys:
+            full = os.path.join(root, raw[key])
+            if not os.path.exists(full):
+                raise DatasetError(f"{manifest_path}: samples[{i}]: file not found: {full}")
+            cube = read_rfc1(full)
+            shape = shape or cube.shape
+            if cube.shape != shape:
+                raise DatasetError(
+                    f"{manifest_path}: samples[{i}]: {raw[key]}: shape {cube.shape} "
+                    f"does not match expected {shape}"
+                )
+            cubes.append(cube)
+        samples.append((tuple(cubes), class_index, distance_tag, split_hint == "unseen"))
+    return classes, samples
 
 
 def write_manifest(path, classes, entries, shape=None):
@@ -154,68 +142,3 @@ def write_manifest(path, classes, entries, shape=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def load_dataset(manifest_path):
-    """Load every sample in manifest order, validating shape and existence."""
-    return _dataset(manifest_path, _read_json(manifest_path))
-
-
-def _dataset(manifest_path, doc):
-    manifest = _manifest(manifest_path, doc)
-    root = os.path.dirname(os.path.abspath(manifest_path))
-    expected_shape = manifest.shape
-    samples = []
-    for i, entry in enumerate(manifest.samples):
-        full = os.path.join(root, entry.path)
-        if not os.path.exists(full):
-            raise DatasetError(f"{manifest_path}: samples[{i}]: file not found: {full}")
-        data = read_rfc1(full)
-        if expected_shape is None:
-            expected_shape = data.shape
-        if data.shape != expected_shape:
-            raise DatasetError(
-                f"{manifest_path}: samples[{i}] ({entry.path}): shape {data.shape} "
-                f"does not match expected {expected_shape}"
-            )
-        samples.append(
-            LoadedSample(
-                data=data,
-                label=entry.class_index,
-                distance_tag=entry.distance_tag,
-                unseen=entry.split_hint == "unseen",
-                path=full,
-            )
-        )
-    return Dataset(classes=manifest.classes, samples=tuple(samples))
-
-
-def split_dataset(dataset, ratio, seed):
-    """Seeded per-class stratified split of the eligible (non-unseen) samples.
-
-    Unseen-distance samples go to a third set untouched by the shuffle.
-    Each class keeps at least one sample on both sides.
-    """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    unseen_idx = [i for i, s in enumerate(dataset.samples) if s.unseen]
-    eligible_idx = [i for i, s in enumerate(dataset.samples) if not s.unseen]
-    by_class = {}
-    for i in eligible_idx:
-        by_class.setdefault(dataset.samples[i].label, []).append(i)
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for label in sorted(by_class):
-        members = by_class[label]
-        if len(members) < 2:
-            raise DatasetError(
-                f"class {label} ({dataset.classes[label]}) has only {len(members)} "
-                "eligible samples; need at least 2 to split"
-            )
-        perm = rng.permutation(len(members))
-        n_train = int(len(members) * ratio + 0.5)
-        n_train = min(max(n_train, 1), len(members) - 1)
-        train_idx.extend(members[j] for j in perm[:n_train])
-        test_idx.extend(members[j] for j in perm[n_train:])
-    pick = lambda idxs: tuple(dataset.samples[i] for i in sorted(idxs))
-    return Split(train=pick(train_idx), test=pick(test_idx), unseen=pick(unseen_idx))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ctensor import ComplexTensor
-from .cube import RadarConfig, RadarCube, _SPEED_OF_LIGHT
+from .cube import RadarConfig, _SPEED_OF_LIGHT
 from .dataset import DatasetError, _check_samples, _read_json
 
 __all__ = [
@@ -39,7 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """reflectors: tuple of (range_m, azimuth_rad, elevation_rad, reflectivity)."""
+    """reflectors: tuple of (range_m, azimuth_rad, elevation_rad, reflectivity).
+
+    seed is the noise seed; parse_scene_file leaves it None for the caller to set.
+    """
 
     reflectors: tuple
     noise_level: float
@@ -66,7 +69,7 @@ def predicted_bins(reflector, config):
 
 
 def synth_fmcw_cube(scene, config):
-    """Deterministic cube for a scene; fully determined by scene.seed.
+    """The scene's (X, Y, N) cube as a ComplexTensor; scene.seed fixes its noise.
 
     With R reflectors, A is (X, R) with columns alpha*exp(j*2*pi*nu_az*x) and
     B is (R, Y*N) with rows the flattened outer product of exp(j*2*pi*nu_el*y)
@@ -96,6 +99,8 @@ def synth_fmcw_cube(scene, config):
     acc = (a @ b.reshape(count, y * n)).reshape(x, y, n)
     re, im = acc.real, acc.imag
     if scene.noise_level > 0.0:
+        if scene.seed is None:  # default_rng(None) would draw fresh OS entropy
+            raise ValueError("a scene with noise needs a seed")
         rng = np.random.default_rng(scene.seed)
         if count:
             scale = float(np.sqrt(np.mean(np.abs(acc) ** 2)))
@@ -104,7 +109,7 @@ def synth_fmcw_cube(scene, config):
         sigma = scene.noise_level * scale / np.sqrt(2.0)
         re += sigma * rng.standard_normal((x, y, n))
         im += sigma * rng.standard_normal((x, y, n))
-    return RadarCube(ComplexTensor(re, im), config)
+    return ComplexTensor(re, im)
 
 
 def class_scene(class_index, distance_m, sample_seed, config, noise_level=0.05, n_reflectors=3):
@@ -169,9 +174,11 @@ def parse_scene_file(path):
 
     Layout: {"version": 1, "config": {RadarConfig fields}, "classes": [...],
     "scenes": [{"class": idx, "reflectors": [[r, az, el, re, im], ...],
-    "noise_level": x, "seed": n, "distance_tag": str, "split_hint": str}]}.
+    "noise_level": x, "distance_tag": str, "split_hint": str}]}.
     Returns (config, classes, entries) where each entry is
-    (scene, class_index, distance_tag, split_hint).
+    (scene, class_index, distance_tag, split_hint). A scene file carries no
+    noise seed: each scene's seed is None, for the caller to set (cvradar
+    synth derives one per scene from --seed). Unknown keys are ignored.
     """
     doc = _read_json(path)
     classes, samples = _check_samples(path, doc, (), "scenes")
@@ -212,9 +219,8 @@ def parse_scene_file(path):
             reflectors.append((r, az, el, complex(re_a, im_a)))
         (noise_level,) = _finite_floats([raw.get("noise_level", 0.0)], f"{where}: noise_level")
         try:
-            seed = _json_int(raw.get("seed", 0), "seed")
-            scene = SyntheticScene(tuple(reflectors), noise_level, seed)
-        except (TypeError, ValueError) as e:
+            scene = SyntheticScene(tuple(reflectors), noise_level, None)
+        except ValueError as e:
             raise DatasetError(f"{where}: {e}") from None
         entries.append((scene, class_index, distance_tag, split_hint))
     return config, classes, tuple(entries)

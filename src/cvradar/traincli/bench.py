@@ -89,7 +89,7 @@ def _emit(out_dir, radar, specs, classes, data_seed, noise_level):
             )
             cube = synth_fmcw_cube(scene, radar)
             name = f"cube_{len(entries):05d}.rfc1"
-            write_rfc1(os.path.join(out_dir, name), cube.data)
+            write_rfc1(os.path.join(out_dir, name), cube)
             entries.append(ManifestEntry(name, class_index, f"{distance:.3f}m", hint))
     manifest = os.path.join(out_dir, "manifest.json")
     write_manifest(manifest, classes, entries, shape=radar.shape)

@@ -123,7 +123,7 @@ def _cmd_synth(args):
             SyntheticScene(scene.reflectors, scene.noise_level, seed), config
         )
         name = f"cube_{i:05d}.rfc1"
-        write_rfc1(os.path.join(args.out, name), cube.data)
+        write_rfc1(os.path.join(args.out, name), cube)
         manifest_entries.append(ManifestEntry(name, class_index, distance_tag, split_hint))
     manifest_path = os.path.join(args.out, "manifest.json")
     write_manifest(manifest_path, classes, manifest_entries, shape=config.shape)

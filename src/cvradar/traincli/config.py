@@ -118,19 +118,8 @@ _NUMBER_FIELDS = {
 
 
 def config_to_dict(config):
-    return {
-        "manifest": config.manifest,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "eps": config.eps,
-        "branch": branch_to_dict(config.branch),
-        "embed_dim": config.embed_dim,
-        "heads": config.heads,
-    }
+    doc = {name: getattr(config, name) for name in _NUMBER_FIELDS}
+    return {"manifest": config.manifest, "branch": branch_to_dict(config.branch), **doc}
 
 
 def config_from_dict(doc, base_dir=None):

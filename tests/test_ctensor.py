@@ -255,6 +255,34 @@ class TestBackward:
             assert np.array_equal(g_free[p].re, g_watched[p].re)
             assert np.array_equal(g_free[p].im, g_watched[p].im)
 
+    def test_eval_batchnorm_input_is_freed(self):
+        """Gated eval-mode batch norm on a tape: its backward keeps the input's
+        planes, not the input tensor, and the gradients do not depend on it."""
+        rng = np.random.default_rng(7)
+        planes = (rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((2, 3, 4, 5)))
+        gamma, beta, mean = rand_ct(rng, (3,)), rand_ct(rng, (3,)), rand_ct(rng, (3,))
+        var = ComplexTensor(rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3))
+
+        def stage(keep):
+            x = ComplexTensor(*planes)
+            with GradTape() as tape:
+                tape.watch(gamma)
+                tape.watch(beta)
+                out = ops.cbatchnorm_eval(x, gamma, beta, mean, var, gate=True)
+                loss = abs2_loss(out)
+            ref = weakref.ref(x)
+            if keep is not None:
+                keep.append(x)
+            del x, out
+            return tape.backward(loss), ref() is None
+
+        g_freed, freed = stage(None)
+        assert freed
+        g_kept, _ = stage([])
+        for p in (gamma, beta):
+            assert np.array_equal(g_freed[p].re, g_kept[p].re)
+            assert np.array_equal(g_freed[p].im, g_kept[p].im)
+
     def test_conv_input_watched_after_use_gets_gradient(self):
         rng = np.random.default_rng(6)
         x, k = rand_ct(rng, (2, 2, 4, 5)), rand_ct(rng, (3, 2, 2, 2))

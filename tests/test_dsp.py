@@ -1,6 +1,7 @@
-"""Transform oracle, cube I/O, dataset split, and scene generator tests."""
+"""Transform oracle, cube I/O, dataset loading and split, and scene generator tests."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,22 +13,19 @@ from cvradar.dsp import (
     ManifestEntry,
     OCCLUDED_CONFIG,
     RadarConfig,
-    RadarCube,
     SyntheticScene,
     class_scene,
     dft3d_direct,
     fft3d_array,
     flatten_channels,
-    load_dataset,
-    load_manifest,
     predicted_bins,
     range_bin_width,
     read_rfc1,
-    split_dataset,
     synth_fmcw_cube,
     write_manifest,
     write_rfc1,
 )
+from cvradar.traincli import load_pairs, split_pairs
 
 
 def loop_dft3d(values):
@@ -103,12 +101,6 @@ class TestTransformOracle:
     def test_rank_checked(self, transform, shape):
         with pytest.raises(ValueError, match="3-dimensional"):
             transform(np.zeros(shape, dtype=np.complex128))
-
-    def test_non_finite_rejected(self):
-        bad = np.ones((2, 2, 2))
-        bad[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            RadarCube(ComplexTensor(bad, np.zeros_like(bad)))
 
 
 class TestFlatten:
@@ -197,20 +189,25 @@ def _make_manifest(tmp_path, entries, classes=("a", "b"), shape=None):
 
 
 class TestDataset:
+    """Manifests are read by the one sample loader, through load_pairs; the
+    split is split_pairs, which needs only `.label` and `.unseen`."""
+
     def test_load_order_preserved(self, tmp_path):
         entries = []
         for i in range(3):
             name = _write_sample(tmp_path, f"s{i}.rfc1", (2, 2, 4), seed=i)
             entries.append(ManifestEntry(name, i % 2, "d1", "auto"))
-        ds = load_dataset(_make_manifest(tmp_path, entries))
-        assert len(ds) == 3
-        assert [s.label for s in ds.samples] == [0, 1, 0]
-        assert [s.path.endswith(f"s{i}.rfc1") for i, s in enumerate(ds.samples)] == [True] * 3
+        _, pairs, _ = load_pairs(_make_manifest(tmp_path, entries))
+        assert len(pairs) == 3
+        assert [p.label for p in pairs] == [0, 1, 0]
+        for i, p in enumerate(pairs):
+            cube = read_rfc1(tmp_path / f"s{i}.rfc1")
+            assert np.array_equal(p.iq.re, flatten_channels(cube).re)
 
     def test_missing_file_named(self, tmp_path):
         entries = [ManifestEntry("ghost.rfc1", 0, "d1", "auto")]
         with pytest.raises(DatasetError, match="ghost.rfc1"):
-            load_dataset(_make_manifest(tmp_path, entries))
+            load_pairs(_make_manifest(tmp_path, entries))
 
     def test_class_index_out_of_range(self, tmp_path):
         name = _write_sample(tmp_path, "s.rfc1", (2, 2, 4), seed=0)
@@ -222,70 +219,69 @@ class TestDataset:
         }
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetError, match="class index"):
-            load_manifest(path)
+            load_pairs(path)
 
     def test_shape_mismatch_named(self, tmp_path):
         n0 = _write_sample(tmp_path, "s0.rfc1", (2, 2, 4), seed=0)
         n1 = _write_sample(tmp_path, "s1.rfc1", (2, 2, 5), seed=1)
         entries = [ManifestEntry(n0, 0, "", "auto"), ManifestEntry(n1, 1, "", "auto")]
         with pytest.raises(DatasetError, match="s1.rfc1"):
-            load_dataset(_make_manifest(tmp_path, entries))
+            load_pairs(_make_manifest(tmp_path, entries))
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"version": 9, "classes": ["a"], "samples": []}')
         with pytest.raises(DatasetError, match="version"):
-            load_manifest(path)
+            load_pairs(path)
 
-    def _dataset(self, tmp_path, per_class=(50, 50), unseen=0):
-        entries = []
-        idx = 0
-        for label, count in enumerate(per_class):
-            for _ in range(count):
-                name = _write_sample(tmp_path, f"s{idx}.rfc1", (2, 2, 4), seed=idx)
-                entries.append(ManifestEntry(name, label, "near", "auto"))
-                idx += 1
-        for _ in range(unseen):
-            name = _write_sample(tmp_path, f"s{idx}.rfc1", (2, 2, 4), seed=idx)
-            entries.append(ManifestEntry(name, idx % len(per_class), "far", "unseen"))
-            idx += 1
-        return load_dataset(_make_manifest(tmp_path, entries))
+    @staticmethod
+    def _samples(per_class=(50, 50), unseen=0):
+        samples = [SimpleNamespace(label=label, unseen=False)
+                   for label, count in enumerate(per_class) for _ in range(count)]
+        samples += [SimpleNamespace(label=i % len(per_class), unseen=True) for i in range(unseen)]
+        return samples
 
-    def test_split_80_20(self, tmp_path):
-        ds = self._dataset(tmp_path)
-        split = split_dataset(ds, 0.8, seed=0)
+    def test_split_80_20(self):
+        split = split_pairs(("a", "b"), self._samples(), seed=0, ratio=0.8)
         assert len(split.train) == 80 and len(split.test) == 20
         for label in (0, 1):
             assert sum(1 for s in split.train if s.label == label) == 40
 
-    def test_split_deterministic(self, tmp_path):
-        ds = self._dataset(tmp_path, per_class=(7, 9))
-        a = split_dataset(ds, 0.8, seed=3)
-        b = split_dataset(ds, 0.8, seed=3)
-        assert [s.path for s in a.train] == [s.path for s in b.train]
-        assert [s.path for s in a.test] == [s.path for s in b.test]
+    def test_split_deterministic(self):
+        samples = self._samples(per_class=(7, 9))
+        a = split_pairs(("a", "b"), samples, seed=3, ratio=0.8)
+        b = split_pairs(("a", "b"), samples, seed=3, ratio=0.8)
+        assert [id(s) for s in a.train] == [id(s) for s in b.train]
+        assert [id(s) for s in a.test] == [id(s) for s in b.test]
 
-    def test_split_partition(self, tmp_path):
-        ds = self._dataset(tmp_path, per_class=(7, 9), unseen=4)
-        split = split_dataset(ds, 0.75, seed=1)
-        train_paths = {s.path for s in split.train}
-        test_paths = {s.path for s in split.test}
-        unseen_paths = {s.path for s in split.unseen}
-        assert not train_paths & test_paths
-        assert not train_paths & unseen_paths
+    def test_split_partition(self):
+        samples = self._samples(per_class=(7, 9), unseen=4)
+        split = split_pairs(("a", "b"), samples, seed=1, ratio=0.75)
+        train_ids = {id(s) for s in split.train}
+        test_ids = {id(s) for s in split.test}
+        unseen_ids = {id(s) for s in split.unseen}
+        assert not train_ids & test_ids
+        assert not train_ids & unseen_ids
         assert len(split.unseen) == 4
-        eligible = {s.path for s in ds.samples if not s.unseen}
-        assert train_paths | test_paths == eligible
+        eligible = {id(s) for s in samples if not s.unseen}
+        assert train_ids | test_ids == eligible
 
-    def test_split_small_class_rejected(self, tmp_path):
-        ds = self._dataset(tmp_path, per_class=(1, 5))
+    def test_split_order_pinned(self):
+        """Each set keeps input order, and the draws are those split_pairs has always made."""
+        samples = self._samples(per_class=(3, 4), unseen=4)
+        split = split_pairs(("a", "b"), samples, seed=0, ratio=0.8)
+        index = {id(s): i for i, s in enumerate(samples)}
+        assert [index[id(s)] for s in split.train] == [0, 2, 4, 5, 6]
+        assert [index[id(s)] for s in split.test] == [1, 3]
+        assert [index[id(s)] for s in split.unseen] == [7, 8, 9, 10]
+
+    def test_split_small_class_rejected(self):
         with pytest.raises(DatasetError, match="class 0"):
-            split_dataset(ds, 0.8, seed=0)
+            split_pairs(("a", "b"), self._samples(per_class=(1, 5)), seed=0, ratio=0.8)
 
-    def test_split_bad_ratio(self, tmp_path):
-        ds = self._dataset(tmp_path, per_class=(3, 3))
+    def test_split_bad_ratio(self):
         with pytest.raises(ValueError):
-            split_dataset(ds, 1.0, seed=0)
+            split_pairs(("a", "b"), self._samples(per_class=(3, 3)), seed=0, ratio=1.0)
 
 
 def exp_per_sample_cube(scene, config):
@@ -320,7 +316,7 @@ class TestScenes:
             noise_level=noise, n_reflectors=n_reflectors,
         )
         want = exp_per_sample_cube(scene, config)
-        got = synth_fmcw_cube(scene, config).data
+        got = synth_fmcw_cube(scene, config)
         for g, w in ((got.re, want.real), (got.im, want.imag)):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -329,26 +325,32 @@ class TestScenes:
         cube = synth_fmcw_cube(scene, self.CONFIG)
         rng = np.random.default_rng(23)
         sigma = 0.1 / np.sqrt(2.0)
-        assert np.array_equal(cube.data.re, sigma * rng.standard_normal((8, 8, 32)))
-        assert np.array_equal(cube.data.im, sigma * rng.standard_normal((8, 8, 32)))
+        assert np.array_equal(cube.re, sigma * rng.standard_normal((8, 8, 32)))
+        assert np.array_equal(cube.im, sigma * rng.standard_normal((8, 8, 32)))
 
     def test_empty_scene_zero_noise(self):
         cube = synth_fmcw_cube(SyntheticScene((), 0.0, seed=0), self.CONFIG)
-        assert np.array_equal(cube.data.re, np.zeros((8, 8, 32)))
-        assert np.array_equal(cube.data.im, np.zeros((8, 8, 32)))
+        assert np.array_equal(cube.re, np.zeros((8, 8, 32)))
+        assert np.array_equal(cube.im, np.zeros((8, 8, 32)))
+
+    def test_noisy_scene_needs_seed(self):
+        with pytest.raises(ValueError, match="needs a seed"):
+            synth_fmcw_cube(SyntheticScene((), 0.1, seed=None), self.CONFIG)
+        cube = synth_fmcw_cube(SyntheticScene((), 0.0, seed=None), self.CONFIG)
+        assert np.array_equal(cube.re, np.zeros((8, 8, 32)))
 
     def test_deterministic(self):
         scene = class_scene(0, 0.3, sample_seed=5, config=self.CONFIG, noise_level=0.1)
         a = synth_fmcw_cube(scene, self.CONFIG)
         b = synth_fmcw_cube(scene, self.CONFIG)
-        assert np.array_equal(a.data.re, b.data.re)
-        assert np.array_equal(a.data.im, b.data.im)
+        assert np.array_equal(a.re, b.re)
+        assert np.array_equal(a.im, b.im)
 
     def test_peak_at_predicted_bins(self):
         bin_m = range_bin_width(self.CONFIG)
         reflector = (10 * bin_m, np.arcsin(0.5), np.arcsin(0.25), 1.0 + 0j)
         scene = SyntheticScene((reflector,), 0.0, seed=0)
-        spectrum = fft3d_array(synth_fmcw_cube(scene, self.CONFIG).data.to_complex())
+        spectrum = fft3d_array(synth_fmcw_cube(scene, self.CONFIG).to_complex())
         peak = np.unravel_index(np.argmax(np.abs(spectrum)), spectrum.shape)
         assert peak == predicted_bins(reflector, self.CONFIG)
         assert peak == (2, 1, 10)
@@ -357,7 +359,7 @@ class TestScenes:
         bin_m = range_bin_width(self.CONFIG)
         reflector = (5 * bin_m, -np.arcsin(0.5), 0.0, 1.0 + 0j)
         scene = SyntheticScene((reflector,), 0.0, seed=0)
-        spectrum = fft3d_array(synth_fmcw_cube(scene, self.CONFIG).data.to_complex())
+        spectrum = fft3d_array(synth_fmcw_cube(scene, self.CONFIG).to_complex())
         peak = np.unravel_index(np.argmax(np.abs(spectrum)), spectrum.shape)
         assert peak == predicted_bins(reflector, self.CONFIG) == (6, 0, 5)
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cvradar.ctensor import ComplexTensor
-from cvradar.dsp import DatasetError, load_manifest, parse_scene_file, write_rfc1
+from cvradar.dsp import DatasetError, parse_scene_file, write_rfc1
 from cvradar.traincli import load_pairs
 
 _CLASSES = ["a", "b"]
@@ -26,7 +26,7 @@ _REFLECTOR = [0.3, 0.1, 0.0, 1.0, 0.0]
 
 # format: (loader, list key, path keys, valid document)
 FORMATS = {
-    "manifest": (load_manifest, "samples", ("path",), {
+    "manifest": (load_pairs, "samples", ("path",), {
         "version": 1, "classes": _CLASSES, "shape": [2, 2, 4],
         "samples": [{"path": f"s{c}.rfc1", "class": c, **_TAGS[c]} for c in (0, 1)],
     }),

@@ -15,7 +15,6 @@ from cvradar.cnn import BranchConfig, ConvSpec
 from cvradar.dsp import (
     CubeFormatError,
     DatasetError,
-    load_manifest,
     parse_scene_file,
     read_rfc1,
     write_rfc1,
@@ -357,7 +356,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("loader, doc, match", [
         (load_pairs, "{not json", "not valid JSON"),
-        (load_manifest, "{not json", "not valid JSON"),
+        (load_pairs, "{not json", "not valid JSON"),
         (load_pairs, {**_PAIRS, "samples": 5}, "'samples' must be an array"),
         (load_pairs, {**_PAIRS, "samples": [{"iq": 5, "fft": "f.rfc1", "class": 0}]},
          "needs 'iq' and 'fft' cube path strings"),
@@ -365,8 +364,8 @@ class TestPipeline:
          "needs 'iq' and 'fft' cube path strings"),
         (load_pairs, {**_PAIRS, "samples": [{"iq": "i.rfc1", "fft": "f.rfc1", "class": True}]},
          "class index True"),
-        (load_manifest, {"version": 1, "classes": ["a", "b"],
-                         "samples": [{"path": "s.rfc1", "class": True}]}, "class index True"),
+        (load_pairs, {"version": 1, "classes": ["a", "b"],
+                      "samples": [{"path": "s.rfc1", "class": True}]}, "class index True"),
         (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a", "b"],
                             "scenes": [{"class": True}]}, "class index True"),
         (load_pairs, {**_PAIRS, "samples": [{"iq": "i.rfc1", "fft": "f.rfc1", "class": 0,
@@ -383,10 +382,10 @@ class TestPipeline:
          r"scenes\[0\]: 'distance_tag' must be a string"),
         (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": [1, 2],
                             "scenes": []}, "'classes' must be"),
-        (load_manifest, {"version": 1, "classes": ["a", ""], "samples": []}, "'classes' must be"),
-        (load_manifest, {"version": 1, "classes": ["a"], "shape": [True, 2, 3], "samples": []},
+        (load_pairs, {"version": 1, "classes": ["a", ""], "samples": []}, "'classes' must be"),
+        (load_pairs, {"version": 1, "classes": ["a"], "shape": [True, 2, 3], "samples": []},
          "'shape' must be three positive integers"),
-        (load_manifest, {"version": True, "classes": ["a"], "samples": []},
+        (load_pairs, {"version": True, "classes": ["a"], "samples": []},
          "unsupported version True"),
     ], ids=["pairs-json", "manifest-json", "pairs-samples-int", "pairs-iq-int",
             "pairs-fft-list", "pairs-class-bool", "manifest-class-bool", "scenes-class-bool",
@@ -445,10 +444,6 @@ class TestPipeline:
                           "'n_rx' must be an integer, got True"),
             "fast_time-str": (scene_doc(config={**self._SCENE_CONFIG, "fast_time_samples": "32"}),
                               "'fast_time_samples' must be an integer, got '32'"),
-            "seed-float": (scene_doc(scenes=[{"class": 0, "seed": 1.9}]),
-                           r"scenes\[0\]: 'seed' must be an integer, got 1.9"),
-            "seed-bool": (scene_doc(scenes=[{"class": 0, "seed": True}]),
-                          r"scenes\[0\]: 'seed' must be an integer, got True"),
             "split-train": (scene_doc(scenes=[{"class": 0, "split_hint": "train"}]),
                             r"scenes\[0\]: split_hint 'train' not in"),
         }
