@@ -18,7 +18,7 @@ from .branch import (
     init_branch,
     rebuild_branch,
 )
-from .baseline import BaselineModel, baseline_forward, baseline_logits, init_baseline
+from .baseline import BaselineModel, baseline_logits, init_baseline
 
 __all__ = [
     "ComplexBatchNormLayer",
@@ -36,7 +36,6 @@ __all__ = [
     "init_branch",
     "rebuild_branch",
     "BaselineModel",
-    "baseline_forward",
     "baseline_logits",
     "init_baseline",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "BaselineModel",
     "init_baseline",
     "baseline_logits",
-    "baseline_forward",
 ]
 
 
@@ -82,11 +81,3 @@ def baseline_logits(x, model, mode):
     flat = ops.flatten_parts(features)
     return ops.add_row(ops.matmul(flat, model.head_w), model.head_b)
 
-
-def baseline_forward(signal, model):
-    """Single sample (H, W) -> (C,) real logits.
-
-    This is the batched forward at B = 1 with eval-mode normalization.
-    """
-    batched = ops.reshape(signal, (1, 1) + signal.shape)
-    return ops.index0(baseline_logits(batched, model, "eval"), 0)

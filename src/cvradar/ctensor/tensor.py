@@ -14,13 +14,6 @@ class ShapeError(ValueError):
     """Raised when tensor shapes violate an operation's contract."""
 
 
-def _as_plane(data, shape, dtype):
-    arr = np.asarray(data, dtype=dtype)
-    if shape is not None and arr.shape != tuple(shape):
-        raise ShapeError(f"plane shape {arr.shape} does not match declared shape {tuple(shape)}")
-    return arr
-
-
 class ComplexTensor:
     """Immutable complex array: shape-tagged pair of real planes (re, im).
 
@@ -73,9 +66,6 @@ class ComplexTensor:
     def to_complex(self):
         """Materialize as a native numpy complex array (copy)."""
         return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im)))
 
     def item(self):
         if self.size != 1:

@@ -95,11 +95,7 @@ def fusenet_logits_batch(x_iq, x_fft, model, mode):
     return classify(fused, model.head_w, model.head_b)
 
 
-def fusenet_forward(signal_iq, signal_fft, model):
-    """Single sample: both (H, W) representations -> (C,) real logits.
-
-    This is the batched forward at B = 1 with eval-mode normalization.
-    """
-    x_iq = ops.reshape(signal_iq, (1, 1) + signal_iq.shape)
-    x_fft = ops.reshape(signal_fft, (1, 1) + signal_fft.shape)
-    return ops.index0(fusenet_logits_batch(x_iq, x_fft, model, "eval"), 0)
+def fusenet_forward(x_iq, x_fft, model):
+    """fusenet_logits_batch in eval mode, under the name that evaluate_pairs
+    calls once per chunk and the benchmark's probe times."""
+    return fusenet_logits_batch(x_iq, x_fft, model, "eval")

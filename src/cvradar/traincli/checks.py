@@ -17,7 +17,7 @@ from ..ctensor import ComplexTensor, ops
 from ..ctensor.gradcheck import grad_check, grad_check_multi
 from ..cnn import BranchConfig, ConvSpec, init_batchnorm, init_conv
 from ..dsp import dft3d_direct, fft3d_array
-from ..fusion import bidirectional_fuse, cross_entropy_from_logits, init_attention, init_fusenet, one_hot, fusenet_forward
+from ..fusion import bidirectional_fuse, cross_entropy_from_logits, fusenet_logits_batch, init_attention, init_fusenet, one_hot
 
 __all__ = [
     "CheckResult",
@@ -107,9 +107,9 @@ def toy_fusenet_instance(model_seed=2, data_seed=46):
             replacements[name] = ComplexTensor(band(t.shape), band(t.shape))
     model = model.with_tensors(replacements)
     rng = np.random.default_rng(data_seed)
-    x = _rand(rng, (4, 8))
-    big_x = _rand(rng, (4, 8))
-    return model, x, big_x, one_hot(1, 2)
+    x = _rand(rng, (1, 1, 4, 8))
+    big_x = _rand(rng, (1, 1, 4, 8))
+    return model, x, big_x, one_hot(1, 2)[None]
 
 
 def check_primitives():
@@ -208,7 +208,7 @@ def check_fusenet():
 
     def fn(*tensors):
         trial = model.with_tensors(dict(zip(names, tensors)))
-        return cross_entropy_from_logits(fusenet_forward(x, big_x, trial), target)
+        return cross_entropy_from_logits(fusenet_logits_batch(x, big_x, trial, "eval"), target)
 
     err = grad_check_multi(fn, [initial[n] for n in names])
     return [CheckResult("fusenet", "all parameters", err, 1e-4)]

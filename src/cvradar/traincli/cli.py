@@ -84,11 +84,13 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model, kind, meta = load_checkpoint(args.weights)
-    classes, pairs, _ = load_pairs(args.manifest)
-    if len(classes) != model.n_classes:
+    classes, pairs, input_hw = load_pairs(args.manifest)
+    want = (model.n_classes, tuple(model.config.input_hw))
+    got = (len(classes), tuple(input_hw))
+    if got != want:
         print(
-            f"error: checkpoint expects {model.n_classes} classes but the "
-            f"manifest declares {len(classes)}",
+            f"error: checkpoint {args.weights} expects {want[0]} classes of {want[1]} "
+            f"samples but manifest {args.manifest} declares {got[0]} classes of {got[1]}",
             file=sys.stderr,
         )
         return 1

@@ -5,11 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cnn import baseline_forward
+from ..cnn import baseline_logits
 from ..fusion import fusenet_forward
+from .pipeline import stack_pairs
 
 __all__ = [
     "MetricsReport",
+    "eval_chunk_size",
     "evaluate_pairs",
     "report_to_dict",
     "report_from_dict",
@@ -62,24 +64,47 @@ def _confusion_report(confusion, loss_curve, tag):
     )
 
 
+# Budget of one eval chunk's largest stage: conv output plus its im2col columns,
+# 16 bytes per complex element. It is sized for memory, not only for cache: on
+# perfbench train-bench (194 kB per sample; 2 CPUs, one BLAS thread, 30 s runs)
+# chunks of 4 / 8 / 16 / 30 read eval_samples_per_s 1448 / 1683 / 1589 / 1511
+# and peak_rss_mb 56.6 / 56.9 / 60.0 / 64.4, against about 485 and 56.7 one
+# sample at a time. This gives 8 there and 1 at paper geometry (20.5 MB).
+EVAL_CHUNK_BYTES = 3 << 19  # 1.5 MiB
+
+
+def eval_chunk_size(config):
+    """Samples per eval forward: EVAL_CHUNK_BYTES over one sample's largest stage, at least 1."""
+    c_in, largest = 1, 0
+    for spec, (c, h, w) in zip(config.convs, config.stage_shapes()):
+        largest = max(largest, (c + c_in * spec.kernel[0] * spec.kernel[1]) * h * w * 16)
+        c_in = c
+    return max(1, EVAL_CHUNK_BYTES // largest)
+
+
 def evaluate_pairs(model, kind, pairs, tag, loss_curve=()):
     """Argmax predictions over a pair list, normalization in eval mode.
 
     The baseline consumes only the spectrum representation; the fusion model
-    consumes both. Ties break toward the lowest class index.
+    consumes both. Consecutive chunks of eval_chunk_size pairs run through
+    the batched forward. Ties break toward the lowest class index.
     """
+    if kind not in ("baseline", "fusenet"):
+        raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
     c = model.n_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
     for p in pairs:
         if not 0 <= p.label < c:
             raise ValueError(f"sample label {p.label} out of range for {c} classes")
+    confusion = np.zeros((c, c), dtype=np.int64)
+    chunk = eval_chunk_size(model.config)
+    for start in range(0, len(pairs), chunk):
+        batch = pairs[start : start + chunk]
+        x_fft = stack_pairs(batch, "fft")
         if kind == "fusenet":
-            logits = fusenet_forward(p.iq, p.fft, model)
-        elif kind == "baseline":
-            logits = baseline_forward(p.fft, model)
+            logits = fusenet_forward(stack_pairs(batch, "iq"), x_fft, model)
         else:
-            raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
-        confusion[p.label, int(np.argmax(logits.re))] += 1
+            logits = baseline_logits(x_fft, model, "eval")
+        np.add.at(confusion, ([p.label for p in batch], np.argmax(logits.re, axis=1)), 1)
     return _confusion_report(confusion, loss_curve, tag)
 
 

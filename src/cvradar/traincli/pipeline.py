@@ -25,7 +25,7 @@ from ..dsp import (
     write_rfc1,
 )
 
-__all__ = ["SamplePair", "Split", "load_pairs", "split_pairs", "preprocess_dataset"]
+__all__ = ["SamplePair", "Split", "load_pairs", "stack_pairs", "split_pairs", "preprocess_dataset"]
 
 SPLIT_RATIO = 0.8  # conventional 80/20 train/test split
 
@@ -46,14 +46,12 @@ class Split:
     unseen: tuple
 
 
-def _spectrum(cube_tensor):
-    spec = fft3d_array(cube_tensor.to_complex())
-    return ComplexTensor(spec.real, spec.imag)
-
-
 def _iq_and_spectrum(cubes):
     """A sample's (iq, spectrum) cubes: both read from a pairs manifest, or the spectrum computed."""
-    return cubes if len(cubes) == 2 else (cubes[0], _spectrum(cubes[0]))
+    if len(cubes) == 2:
+        return cubes
+    spec = fft3d_array(cubes[0].to_complex())
+    return cubes[0], ComplexTensor(spec.real, spec.imag)
 
 
 def load_pairs(manifest_path):
@@ -64,6 +62,12 @@ def load_pairs(manifest_path):
         for cubes, label, distance_tag, unseen in samples
     )
     return classes, pairs, pairs[0].iq.shape
+
+
+def stack_pairs(pairs, attr):
+    """One representation ("iq" or "fft") of a pair list as a (B, 1, H, W) batch, copied once."""
+    planes = [getattr(p, attr) for p in pairs]
+    return ComplexTensor([t.re[None] for t in planes], [t.im[None] for t in planes])
 
 
 def split_pairs(classes, samples, seed, ratio=SPLIT_RATIO):

@@ -11,13 +11,13 @@ import os
 
 import numpy as np
 
-from ..ctensor import ComplexTensor, GradTape
+from ..ctensor import GradTape
 from ..cnn import baseline_logits, init_baseline
 from ..fusion import cross_entropy_from_logits, fusenet_logits_batch, init_fusenet, one_hot
 from .adam import adam_step, init_adam_state
 from .checkpoint import save_checkpoint
 from .metrics import MetricsReport, evaluate_pairs
-from .pipeline import SPLIT_RATIO, load_pairs, split_pairs
+from .pipeline import SPLIT_RATIO, load_pairs, split_pairs, stack_pairs
 
 __all__ = ["TrainingError", "DivergenceError", "train", "epoch_batches"]
 
@@ -34,10 +34,6 @@ class DivergenceError(TrainingError):
         self.last_checkpoint = last_checkpoint
 
 
-def _shuffle_rng(seed, epoch):
-    return np.random.default_rng(np.random.SeedSequence([seed, epoch]))
-
-
 def epoch_batches(n, batch_size, rng):
     """Shuffled index batches; a trailing singleton is folded into its
     predecessor so every batch holds >= 2 samples for batch norm."""
@@ -49,20 +45,15 @@ def epoch_batches(n, batch_size, rng):
     return batches
 
 
-def _stack(pairs, idx, attr):
-    re = np.stack([getattr(pairs[i], attr).re for i in idx])[:, None]
-    im = np.stack([getattr(pairs[i], attr).im for i in idx])[:, None]
-    return ComplexTensor(re, im)
-
-
 def _batch_loss(model, kind, pairs, idx, n_classes):
     """Mean cross-entropy over one batch: one loss op on the (B, C) logits."""
-    x_fft = _stack(pairs, idx, "fft")
+    batch = [pairs[i] for i in idx]
+    x_fft = stack_pairs(batch, "fft")
     if kind == "fusenet":
-        logits = fusenet_logits_batch(_stack(pairs, idx, "iq"), x_fft, model, "train")
+        logits = fusenet_logits_batch(stack_pairs(batch, "iq"), x_fft, model, "train")
     else:
         logits = baseline_logits(x_fft, model, "train")
-    targets = np.stack([one_hot(pairs[i].label, n_classes) for i in idx])
+    targets = np.stack([one_hot(p.label, n_classes) for p in batch])
     return cross_entropy_from_logits(logits, targets)
 
 
@@ -109,7 +100,7 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
     loss_curve = []
     reports = []
     for epoch in range(config.epochs):
-        rng = _shuffle_rng(config.seed, epoch)
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
         loss_sum = 0.0
         seen = 0
         for step, idx in enumerate(epoch_batches(len(split.train), config.batch_size, rng)):

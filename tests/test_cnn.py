@@ -7,7 +7,6 @@ from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, ops
 from cvradar.cnn import (
     BranchConfig,
     ConvSpec,
-    baseline_forward,
     baseline_logits,
     branch_forward,
     default_branch_config,
@@ -604,11 +603,11 @@ class TestBaseline:
     def test_logit_shape_and_uniform_softmax(self):
         rng = np.random.default_rng(19)
         model = init_baseline(TOY, n_classes=3, rng=rng)
-        zero = ComplexTensor(np.zeros((4, 8)), np.zeros((4, 8)))
-        logits = baseline_forward(zero, model)
-        assert logits.shape == (3,)
-        assert np.array_equal(logits.re, np.zeros(3))
-        p = ops.softmax_last(ops.reshape(logits, (1, 3)))
+        zero = ComplexTensor(np.zeros((1, 1, 4, 8)), np.zeros((1, 1, 4, 8)))
+        logits = baseline_logits(zero, model, mode="eval")
+        assert logits.shape == (1, 3)
+        assert np.array_equal(logits.re, np.zeros((1, 3)))
+        p = ops.softmax_last(logits)
         assert np.allclose(p.re, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_logits_are_real(self):
@@ -620,7 +619,7 @@ class TestBaseline:
         assert np.array_equal(logits.im, np.zeros((2, 4)))
 
     def test_batched_matches_per_sample(self):
-        # bench geometry, eval mode: one batch of 5 against 5 single-sample calls
+        # bench geometry, eval mode: one call at B = 5 against five at B = 1
         from cvradar.traincli import bench_branch_config
 
         rng = np.random.default_rng(22)
@@ -628,8 +627,10 @@ class TestBaseline:
         x = rand_ct(rng, (5, 1, 64, 32))
         batched = baseline_logits(x, model, mode="eval")
         for n in range(5):
-            single = baseline_forward(ComplexTensor(x.re[n, 0], x.im[n, 0]), model)
-            assert np.max(np.abs(batched.re[n] - single.re)) <= 1e-12
+            single = baseline_logits(
+                ComplexTensor(x.re[n : n + 1], x.im[n : n + 1]), model, mode="eval"
+            )
+            assert np.max(np.abs(batched.re[n] - single.re[0])) <= 1e-12
 
     def test_end_to_end_gradient(self):
         from cvradar.ctensor.gradcheck import grad_check_multi

@@ -11,7 +11,6 @@ from cvradar.fusion import (
     classify,
     cross_entropy,
     cross_entropy_from_logits,
-    fusenet_forward,
     fusenet_logits_batch,
     init_attention,
     init_fusenet,
@@ -266,16 +265,18 @@ class TestFuseNet:
     def test_logits_shape_and_real(self):
         rng = np.random.default_rng(18)
         model = self._model()
-        logits = fusenet_forward(rand_ct(rng, (4, 8)), rand_ct(rng, (4, 8)), model)
-        assert logits.shape == (2,)
-        assert np.array_equal(logits.im, np.zeros(2))
+        logits = fusenet_logits_batch(
+            rand_ct(rng, (1, 1, 4, 8)), rand_ct(rng, (1, 1, 4, 8)), model, "eval"
+        )
+        assert logits.shape == (1, 2)
+        assert np.array_equal(logits.im, np.zeros((1, 2)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(19)
         model = self._model()
-        x, X = rand_ct(rng, (4, 8)), rand_ct(rng, (4, 8))
-        a = fusenet_forward(x, X, model)
-        b = fusenet_forward(x, X, model)
+        x, X = rand_ct(rng, (1, 1, 4, 8)), rand_ct(rng, (1, 1, 4, 8))
+        a = fusenet_logits_batch(x, X, model, "eval")
+        b = fusenet_logits_batch(x, X, model, "eval")
         assert np.array_equal(a.re, b.re)
 
     def test_end_to_end_gradient(self):
@@ -290,25 +291,27 @@ class TestFuseNet:
 
         def f(*tensors):
             trial = model.with_tensors(dict(zip(names, tensors)))
-            return cross_entropy_from_logits(fusenet_forward(x, X, trial), target)
+            return cross_entropy_from_logits(fusenet_logits_batch(x, X, trial, "eval"), target)
 
         err = grad_check_multi(f, [initial[n] for n in names])
         assert err <= 1e-4
 
     def test_batched_matches_per_sample(self):
-        # bench geometry, eval mode: one batch of 5 against 5 single-sample calls
+        # bench geometry, eval mode: one call at B = 5 against five at B = 1
         rng = np.random.default_rng(24)
         model = init_fusenet(bench_branch_config(), n_classes=3, rng=rng, embed_dim=16, heads=2)
         x_iq, x_fft = rand_ct(rng, (5, 1, 64, 32)), rand_ct(rng, (5, 1, 64, 32))
         batched = fusenet_logits_batch(x_iq, x_fft, model, "eval")
         assert batched.shape == (5, 3)
         for n in range(5):
-            single = fusenet_forward(
-                ComplexTensor(x_iq.re[n, 0], x_iq.im[n, 0]),
-                ComplexTensor(x_fft.re[n, 0], x_fft.im[n, 0]),
+            single = fusenet_logits_batch(
+                ComplexTensor(x_iq.re[n : n + 1], x_iq.im[n : n + 1]),
+                ComplexTensor(x_fft.re[n : n + 1], x_fft.im[n : n + 1]),
                 model,
+                "eval",
             )
-            assert np.max(np.abs(batched.re[n] - single.re)) <= 1e-12
+            assert single.shape == (1, 3)
+            assert np.max(np.abs(batched.re[n] - single.re[0])) <= 1e-12
 
     def test_parameter_roundtrip(self):
         model = self._model()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvradar.ctensor import ComplexTensor
-from cvradar.cnn import BranchConfig, ConvSpec
+from cvradar.cnn import BranchConfig, ConvSpec, baseline_logits
 from cvradar.dsp import (
     CubeFormatError,
     DatasetError,
@@ -51,9 +51,11 @@ from cvradar.traincli import (
     train,
     write_train_config,
 )
+from cvradar.fusion import fusenet_logits_batch
 from cvradar.traincli import checkpoint as checkpoint_module
 from cvradar.traincli.checkpoint import _all_tensors, _implied_values
 from cvradar.traincli.cli import main
+from cvradar.traincli.metrics import eval_chunk_size
 
 
 def adam_oracle(w0, grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
@@ -752,6 +754,42 @@ class TestTrainLoop:
         b = evaluate_pairs(shifted, "fusenet", held, tag="unseen")
         assert a.confusion == b.confusion
 
+    @pytest.mark.parametrize("kind", ["fusenet", "baseline"])
+    def test_chunked_eval_matches_per_sample_loop(self, tiny_manifest, kind):
+        # 17 pairs at chunk 8: two full chunks and a single-sample tail
+        _, pairs, _ = load_pairs(tiny_manifest)
+        pairs = pairs[:17]
+        cfg = self._config(tiny_manifest)
+        assert eval_chunk_size(cfg.branch) == 8
+        model, _ = train(cfg, kind, track_accuracy=False)
+        want = np.zeros((2, 2), dtype=np.int64)
+        for p in pairs:
+            fft = ComplexTensor(p.fft.re[None, None], p.fft.im[None, None])
+            if kind == "fusenet":
+                iq = ComplexTensor(p.iq.re[None, None], p.iq.im[None, None])
+                logits = fusenet_logits_batch(iq, fft, model, "eval")
+            else:
+                logits = baseline_logits(fft, model, "eval")
+            want[p.label, int(np.argmax(logits.re[0]))] += 1
+        report = evaluate_pairs(model, kind, pairs, tag="all")
+        assert report.confusion == tuple(tuple(int(v) for v in row) for row in want)
+        assert all(sum(col) for col in zip(*report.confusion))  # both classes predicted
+
+    def test_zero_head_baseline_ties_to_class_zero(self, tiny_manifest):
+        _, pairs, _ = load_pairs(tiny_manifest)
+        cfg = self._config(tiny_manifest)
+        model = init_model(cfg, 2, "baseline")
+        zero_w = ComplexTensor(np.zeros(model.head_w.shape), np.zeros(model.head_w.shape))
+        zero_b = ComplexTensor(np.zeros(2), np.zeros(2))
+        model = model.with_tensors({"head.w": zero_w, "head.b": zero_b})
+        report = evaluate_pairs(model, "baseline", pairs, tag="all")
+        assert report.confusion == ((9, 0), (9, 0))
+
+    def test_bad_kind_rejected_for_empty_list(self, tiny_manifest):
+        model = init_model(self._config(tiny_manifest), 2, "fusenet")
+        with pytest.raises(ValueError, match="kind"):
+            evaluate_pairs(model, "bogus", [], tag="none")
+
     def test_confusion_rows_count_samples(self, tiny_manifest):
         classes, pairs, _ = load_pairs(tiny_manifest)
         cfg = self._config(tiny_manifest)
@@ -845,6 +883,17 @@ class TestCli:
         assert main(["eval", "--weights", str(out / "final.ckpt"),
                      "--manifest", manifest3, "--split", "unseen"]) == 1
         assert "classes" in capsys.readouterr().err
+
+    def test_eval_geometry_mismatch_names_both_files(self, tiny_manifest, tmp_path, capsys):
+        # a toy-geometry (4, 8) checkpoint against the (64, 32) tiny manifest
+        ckpt = tmp_path / "toy.ckpt"
+        save_checkpoint(ckpt, init_model(small_config(), 2, "fusenet"), "fusenet")
+        assert main(["eval", "--weights", str(ckpt), "--manifest", tiny_manifest,
+                     "--split", "unseen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(ckpt) in err and tiny_manifest in err
+        assert "(4, 8)" in err and "(64, 32)" in err
 
     def test_preprocess_then_train(self, tiny_manifest, tmp_path):
         assert main(["preprocess", "--manifest", tiny_manifest,
