@@ -14,6 +14,7 @@ from .branch import (
     branch_forward,
     branch_parameters,
     branch_state,
+    chunk_size,
     default_branch_config,
     init_branch,
     rebuild_branch,
@@ -32,6 +33,7 @@ __all__ = [
     "branch_forward",
     "branch_parameters",
     "branch_state",
+    "chunk_size",
     "default_branch_config",
     "init_branch",
     "rebuild_branch",

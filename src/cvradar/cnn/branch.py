@@ -24,6 +24,7 @@ __all__ = [
     "init_branch",
     "branch_forward",
     "branch_parameters",
+    "chunk_size",
     "rebuild_branch",
 ]
 
@@ -93,6 +94,16 @@ def default_branch_config(input_hw=(400, 100)):
         ),
         pool_window=2,
     )
+
+
+def chunk_size(config):
+    """Samples per batch chunk, at least 1: ops.CHUNK_BYTES over one sample's
+    largest stage, so such a batch is one cconv2d chunk at every stage."""
+    c_in, largest = 1, 0
+    for spec, (c, h, w) in zip(config.convs, config.stage_shapes()):
+        largest = max(largest, (c + c_in * spec.kernel[0] * spec.kernel[1]) * h * w * 16)
+        c_in = c
+    return max(1, ops.CHUNK_BYTES // largest)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ input's shape; a plane that gets no gradient is returned as zeros.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ComplexTensor, ShapeError
 from .tape import active_tape
@@ -22,7 +22,7 @@ __all__ = [
     "sum_all", "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
     "cbatchnorm_train", "cbatchnorm_eval", "cross_entropy_logits",
-    "BatchStats",
+    "BatchStats", "CHUNK_BYTES",
 ]
 
 
@@ -420,22 +420,31 @@ def cavgpool_last(a, window):
 # convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(plane, kh, kw, sh, sw):
-    b, c = plane.shape[:2]
-    v = sliding_window_view(plane, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    ho, wo = v.shape[2], v.shape[3]
-    cols = v.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+# Budget of one batch chunk's conv output plus im2col columns (16 bytes per
+# complex element), sized for memory: eval chunks of 4 / 8 / 16 / 30 at bench
+# geometry (194 kB per sample) read eval_samples_per_s 1448 / 1683 / 1589 / 1511
+# and peak_rss_mb 56.6 / 56.9 / 60.0 / 64.4 on perfbench train-bench (2 CPUs,
+# one BLAS thread). This gives 8 there and 1 at paper geometry (20.5 MB).
+CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
 
-def _col2im(dcols, xshape, kh, kw, sh, sw, ho, wo):
-    b, c, h, w = xshape
-    d = dcols.reshape(b, c, kh, kw, ho, wo)
-    buf = np.zeros(xshape, dtype=dcols.dtype)
+def _im2col(re, im, kh, kw, sh, sw, ho, wo):
+    """Columns (n, 2k, Ho*Wo), k = C*kh*kw, of a (n, C, H, W) plane pair, copied
+    into one buffer: rows [0, k) hold re's patches, rows [k, 2k) im's."""
+    n, c = re.shape[:2]
+    cols = np.empty((n, 2, c, kh, kw, ho, wo), dtype=re.dtype)
+    for i, plane in enumerate((re, im)):
+        s0, s1, s2, s3 = plane.strides  # copied from a (n, C, kh, kw, Ho, Wo) window view
+        cols[:, i] = as_strided(plane, (n, c, kh, kw, ho, wo), (s0, s1, s2, s3, sh * s2, sw * s3))
+    return cols.reshape(n, 2 * c * kh * kw, ho * wo)
+
+
+def _col2im(dcols, buf, kh, kw, sh, sw, ho, wo):
+    n, c = buf.shape[:2]
+    d = dcols.reshape(n, c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
             buf[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += d[:, :, i, j]
-    return buf
 
 
 def cconv2d(x, kernels, bias=None, stride=(1, 1)):
@@ -446,6 +455,10 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     realified as one real GEMM: the re and im planes are stacked as 2*C_in
     channels into one column matrix, and the kernels as the block matrix
     [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
+
+    The batch runs in chunks of CHUNK_BYTES over one sample's output plus
+    columns. One chunk keeps its columns for the backward; more keep x's
+    planes and rebuild them. GEMMs are per sample, so chunks change no bit.
 
     The backward builds the input gradient only if the tape tracks x (a
     watched leaf or a recorded output); for a data batch it returns a
@@ -469,14 +482,21 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
             f"cconv2d: kernel shape {kernels.shape} larger than input shape {x.shape}"
         )
 
-    # cols rows [0, k) hold the re plane's patches, rows [k, 2k) the im plane's
-    cols, ho, wo = _im2col(np.concatenate([x.re, x.im], axis=1), kh, kw, sh, sw)
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
     kr = kernels.re.reshape(cout, -1)
     ki = kernels.im.reshape(cout, -1)
     k = kr.shape[1]
     wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
-    y = wblock @ cols
+    chunk = max(1, CHUNK_BYTES // ((2 * k + 2 * cout) * ho * wo * 8))
+    spans = [slice(s, s + chunk) for s in range(0, b, chunk)]
+    y = None
+    for s in spans:
+        cols = _im2col(x.re[s], x.im[s], kh, kw, sh, sw, ho, wo)
+        # y after the first columns: allocated before them, prep-eval-paper peak RSS rose 0.2 MB
+        y = np.empty((b, 2 * cout, ho * wo), dtype=x.dtype) if y is None else y
+        np.matmul(wblock, cols, out=y[s])
+    planes, cols = ((x.re, x.im), None) if len(spans) > 1 else (None, cols)
     if bias is not None:
         y[:, :cout] += bias.re[:, None]
         y[:, cout:] += bias.im[:, None]
@@ -491,16 +511,23 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     has_bias = bias is not None
 
     def bwd(gre, gim):
-        g = np.concatenate([gre, gim], axis=1).reshape(b, 2 * cout, ho * wo)
-        gram = (g @ np.swapaxes(cols, 1, 2)).sum(axis=0)
+        dx = np.zeros(stacked_shape, dtype=gre.dtype) if x_tracked() else None
+        grams = []
+        for s in spans:
+            g = np.concatenate([gre[s], gim[s]], axis=1).reshape(-1, 2 * cout, ho * wo)
+            c = cols if planes is None else _im2col(planes[0][s], planes[1][s], kh, kw, sh, sw,
+                                                    ho, wo)
+            grams.append(g @ np.swapaxes(c, 1, 2))
+            if dx is not None:
+                _col2im(wblock.T @ g, dx[s], kh, kw, sh, sw, ho, wo)
+        gram = (grams[0] if len(grams) == 1 else np.concatenate(grams)).sum(axis=0)
         # gram = [[G_rr, G_ri], [G_ir, G_ii]], G_pq = sum_b g_p @ cols_q^T
         dk_re = (gram[:cout, :k] + gram[cout:, k:]).reshape(kshape)
         dk_im = (gram[cout:, :k] - gram[:cout, k:]).reshape(kshape)
-        if x_tracked():
-            dx = _col2im(wblock.T @ g, stacked_shape, kh, kw, sh, sw, ho, wo)
+        if dx is not None:
             dx_pair = (dx[:, :cin], dx[:, cin:])
         else:
-            zero = np.broadcast_to(np.zeros((), dtype=g.dtype), (b, cin, h, w))
+            zero = np.broadcast_to(np.zeros((), dtype=gre.dtype), (b, cin, h, w))
             dx_pair = (zero, zero)
         if not has_bias:
             return (dx_pair, (dk_re, dk_im))

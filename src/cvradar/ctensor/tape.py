@@ -5,9 +5,9 @@ independent pair of real tensors (re, im), and standard real reverse-mode
 accumulation runs over the recorded primitives. Losses are real scalars;
 gradients come back as one real pair per watched leaf.
 
-A tape is single-writer: one training step builds and consumes one tape.
-Backward is a pure function of the tape, so repeated calls produce
-bit-identical gradients.
+One training step builds and consumes one tape; parallel() lets threads
+record into it on separate lanes. Backward is a pure function of the tape,
+so repeated calls produce bit-identical gradients.
 
 Nodes hold integer keys, not tensors. The tape gives each tensor it sees
 (recorded outputs, recorded inputs, watched leaves) a fresh key through a
@@ -18,17 +18,19 @@ allocated at a freed tensor's address gets a new key, never the old one.
 """
 
 import itertools
+import os
+import threading
 import weakref
 
 import numpy as np
 
 from .tensor import ComplexTensor, ShapeError
 
-__all__ = ["GradTape", "Gradient", "TapeError", "active_tape"]
+__all__ = ["GradTape", "Gradient", "TapeError", "active_tape", "parallel"]
 
 
 class TapeError(RuntimeError):
-    """Raised on tape misuse: nesting, non-scalar loss, off-tape loss."""
+    """Raised on tape misuse: nesting, shared lanes, non-scalar or off-tape loss."""
 
 
 class Gradient:
@@ -59,11 +61,63 @@ class _Node:
 
 
 _ACTIVE = None
+_LANE = type("_Lane", (threading.local,), {"nodes": None})()  # .nodes: this thread's lane
+_WORKER = None
 
 
 def active_tape():
     """The tape currently recording, or None outside any tape context."""
     return _ACTIVE
+
+
+def _outcome(fn, lane):
+    _LANE.nodes = lane
+    try:
+        return fn(), None
+    except Exception as e:
+        return None, e
+    finally:
+        _LANE.nodes = None
+
+
+def _run_lanes(fns, lanes):
+    """Results of fns, fn i recording into lanes[i]: the first here, the rest on one
+    lazy worker (all here with < 2 usable CPUs). All end before an error is raised."""
+    global _WORKER
+    here, rest = list(zip(fns, lanes)), []
+    if len(here) > 1 and len(os.sched_getaffinity(0)) > 1:
+        if _WORKER is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cvradar-lane")
+        here, rest = here[:1], [_WORKER.submit(_outcome, *pair) for pair in here[1:]]
+    outcomes = [_outcome(*pair) for pair in here] + [f.result() for f in rest]
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [value for value, _ in outcomes]
+
+
+def parallel(*thunks):
+    """Call independent thunks concurrently and return their results in order.
+
+    Under an active tape each thunk records into its own lane and the tape
+    appends one fork, the tuple of lanes, which backward walks concurrently.
+    Lanes share no tensor (else TapeError), so each adjoint is written by one
+    thread, in the order in-order recording would give. Lanes do not nest.
+    """
+    if _LANE.nodes is not None:
+        raise TapeError("parallel lanes do not nest")
+    lanes = tuple([] for _ in thunks)
+    results = _run_lanes(thunks, lanes)
+    if _ACTIVE is not None:
+        seen = set()
+        for i, lane in enumerate(lanes):
+            keys = {k for node in lane for k in (node.out_key, *node.in_keys)}
+            if keys & seen:
+                raise TapeError(f"parallel lane {i} shares a tensor with an earlier lane")
+            seen |= keys
+        _ACTIVE._nodes.append(lanes)
+    return results
 
 
 class GradTape:
@@ -87,7 +141,8 @@ class GradTape:
     def _key(self, tensor):
         key = self._keys.get(tensor)
         if key is None:
-            key = self._keys[tensor] = next(self._next_key)
+            # two lanes may key a tensor at once: the first insert wins
+            key = self._keys.setdefault(tensor, next(self._next_key))
         return key
 
     # -- recording --------------------------------------------------------
@@ -128,11 +183,12 @@ class GradTape:
         # later must still reach this node's adjoint.
         in_keys = tuple(self._key(t) for t in inputs)
         out_key = self._key(output)
-        self._nodes.append(_Node(op, out_key, in_keys, backward_fn))
+        lane = _LANE.nodes
+        (self._nodes if lane is None else lane).append(_Node(op, out_key, in_keys, backward_fn))
         self._output_keys.add(out_key)
 
     def __len__(self):
-        return len(self._nodes)
+        return sum(sum(map(len, n)) if type(n) is tuple else 1 for n in self._nodes)
 
     # -- backward ---------------------------------------------------------
 
@@ -163,7 +219,27 @@ class GradTape:
         # adjoints[key] = [re_grad, im_grad]
         adjoints = {loss_key: [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]}
 
-        for node in reversed(self._nodes):
+        self._walk(self._nodes, adjoints)
+
+        result = {}
+        for key, leaf in self._leaves.items():
+            slot = adjoints.get(key)
+            if slot is None:
+                slot = [np.zeros(leaf.shape, dtype=leaf.dtype) for _ in range(2)]
+            gre, gim = slot
+            if gre.shape != leaf.shape or gim.shape != leaf.shape:
+                raise ShapeError(
+                    f"gradient shape {gre.shape} does not match leaf shape {leaf.shape}"
+                )
+            result[leaf] = Gradient(gre, gim)
+        return result
+
+    def _walk(self, nodes, adjoints):
+        for node in reversed(nodes):
+            if type(node) is tuple:  # a fork
+                _run_lanes([lambda lane=lane: self._walk(lane, adjoints) for lane in node],
+                           [None] * len(node))
+                continue
             # Every consumer of an op's output was recorded after it, so its
             # adjoint is complete here and, unless the output is watched,
             # is not needed again.
@@ -178,16 +254,3 @@ class GradTape:
                 else:
                     slot[0] = slot[0] + gre
                     slot[1] = slot[1] + gim
-
-        result = {}
-        for key, leaf in self._leaves.items():
-            slot = adjoints.get(key)
-            if slot is None:
-                slot = [np.zeros(leaf.shape, dtype=leaf.dtype) for _ in range(2)]
-            gre, gim = slot
-            if gre.shape != leaf.shape or gim.shape != leaf.shape:
-                raise ShapeError(
-                    f"gradient shape {gre.shape} does not match leaf shape {leaf.shape}"
-                )
-            result[leaf] = Gradient(gre, gim)
-        return result

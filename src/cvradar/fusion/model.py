@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ctensor import ComplexTensor, ShapeError, ops
+from ..ctensor import ComplexTensor, ShapeError, ops, parallel
 from ..cnn.branch import (
     branch_forward,
     branch_parameters,
     branch_state,
+    chunk_size,
     init_branch,
     rebuild_branch,
 )
@@ -83,11 +84,20 @@ def classify(fused, head_w, head_b):
 
 
 def fusenet_logits_batch(x_iq, x_fft, model, mode):
-    """Batched forward: (B, 1, H, W) representation pairs -> (B, C) real logits."""
+    """Batched forward: (B, 1, H, W) representation pairs -> (B, C) real logits.
+
+    More than cnn.chunk_size samples run the branches on two tape lanes at once;
+    fewer (every eval chunk), or one tensor fed to both (lanes share none), in order.
+    """
     if x_iq.shape != x_fft.shape:
         raise ShapeError(f"representation batches differ: {x_iq.shape} vs {x_fft.shape}")
-    feats_iq = branch_forward(x_iq, model.config, model.branch_iq, mode)
-    feats_fft = branch_forward(x_fft, model.config, model.branch_fft, mode)
+    # branch_forward is looked up at call time: the benchmark's tracer patches it
+    thunks = (lambda: branch_forward(x_iq, model.config, model.branch_iq, mode),
+              lambda: branch_forward(x_fft, model.config, model.branch_fft, mode))
+    if x_iq.ndim == 4 and x_iq.shape[0] > chunk_size(model.config) and x_iq is not x_fft:
+        feats_iq, feats_fft = parallel(*thunks)
+    else:
+        feats_iq, feats_fft = (thunk() for thunk in thunks)
     b, c_f, length = feats_iq.shape
     tokens_iq = ops.reshape(ops.tokens_from_complex(feats_iq), (b, length, 2 * c_f))
     tokens_fft = ops.reshape(ops.tokens_from_complex(feats_fft), (b, length, 2 * c_f))

@@ -101,11 +101,8 @@ def toy_fusenet_instance(model_seed=2, data_seed=46):
     def band(shape):
         return jitter.uniform(0.05, 0.3, shape) * np.sign(jitter.standard_normal(shape))
 
-    replacements = {}
-    for name, t in model.parameters():
-        if name.endswith(".beta"):
-            replacements[name] = ComplexTensor(band(t.shape), band(t.shape))
-    model = model.with_tensors(replacements)
+    model = model.with_tensors({name: ComplexTensor(band(t.shape), band(t.shape))
+                                for name, t in model.parameters() if name.endswith(".beta")})
     rng = np.random.default_rng(data_seed)
     x = _rand(rng, (1, 1, 4, 8))
     big_x = _rand(rng, (1, 1, 4, 8))
@@ -143,44 +140,17 @@ def check_layers():
     conv = init_conv(rng, 3, 2, (1, 3), (1, 2))
     bn = init_batchnorm(3)
     xb = _rand(rng, (4, 3, 5))
-    results = []
-    results.append(
-        CheckResult(
-            "layers",
-            "conv kernels+bias",
-            grad_check_multi(
-                lambda k, c: _energy(ops.cconv2d(x, k, c, stride=(1, 2))),
-                [conv.kernels, _rand(rng, (3,))],
-            ),
-            1e-6,
-        )
-    )
+    conv_err = grad_check_multi(lambda k, c: _energy(ops.cconv2d(x, k, c, stride=(1, 2))),
+                                [conv.kernels, _rand(rng, (3,))])
     probe_c = _rand(rng, (4, 3, 5))
-    results.append(
-        CheckResult(
-            "layers",
-            "batchnorm train gamma+beta+x",
-            grad_check_multi(
-                lambda g, bt, v: _probe(ops.cbatchnorm_train(v, g, bt)[0], probe_c),
-                [bn.gamma, _rand(rng, (3,)), xb],
-            ),
-            1e-6,
-        )
-    )
-    results.append(
-        CheckResult(
-            "layers",
-            "batchnorm eval x",
-            grad_check(
-                lambda v: _energy(
-                    ops.cbatchnorm_eval(v, bn.gamma, bn.beta, bn.running_mean, bn.running_var)
-                ),
-                xb,
-            ),
-            1e-6,
-        )
-    )
-    return results
+    train_err = grad_check_multi(
+        lambda g, bt, v: _probe(ops.cbatchnorm_train(v, g, bt)[0], probe_c),
+        [bn.gamma, _rand(rng, (3,)), xb])
+    eval_err = grad_check(lambda v: _energy(ops.cbatchnorm_eval(
+        v, bn.gamma, bn.beta, bn.running_mean, bn.running_var)), xb)
+    return [CheckResult("layers", name, err, 1e-6) for name, err in (
+        ("conv kernels+bias", conv_err), ("batchnorm train gamma+beta+x", train_err),
+        ("batchnorm eval x", eval_err))]
 
 
 def check_attention():
@@ -189,8 +159,7 @@ def check_attention():
     block = init_attention(4, 8, 2, rng)
     f1 = ComplexTensor(rng.standard_normal((1, 3, 4)), np.zeros((1, 3, 4)))
     f2 = ComplexTensor(rng.standard_normal((1, 3, 4)), np.zeros((1, 3, 4)))
-    names = [n for n, _ in block.parameters()]
-    tensors = [t for _, t in block.parameters()]
+    names, tensors = zip(*block.parameters())
 
     def fn(*ws):
         trial = block.with_tensors(dict(zip(names, ws)))
@@ -230,10 +199,7 @@ def run_grad_suites(module=None):
                 f"unknown module {module!r}; choose from {', '.join(sorted(GRAD_SUITES))}"
             )
         return list(GRAD_SUITES[module]())
-    out = []
-    for name in ("primitives", "layers", "attention", "fusenet"):
-        out.extend(GRAD_SUITES[name]())
-    return out
+    return [r for suite in GRAD_SUITES.values() for r in suite()]
 
 
 def fft_check(shape, trials, seed=0, tolerance=1e-6):

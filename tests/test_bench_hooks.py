@@ -20,10 +20,9 @@ sys.path[:0] = [{perfbench!r}, {src!r}]
 import numpy as np
 import instrument
 from cvradar.ctensor import ComplexTensor, GradTape
-from cvradar.cnn import default_branch_config
+from cvradar.cnn import chunk_size, default_branch_config
 from cvradar.traincli import init_model, evaluate_pairs, toy_branch_config
 from cvradar.traincli.config import TrainConfig
-from cvradar.traincli.metrics import eval_chunk_size
 train = importlib.import_module("cvradar.traincli.train")
 
 probes = instrument.Probes()
@@ -53,7 +52,7 @@ assert not missing, f"traced calls never reached: {{missing}}"
 # the probe times one fusenet_forward per eval chunk: both toy pairs fit one
 assert len(probes.sample_times) == 1
 # prep-eval-paper's unit_p50_s is one sample per timed forward at paper geometry
-assert eval_chunk_size(default_branch_config((400, 100))) == 1
+assert chunk_size(default_branch_config((400, 100))) == 1
 print("ok")
 """
 

@@ -377,6 +377,79 @@ class TestConv:
                 assert g.shape == w.shape
                 assert np.max(np.abs(g - w)) <= 1e-12
 
+    @staticmethod
+    def conv_step(x, k, bias, up):
+        """Output and (x, kernel, bias) gradients of Re(sum(conv(x) * up))."""
+        with GradTape() as tape:
+            for leaf in (x, k, bias):
+                tape.watch(leaf)
+            out = ops.cconv2d(x, k, bias)
+            loss = ops.real(ops.sum_all(ops.mul(out, up)))
+        grads = tape.backward(loss)
+        return out, grads[x], grads[k], grads[bias]
+
+    def test_batch_spanning_chunks_matches_per_sample_calls(self, monkeypatch):
+        """Five samples of 640 kB (output plus columns) run as chunks of 2, 2
+        and 1. The output and dx equal five B = 1 calls bit for bit; the kernel
+        and bias gradients equal a one-chunk call's, and the per-sample sum's
+        to 1e-12. The backward rebuilds each chunk's columns."""
+        rng = np.random.default_rng(12)
+        x, k, bias = rand_ct(rng, (5, 2, 8, 502)), rand_ct(rng, (4, 2, 1, 3)), rand_ct(rng, (4,))
+        up = rand_ct(rng, (5, 4, 8, 500))
+        assert ops.CHUNK_BYTES // ((2 * 6 + 2 * 4) * 8 * 500 * 8) == 2
+        builds = []
+        im2col = ops._im2col
+
+        def counted_im2col(re, *args):
+            builds.append(re.shape[0])
+            return im2col(re, *args)
+
+        monkeypatch.setattr(ops, "_im2col", counted_im2col)
+        out, dx, dk, db = self.conv_step(x, k, bias, up)
+        assert builds == [2, 2, 1, 2, 2, 1]
+        samples = [self.conv_step(ComplexTensor(x.re[i : i + 1], x.im[i : i + 1]), k, bias,
+                                  ComplexTensor(up.re[i : i + 1], up.im[i : i + 1]))
+                   for i in range(5)]
+        for got, i in ((out, 0), (dx, 1)):
+            for plane in ("re", "im"):
+                want = np.concatenate([getattr(s[i], plane) for s in samples])
+                assert np.array_equal(getattr(got, plane), want)
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1 << 40)
+        builds.clear()
+        _, _, dk_one, db_one = self.conv_step(x, k, bias, up)
+        assert builds == [5]
+        for got, one, i in ((dk, dk_one, 2), (db, db_one, 3)):
+            for plane in ("re", "im"):
+                assert np.array_equal(getattr(got, plane), getattr(one, plane))
+                summed = sum(getattr(s[i], plane) for s in samples)
+                assert np.max(np.abs(getattr(got, plane) - summed)) <= 1e-12 * np.max(np.abs(summed))
+
+    def test_batch_spanning_chunks_matches_oracles(self, monkeypatch):
+        """A one-byte budget runs every sample as its own chunk: criterion 2's
+        direct oracle holds at 1e-10 and the plane reference's adjoints at 1e-12."""
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            bs, ci, co = rng.integers(2, 5), rng.integers(1, 4), rng.integers(1, 4)
+            kh, kw = rng.integers(1, 4), rng.integers(1, 4)
+            stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            h, w = kh + rng.integers(0, 5), kw + rng.integers(0, 5)
+            x, k, bias = rand_ct(rng, (bs, ci, h, w)), rand_ct(rng, (co, ci, kh, kw)), rand_ct(rng, (co,))
+            with GradTape() as tape:
+                for leaf in (x, k, bias):
+                    tape.watch(leaf)
+                out = ops.cconv2d(x, k, bias, stride=stride)
+                up = rand_ct(rng, out.shape)
+                loss = ops.real(ops.sum_all(ops.mul(out, up)))
+            grads = tape.backward(loss)
+            want = conv_oracle(x.to_complex(), k.to_complex(), bias.to_complex(), stride)
+            assert np.max(np.abs(out.to_complex() - want)) <= 1e-10
+            ref = conv_planes_reference(x.re, x.im, k.re, k.im, bias.re, bias.im, stride,
+                                        up.re, -up.im)[1:]
+            for t, want_pair in zip((x, k, bias), ref):
+                for g, w in zip((grads[t].re, grads[t].im), want_pair):
+                    assert np.max(np.abs(g - w)) <= 1e-12
+
     def test_kernel_too_large_names_shapes(self):
         x = ComplexTensor(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)))
         k = ComplexTensor(np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 3, 3)))

@@ -1,5 +1,8 @@
 """Tensor construction, elementwise contracts, and tape backward behavior."""
 
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from cvradar.cnn import baseline_logits, init_baseline
-from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops
+from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops, parallel
 from cvradar.fusion import cross_entropy_from_logits, fusenet_logits_batch, init_fusenet
 from cvradar.traincli.checks import toy_branch_config
 
@@ -374,6 +377,104 @@ class TestBackward:
         before = len(tape)
         ops.add(ComplexTensor([1.0]), ComplexTensor([2.0]))
         assert len(tape) == before
+
+
+class TestLanes:
+    """parallel(): each thunk records into its own tape lane, walked concurrently."""
+
+    @staticmethod
+    def leaves(seed):
+        rng = np.random.default_rng(seed)
+        return ([rand_ct(rng, (2, 1, 4, 6)), rand_ct(rng, (3, 1, 2, 3)), rand_ct(rng, (4, 3))]
+                for _ in range(2))
+
+    @staticmethod
+    def chain(x, k, w):
+        """conv -> crelu -> matmul: (2, 1, 4, 6) -> (18, 3)."""
+        return ops.matmul(ops.reshape(ops.crelu(ops.cconv2d(x, k)), (18, 4)), w)
+
+    def step(self, seed, lanes):
+        a, b = self.leaves(seed)
+        with GradTape() as tape:
+            for t in a + b:
+                tape.watch(t)
+            thunks = (lambda: self.chain(*a), lambda: self.chain(*b))
+            ya, yb = parallel(*thunks) if lanes else [t() for t in thunks]
+            loss = abs2_loss(ops.add(ya, ops.scale(yb, 0.5j)))
+        return tape, loss, a + b
+
+    def test_lanes_match_in_order_recording(self):
+        tape, loss, leaves = self.step(1, lanes=True)
+        ref_tape, ref_loss, ref_leaves = self.step(1, lanes=False)
+        assert len(tape) == len(ref_tape)
+        assert np.array_equal(loss.re, ref_loss.re)
+        g1, g2, ref = tape.backward(loss), tape.backward(loss), ref_tape.backward(ref_loss)
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            for g in (g1[leaf], g2[leaf]):
+                assert np.array_equal(g.re, ref[ref_leaf].re)
+                assert np.array_equal(g.im, ref[ref_leaf].im)
+            assert np.any(g1[leaf].re != 0)
+
+    def test_lanes_sharing_a_tensor_raise(self):
+        x = ComplexTensor([1.0, 2.0])
+        with GradTape() as tape:
+            tape.watch(x)
+            with pytest.raises(TapeError, match="shares a tensor"):
+                parallel(lambda: ops.scale(x, 2.0), lambda: ops.scale(x, 3.0))
+
+    def test_shared_tensor_keyed_in_both_lanes_at_once_is_caught(self):
+        """A tensor first keyed by two lanes at once gets one key, so the fork
+        check sees the sharing. With a get-then-set key map, about one round
+        in 3000 gave it two keys and passed the check."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        rounds, missed = 0, 0
+        try:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                x = ComplexTensor([1.0, 2.0])
+                with GradTape():
+                    try:
+                        parallel(lambda: ops.scale(x, 2.0), lambda: ops.scale(x, 3.0))
+                        missed += 1
+                    except TapeError:
+                        pass
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert rounds > 1000 and missed == 0
+
+    def test_lanes_do_not_nest(self):
+        with pytest.raises(TapeError, match="nest"):
+            parallel(lambda: parallel(lambda: None), lambda: None)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_waits_for_the_other_lane(self, failing):
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+            return ops.scale(ComplexTensor([1.0]), 2.0)
+
+        def fail():
+            raise ValueError("lane failed")
+
+        thunks = [slow, slow]
+        thunks[failing] = fail
+        with GradTape():
+            with pytest.raises(ValueError, match="lane failed"):
+                parallel(*thunks)
+            assert finished.is_set()
+        # the worker and the lane state are clean for the next step
+        tape, loss, leaves = self.step(2, lanes=True)
+        ref_tape, ref_loss, ref_leaves = self.step(2, lanes=False)
+        got, want = tape.backward(loss), ref_tape.backward(ref_loss)
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            assert np.array_equal(got[leaf].re, want[ref_leaf].re)
+
+    def test_without_tape_returns_results_in_order(self):
+        assert parallel(lambda: 1, lambda: 2, lambda: 3) == [1, 2, 3]
 
 
 class TestBackwardContract:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cvradar.ctensor import ComplexTensor, ShapeError, ops
-from cvradar.cnn import BranchConfig, ConvSpec
+from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, ops
+from cvradar.cnn import BranchConfig, ConvSpec, chunk_size
+from cvradar.fusion import model as fusion_model
 from cvradar.fusion import (
     attention_weights,
     bidirectional_fuse,
@@ -312,6 +313,45 @@ class TestFuseNet:
             )
             assert single.shape == (1, 3)
             assert np.max(np.abs(batched.re[n] - single.re[0])) <= 1e-12
+
+    @pytest.mark.parametrize("same_input", [False, True])
+    def test_lanes_step_matches_branches_in_order(self, monkeypatch, same_input):
+        """A train step whose batch spans two chunks runs the branches on two
+        tape lanes, unless one tensor feeds both; its logits and every gradient
+        equal the same step with the branches called in order, bit for bit."""
+        config = BranchConfig(input_hw=(40, 256), convs=(ConvSpec(8, (1, 3), (1, 1)),) * 3,
+                              pool_window=2)
+        assert chunk_size(config) == 1
+        rng = np.random.default_rng(25)
+        x_iq, x_fft = rand_ct(rng, (2, 1, 40, 256)), rand_ct(rng, (2, 1, 40, 256))
+        if same_input:
+            x_fft = x_iq
+        targets = np.eye(2)
+        lanes = []
+
+        def step(model):
+            with GradTape() as tape:
+                for _, t in model.parameters():
+                    tape.watch(t)
+                logits = fusenet_logits_batch(x_iq, x_fft, model, "train")
+                loss = cross_entropy_from_logits(logits, targets)
+            return logits, tape.backward(loss)
+
+        def counted(*thunks):
+            lanes.append(len(thunks))
+            return parallel(*thunks)
+
+        parallel = fusion_model.parallel
+        model = init_fusenet(config, n_classes=2, rng=rng, embed_dim=8, heads=2)
+        monkeypatch.setattr(fusion_model, "parallel", counted)
+        got_logits, got = step(model)
+        assert lanes == ([] if same_input else [2])
+        monkeypatch.setattr(fusion_model, "parallel", lambda *thunks: [t() for t in thunks])
+        want_logits, want = step(model)
+        assert np.array_equal(got_logits.re, want_logits.re)
+        for _, t in model.parameters():
+            assert np.array_equal(got[t].re, want[t].re)
+            assert np.array_equal(got[t].im, want[t].im)
 
     def test_parameter_roundtrip(self):
         model = self._model()

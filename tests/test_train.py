@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from cvradar.ctensor import ComplexTensor
-from cvradar.cnn import BranchConfig, ConvSpec, baseline_logits
+from cvradar.cnn import BranchConfig, ConvSpec, baseline_logits, chunk_size, default_branch_config
 from cvradar.dsp import (
     CubeFormatError,
     DatasetError,
@@ -51,11 +52,11 @@ from cvradar.traincli import (
     train,
     write_train_config,
 )
-from cvradar.fusion import fusenet_logits_batch
+from cvradar.fusion import fusenet_logits_batch, init_fusenet
+from cvradar.fusion import model as fusion_model
 from cvradar.traincli import checkpoint as checkpoint_module
 from cvradar.traincli.checkpoint import _all_tensors, _implied_values
 from cvradar.traincli.cli import main
-from cvradar.traincli.metrics import eval_chunk_size
 
 
 def adam_oracle(w0, grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
@@ -760,7 +761,7 @@ class TestTrainLoop:
         _, pairs, _ = load_pairs(tiny_manifest)
         pairs = pairs[:17]
         cfg = self._config(tiny_manifest)
-        assert eval_chunk_size(cfg.branch) == 8
+        assert chunk_size(cfg.branch) == 8
         model, _ = train(cfg, kind, track_accuracy=False)
         want = np.zeros((2, 2), dtype=np.int64)
         for p in pairs:
@@ -774,6 +775,28 @@ class TestTrainLoop:
         report = evaluate_pairs(model, kind, pairs, tag="all")
         assert report.confusion == tuple(tuple(int(v) for v in row) for row in want)
         assert all(sum(col) for col in zip(*report.confusion))  # both classes predicted
+
+    def test_bench_step_and_eval_start_no_thread(self, tiny_manifest, monkeypatch):
+        """At bench geometry a batch of 8 fits one chunk and every eval chunk
+        does at any geometry, so neither runs the branches on lanes."""
+        def no_lanes(*thunks):
+            raise AssertionError("branches ran on lanes")
+
+        monkeypatch.setattr(fusion_model, "parallel", no_lanes)
+        threads = threading.active_count()
+        _, pairs, _ = load_pairs(tiny_manifest)
+        cfg = self._config(tiny_manifest, batch_size=8, epochs=1)
+        assert chunk_size(cfg.branch) == 8
+        model, _ = train(cfg, "fusenet")
+        evaluate_pairs(model, "fusenet", pairs, tag="all")
+        paper = default_branch_config((400, 100))
+        model = init_fusenet(paper, 2, np.random.default_rng(0), embed_dim=8, heads=2)
+        rng = np.random.default_rng(1)
+        big = [SimpleNamespace(iq=ComplexTensor(*rng.standard_normal((2, 400, 100))),
+                               fft=ComplexTensor(*rng.standard_normal((2, 400, 100))), label=c)
+               for c in (0, 1)]
+        evaluate_pairs(model, "fusenet", big, tag="paper")
+        assert threading.active_count() == threads
 
     def test_zero_head_baseline_ties_to_class_zero(self, tiny_manifest):
         _, pairs, _ = load_pairs(tiny_manifest)
