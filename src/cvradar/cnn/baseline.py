@@ -1,6 +1,6 @@
 """Single-branch baseline classifier: FFT-representation branch + one FC head."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,21 +47,16 @@ class BaselineModel:
         return self.head_w.shape[1]
 
     def parameters(self):
-        return branch_parameters("branch", self.branch) + [
-            ("head.w", self.head_w),
-            ("head.b", self.head_b),
-        ]
+        head = [("head.w", self.head_w), ("head.b", self.head_b)]
+        return branch_parameters("branch", self.branch) + head
 
     def state(self):
         return branch_state("branch", self.branch)
 
     def with_tensors(self, mapping):
-        return BaselineModel(
-            config=self.config,
-            branch=rebuild_branch("branch", self.branch, mapping),
-            head_w=mapping.get("head.w", self.head_w),
-            head_b=mapping.get("head.b", self.head_b),
-        )
+        return replace(self, branch=rebuild_branch("branch", self.branch, mapping),
+                       head_w=mapping.get("head.w", self.head_w),
+                       head_b=mapping.get("head.b", self.head_b))
 
 
 def init_baseline(config, n_classes, rng):

@@ -11,10 +11,10 @@ collapsed by a mean, and average pooling along W yields the (C_f, L)
 feature map whose L positions become attention tokens downstream.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..ctensor import ShapeError, ops
-from .layers import ComplexBatchNormLayer, ComplexConvLayer, init_batchnorm, init_conv
+from .layers import init_batchnorm, init_conv
 
 __all__ = [
     "ConvSpec",
@@ -27,6 +27,12 @@ __all__ = [
     "chunk_size",
     "rebuild_branch",
 ]
+
+# each stage's tensor names, in checkpoint order: "<prefix>.conv<i>.<name>"
+# and "<prefix>.bn<i>.<name>"
+_CONV_PARAMETERS = ("kernels",)
+_BN_PARAMETERS = ("gamma", "beta")
+_BN_STATE = ("running_mean", "running_var")
 
 
 @dataclass(frozen=True)
@@ -143,45 +149,36 @@ def branch_forward(x, config, weights, mode):
     return ops.cavgpool_last(h, config.pool_window)
 
 
+def _named(key, layer, names):
+    return [(f"{key}.{name}", getattr(layer, name)) for name in names]
+
+
+def _rebuilt(key, layer, names, mapping):
+    # always a fresh layer: a train-mode forward mutates batch-norm state
+    return replace(layer, **{name: mapping.get(f"{key}.{name}", getattr(layer, name))
+                             for name in names})
+
+
 def branch_parameters(prefix, weights):
     """Ordered (name, tensor) pairs of the trainable branch parameters."""
     pairs = []
     for i, (conv, bn) in enumerate(zip(weights.convs, weights.bns)):
-        pairs.append((f"{prefix}.conv{i}.kernels", conv.kernels))
-        pairs.append((f"{prefix}.bn{i}.gamma", bn.gamma))
-        pairs.append((f"{prefix}.bn{i}.beta", bn.beta))
+        pairs += _named(f"{prefix}.conv{i}", conv, _CONV_PARAMETERS)
+        pairs += _named(f"{prefix}.bn{i}", bn, _BN_PARAMETERS)
     return pairs
 
 
 def branch_state(prefix, weights):
     """Ordered (name, tensor) pairs of the non-trainable running statistics."""
-    pairs = []
-    for i, bn in enumerate(weights.bns):
-        pairs.append((f"{prefix}.bn{i}.running_mean", bn.running_mean))
-        pairs.append((f"{prefix}.bn{i}.running_var", bn.running_var))
-    return pairs
+    return [pair for i, bn in enumerate(weights.bns)
+            for pair in _named(f"{prefix}.bn{i}", bn, _BN_STATE)]
 
 
 def rebuild_branch(prefix, weights, mapping):
     """New BranchWeights with parameters (and any state) taken from mapping."""
-    convs = []
-    bns = []
-    for i, (conv, bn) in enumerate(zip(weights.convs, weights.bns)):
-        convs.append(
-            ComplexConvLayer(
-                kernels=mapping.get(f"{prefix}.conv{i}.kernels", conv.kernels),
-                bias=None,
-                stride=conv.stride,
-            )
-        )
-        bns.append(
-            ComplexBatchNormLayer(
-                gamma=mapping.get(f"{prefix}.bn{i}.gamma", bn.gamma),
-                beta=mapping.get(f"{prefix}.bn{i}.beta", bn.beta),
-                running_mean=mapping.get(f"{prefix}.bn{i}.running_mean", bn.running_mean),
-                running_var=mapping.get(f"{prefix}.bn{i}.running_var", bn.running_var),
-                eps=bn.eps,
-                momentum=bn.momentum,
-            )
-        )
-    return BranchWeights(convs=tuple(convs), bns=tuple(bns))
+    return BranchWeights(
+        convs=tuple(_rebuilt(f"{prefix}.conv{i}", conv, _CONV_PARAMETERS, mapping)
+                    for i, conv in enumerate(weights.convs)),
+        bns=tuple(_rebuilt(f"{prefix}.bn{i}", bn, _BN_PARAMETERS + _BN_STATE, mapping)
+                  for i, bn in enumerate(weights.bns)),
+    )

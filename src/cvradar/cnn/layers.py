@@ -5,7 +5,8 @@ and pooling (cavgpool_last) needs no parameters and is used directly from
 ctensor.ops.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,32 +77,30 @@ def init_conv(rng, out_channels, in_channels, kernel_hw, stride):
     )
 
 
+@dataclass(eq=False)
 class ComplexBatchNormLayer:
     """Real batch norm applied to each plane independently, per channel.
 
     Running statistics are the only mutable training state in the model;
-    exactly one writer updates them per step.
+    exactly one writer updates them per step. eps and momentum are the
+    standard constants; equality is identity.
     """
 
-    __slots__ = ("gamma", "beta", "running_mean", "running_var", "eps", "momentum")
+    gamma: ComplexTensor  # (C,)
+    beta: ComplexTensor  # (C,)
+    running_mean: ComplexTensor  # (C,)
+    running_var: ComplexTensor  # (C,)
+    eps: ClassVar[float] = ops.BN_EPS
+    momentum: ClassVar[float] = 0.1
 
-    def __init__(self, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1):
-        c = gamma.shape[0] if gamma.ndim == 1 else -1
-        for name, t in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
+    def __post_init__(self):
+        c = self.gamma.shape[0] if self.gamma.ndim == 1 else -1
+        for f in fields(self):
+            t = getattr(self, f.name)
             if t.ndim != 1 or t.shape[0] != c:
-                raise ShapeError(f"{name} must be shape ({c},), got {t.shape}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if not 0 < momentum <= 1:
-            raise ValueError(f"momentum must be in (0, 1], got {momentum}")
-        if np.any(running_var.re < 0) or np.any(running_var.im < 0):
+                raise ShapeError(f"{f.name} must be shape ({c},), got {t.shape}")
+        if np.any(self.running_var.re < 0) or np.any(self.running_var.im < 0):
             raise ValueError("running variances must be >= 0")
-        self.gamma = gamma
-        self.beta = beta
-        self.running_mean = running_mean
-        self.running_var = running_var
-        self.eps = eps
-        self.momentum = momentum
 
     def apply(self, x, mode, gate=False):
         """x: (B, C, ...) -> same shape; mode 'train' updates running stats.
@@ -109,7 +108,7 @@ class ComplexBatchNormLayer:
         gate=True applies crelu to the output inside the batch-norm op.
         """
         if mode == "train":
-            out, stats = ops.cbatchnorm_train(x, self.gamma, self.beta, eps=self.eps, gate=gate)
+            out, stats = ops.cbatchnorm_train(x, self.gamma, self.beta, gate=gate)
             m = self.momentum
             self.running_mean = ComplexTensor(
                 (1.0 - m) * self.running_mean.re + m * stats.mean_re,
@@ -122,13 +121,12 @@ class ComplexBatchNormLayer:
             return out
         if mode == "eval":
             return ops.cbatchnorm_eval(
-                x, self.gamma, self.beta, self.running_mean, self.running_var, eps=self.eps,
-                gate=gate,
+                x, self.gamma, self.beta, self.running_mean, self.running_var, gate=gate
             )
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
-def init_batchnorm(channels, eps=1e-5, momentum=0.1):
+def init_batchnorm(channels):
     ones = np.ones(channels)
     zeros = np.zeros(channels)
     return ComplexBatchNormLayer(
@@ -136,6 +134,4 @@ def init_batchnorm(channels, eps=1e-5, momentum=0.1):
         beta=ComplexTensor(zeros, zeros.copy()),
         running_mean=ComplexTensor(zeros.copy(), zeros.copy()),
         running_var=ComplexTensor(ones.copy(), ones.copy()),
-        eps=eps,
-        momentum=momentum,
     )

@@ -10,6 +10,8 @@ gradient planes as arrays and returns, per input, a pair of arrays of that
 input's shape; a plane that gets no gradient is returned as zeros.
 """
 
+from collections import namedtuple
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -22,7 +24,7 @@ __all__ = [
     "sum_all", "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
     "cbatchnorm_train", "cbatchnorm_eval", "cross_entropy_logits",
-    "BatchStats", "CHUNK_BYTES",
+    "BatchStats", "BN_EPS", "CHUNK_BYTES",
 ]
 
 
@@ -555,16 +557,11 @@ def _gate_output(y_re, y_im):
     return mask
 
 
-class BatchStats:
-    """Per-channel batch statistics of one normalization pass (plain arrays)."""
+# added to every variance before its inverse square root (Ioffe & Szegedy, 2015)
+BN_EPS = 1e-5
 
-    __slots__ = ("mean_re", "var_re", "mean_im", "var_im")
-
-    def __init__(self, mean_re, var_re, mean_im, var_im):
-        self.mean_re = mean_re
-        self.var_re = var_re
-        self.mean_im = mean_im
-        self.var_im = var_im
+# per-channel batch statistics of one normalization pass (plain arrays)
+BatchStats = namedtuple("BatchStats", ("mean_re", "var_re", "mean_im", "var_im"))
 
 
 def _bn_view(x, **per_channel):
@@ -590,7 +587,7 @@ def _channel_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0].sum(axis=0)
 
 
-def cbatchnorm_train(x, gamma, beta, eps=1e-5, gate=False):
+def cbatchnorm_train(x, gamma, beta, gate=False):
     """Train-mode complex batch norm: each plane normalized independently.
 
     Normalizes re and im per channel by biased batch statistics over all
@@ -618,7 +615,7 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5, gate=False):
         mu = v.mean(axis=(0, 2))
         xhat = v - mu[:, None]
         var = _channel_dot(xhat, xhat) / n
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
         y = xhat * gam[:, None]
         y += bta[:, None]
@@ -651,7 +648,7 @@ def cbatchnorm_train(x, gamma, beta, eps=1e-5, gate=False):
     return _record("cbatchnorm_train", out, (x, gamma, beta), bwd), stats
 
 
-def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5, gate=False):
+def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
     """Eval-mode complex batch norm using frozen running statistics.
 
     running_mean/running_var pack the per-plane statistics as (re, im).
@@ -663,8 +660,8 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5, gate=Fa
     """
     vshape = _bn_view(x, gamma=gamma, beta=beta,
                       running_mean=running_mean, running_var=running_var)
-    inv_re = 1.0 / np.sqrt(running_var.re + eps)
-    inv_im = 1.0 / np.sqrt(running_var.im + eps)
+    inv_re = 1.0 / np.sqrt(running_var.re + BN_EPS)
+    inv_im = 1.0 / np.sqrt(running_var.im + BN_EPS)
     affine = ((x.re, running_mean.re, inv_re, gamma.re, beta.re),
               (x.im, running_mean.im, inv_im, gamma.im, beta.im))
 
@@ -704,7 +701,8 @@ def cross_entropy_logits(logits, target):
     array whose rows sum to 1. A rank-1 (C,) pair is the B = 1 case. Each
     row is computed through a max-shifted log-softmax, which equals
     -sum(target * log(softmax)) exactly but never overflows. Output is the
-    real scalar mean over the B rows.
+    real scalar mean over the B rows; non-finite logits give a NaN loss,
+    as every op propagates NaN, and the training loop reports it.
     """
     if logits.ndim not in (1, 2):
         raise ShapeError(f"cross_entropy_logits: logits must be rank 1 or 2, got {logits.shape}")
@@ -712,8 +710,6 @@ def cross_entropy_logits(logits, target):
     if target.shape != logits.shape:
         raise ShapeError(f"cross_entropy_logits: target shape {target.shape} != {logits.shape}")
     x = logits.re
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cross_entropy_logits: non-finite logits")
     z = x - x.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     rows = -(target * logp).sum(axis=-1)

@@ -5,7 +5,7 @@ identically zero. The softmax keeps it that way, so the whole fusion path
 stays real even though it rides the complex tensor type.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,9 @@ __all__ = [
     "bidirectional_fuse",
     "init_attention",
 ]
+
+# the projection fields, in checkpoint order
+_PROJECTIONS = ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2")
 
 
 def attention_weights(q, k):
@@ -56,7 +59,7 @@ class AttentionBlock:
         if self.heads < 1 or self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         d_in = self.wq1.shape[0]
-        for name in ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2"):
+        for name in _PROJECTIONS:
             w = getattr(self, name)
             if w.ndim != 2 or w.shape != (d_in, self.embed_dim):
                 raise ShapeError(f"{name} must be ({d_in}, {self.embed_dim}), got {w.shape}")
@@ -70,31 +73,17 @@ class AttentionBlock:
         return 2 * self.embed_dim
 
     def parameters(self):
-        return [(name, getattr(self, name)) for name in ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2")]
+        return [(name, getattr(self, name)) for name in _PROJECTIONS]
 
     def with_tensors(self, mapping, prefix=""):
-        def pick(name, cur):
-            return mapping.get(prefix + name, cur)
-
-        return AttentionBlock(
-            wq1=pick("wq1", self.wq1),
-            wk1=pick("wk1", self.wk1),
-            wv1=pick("wv1", self.wv1),
-            wq2=pick("wq2", self.wq2),
-            wk2=pick("wk2", self.wk2),
-            wv2=pick("wv2", self.wv2),
-            embed_dim=self.embed_dim,
-            heads=self.heads,
-        )
+        return replace(self, **{name: mapping.get(prefix + name, getattr(self, name))
+                                for name in _PROJECTIONS})
 
 
 def init_attention(d_in, embed_dim, heads, rng):
     """Random real-plane projections, three per direction."""
-    w = [real_uniform(rng, (d_in, embed_dim), d_in) for _ in range(6)]
-    return AttentionBlock(
-        wq1=w[0], wk1=w[1], wv1=w[2], wq2=w[3], wk2=w[4], wv2=w[5],
-        embed_dim=embed_dim, heads=heads,
-    )
+    w = {name: real_uniform(rng, (d_in, embed_dim), d_in) for name in _PROJECTIONS}
+    return AttentionBlock(**w, embed_dim=embed_dim, heads=heads)
 
 
 def bidirectional_fuse(f_iq, f_fft, block):

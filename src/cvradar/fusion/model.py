@@ -1,7 +1,7 @@
 """The dual-branch fusion classifier: two complex CNN branches, bidirectional
 cross-attention over their realified features, and one fully connected head."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,14 +53,11 @@ class FuseNetModel:
         return branch_state("iq", self.branch_iq) + branch_state("fft", self.branch_fft)
 
     def with_tensors(self, mapping):
-        return FuseNetModel(
-            config=self.config,
-            branch_iq=rebuild_branch("iq", self.branch_iq, mapping),
-            branch_fft=rebuild_branch("fft", self.branch_fft, mapping),
-            attn=self.attn.with_tensors(mapping, prefix="attn."),
-            head_w=mapping.get("head.w", self.head_w),
-            head_b=mapping.get("head.b", self.head_b),
-        )
+        return replace(self, branch_iq=rebuild_branch("iq", self.branch_iq, mapping),
+                       branch_fft=rebuild_branch("fft", self.branch_fft, mapping),
+                       attn=self.attn.with_tensors(mapping, prefix="attn."),
+                       head_w=mapping.get("head.w", self.head_w),
+                       head_b=mapping.get("head.b", self.head_b))
 
 
 def init_fusenet(config, n_classes, rng, embed_dim=256, heads=16):

@@ -6,7 +6,9 @@ the ordered tensor-name manifest, and free-form metadata), then one record
 per tensor in manifest order: u32 rank, u32 extents, and the real plane
 followed by the imaginary plane as little-endian 32-bit floats in row-major
 order. Loading restores float64 working precision from those 32-bit values,
-so save -> load -> save reproduces the file byte for byte.
+so save -> load -> save reproduces the file byte for byte. Every stored
+value is finite: saving raises before the file is opened if a tensor's
+float32 form is not, and loading refuses a non-finite payload.
 """
 
 import json
@@ -49,15 +51,20 @@ def save_checkpoint(path, model, kind, meta=None):
         header["embed_dim"] = model.attn.embed_dim
         header["heads"] = model.attn.heads
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    records = []
+    for name, t in tensors:
+        with np.errstate(over="ignore"):  # a value beyond float32 range becomes inf
+            planes = np.array([t.re, t.im], dtype="<f4")
+        if not np.isfinite(planes).all():
+            raise CheckpointError(
+                f"{path}: tensor {name!r} holds NaN, Inf or values beyond float32 range"
+            )
+        records.append(struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape) + planes.tobytes())
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, t in tensors:
-            fh.write(struct.pack("<I", t.ndim))
-            fh.write(struct.pack(f"<{t.ndim}I", *t.shape) if t.ndim else b"")
-            fh.write(t.re.astype("<f4").tobytes())
-            fh.write(t.im.astype("<f4").tobytes())
+        fh.write(b"".join(records))
 
 
 def _implied_values(kind, branch, n_classes, embed_dim):
@@ -167,6 +174,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
         planes = np.frombuffer(blob, dtype="<f4", count=2 * count, offset=offset)
         offset += need
+        if not np.isfinite(planes).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         re = planes[:count].astype(np.float64).reshape(extents)
         im = planes[count:].astype(np.float64).reshape(extents)
         mapping[name] = ComplexTensor(re, im)

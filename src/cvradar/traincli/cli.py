@@ -8,12 +8,12 @@ import sys
 import numpy as np
 
 from ..dsp import ManifestEntry, SyntheticScene, parse_scene_file, synth_fmcw_cube, write_manifest, write_rfc1
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .checks import GRAD_SUITES, fft_check, run_grad_suites
 from .config import load_train_config
 from .metrics import evaluate_pairs, render_report, report_json, report_to_dict
 from .pipeline import load_pairs, preprocess_dataset, split_pairs
-from .train import DivergenceError, train
+from .train import TrainingError, train
 
 __all__ = ["main", "build_parser"]
 
@@ -70,7 +70,7 @@ def _cmd_train(args):
 
     try:
         _, reports = train(config, args.model, out_dir=args.out, progress=progress)
-    except DivergenceError as e:
+    except (TrainingError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     metrics_path = os.path.join(args.out, "metrics.json")

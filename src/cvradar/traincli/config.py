@@ -85,9 +85,13 @@ def _json_int(value, name):
 
 
 def _json_float(value, name):
+    # an integer beyond float range reads as infinite, which TrainConfig refuses
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def branch_from_dict(doc):

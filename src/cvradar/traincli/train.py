@@ -23,7 +23,7 @@ __all__ = ["TrainingError", "DivergenceError", "train", "epoch_batches"]
 
 
 class TrainingError(RuntimeError):
-    """Raised when training cannot proceed (bad geometry, empty split)."""
+    """Raised when training cannot proceed (bad geometry, a training split under 2)."""
 
 
 class DivergenceError(TrainingError):
@@ -87,8 +87,11 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
             f"expects {tuple(config.branch.input_hw)}"
         )
     split = split_pairs(classes, all_pairs, config.seed)
-    if not split.train:
-        raise TrainingError("training split is empty")
+    if len(split.train) < 2:
+        # train-mode batch norm needs at least 2 samples in every batch
+        raise TrainingError(
+            f"{config.manifest}: training split has {len(split.train)} sample(s), need at least 2"
+        )
     n_classes = len(classes)
     model = init_model(config, n_classes, kind)
     state = init_adam_state()

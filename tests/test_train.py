@@ -6,13 +6,16 @@ import os
 import struct
 import threading
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cvradar.ctensor import ComplexTensor
-from cvradar.cnn import BranchConfig, ConvSpec, baseline_logits, chunk_size, default_branch_config
+from cvradar.cnn import (
+    BranchConfig, ConvSpec, baseline_logits, chunk_size, default_branch_config, init_baseline,
+)
 from cvradar.dsp import (
     CubeFormatError,
     DatasetError,
@@ -28,6 +31,7 @@ from cvradar.traincli import (
     MetricsReport,
     OptimizerError,
     TrainConfig,
+    TrainingError,
     adam_step,
     bench_train_config,
     benchmark_trend,
@@ -49,6 +53,7 @@ from cvradar.traincli import (
     report_to_dict,
     save_checkpoint,
     split_pairs,
+    toy_branch_config,
     train,
     write_train_config,
 )
@@ -175,6 +180,7 @@ class TestTrainConfig:
         ("seed", True), ("batch_size", "8"), ("learning_rate", "0.01"),
         ("learning_rate", True), ("eps", "1e-8"), ("pool_window", "1"), ("out_channels", True),
         pytest.param("kernel", [1.0, 3.0], id="kernel-floats"),
+        pytest.param("learning_rate", 10**400, id="lr-beyond-float-range"),
     ])
     def test_bad_value_names_path(self, tmp_path, field, value):
         path = tmp_path / "config.json"
@@ -639,6 +645,59 @@ class TestCheckpoint:
         assert str(path) in str(info.value)
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e39], ids=["inf", "nan", "beyond-f32"])
+    def test_non_finite_tensor_refused_on_save(self, tmp_path, value):
+        model = self._model("fusenet")
+        var = model.branch_iq.bns[0].running_var
+        model = model.with_tensors(
+            {"iq.bn0.running_var": ComplexTensor(np.full(var.shape, value), var.im)})
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match="'iq.bn0.running_var'") as info:
+            save_checkpoint(path, model, "fusenet")
+        assert str(path) in str(info.value)
+        assert not path.exists()
+
+    def test_non_finite_payload_refused_on_load(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model("fusenet"), "fusenet")
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", np.inf)  # the last value of the last tensor
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="'fft.bn2.running_var'") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_tensor_layout_pinned(self):
+        """The checkpoint's tensor names and their order, as the README lists them."""
+        rng = np.random.default_rng(0)
+        baseline = init_baseline(toy_branch_config(), 2, rng)
+        fusenet = init_fusenet(toy_branch_config(), 2, rng, embed_dim=4, heads=2)
+        assert [name for name, _ in _all_tensors(baseline)] == [
+            "branch.conv0.kernels", "branch.bn0.gamma", "branch.bn0.beta",
+            "branch.conv1.kernels", "branch.bn1.gamma", "branch.bn1.beta",
+            "branch.conv2.kernels", "branch.bn2.gamma", "branch.bn2.beta",
+            "head.w", "head.b",
+            "branch.bn0.running_mean", "branch.bn0.running_var",
+            "branch.bn1.running_mean", "branch.bn1.running_var",
+            "branch.bn2.running_mean", "branch.bn2.running_var",
+        ]
+        assert [name for name, _ in _all_tensors(fusenet)] == [
+            "iq.conv0.kernels", "iq.bn0.gamma", "iq.bn0.beta",
+            "iq.conv1.kernels", "iq.bn1.gamma", "iq.bn1.beta",
+            "iq.conv2.kernels", "iq.bn2.gamma", "iq.bn2.beta",
+            "fft.conv0.kernels", "fft.bn0.gamma", "fft.bn0.beta",
+            "fft.conv1.kernels", "fft.bn1.gamma", "fft.bn1.beta",
+            "fft.conv2.kernels", "fft.bn2.gamma", "fft.bn2.beta",
+            "attn.wq1", "attn.wk1", "attn.wv1", "attn.wq2", "attn.wk2", "attn.wv2",
+            "head.w", "head.b",
+            "iq.bn0.running_mean", "iq.bn0.running_var",
+            "iq.bn1.running_mean", "iq.bn1.running_var",
+            "iq.bn2.running_mean", "iq.bn2.running_var",
+            "fft.bn0.running_mean", "fft.bn0.running_var",
+            "fft.bn1.running_mean", "fft.bn1.running_var",
+            "fft.bn2.running_mean", "fft.bn2.running_var",
+        ]
+
     def test_bad_kind_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
             save_checkpoint(tmp_path / "m.ckpt", self._model("baseline"), "resnet")
@@ -729,6 +788,57 @@ class TestTrainLoop:
         assert info.value.last_checkpoint == str(out / "epoch_000.ckpt")
         assert os.path.exists(info.value.last_checkpoint)
         assert not os.path.exists(out / "final.ckpt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights overflow on purpose
+    @pytest.mark.parametrize("learning_rate, error, message", [
+        (1e150, DivergenceError, "loss became non-finite at epoch 0, step 1"),
+        (1e30, CheckpointError, "epoch_000.ckpt: tensor"),
+    ])
+    def test_real_divergence_names_error(self, tmp_path, capsys, learning_rate, error, message):
+        """At learning rate 1e150 the first Adam step drives the second batch's
+        logits non-finite and the loss check reports it. At 1e30 the loss stays
+        finite, but the weights leave float32 range and the first checkpoint
+        refuses them. train() raises; the CLI prints the error and returns 1."""
+        manifest = build_overfit_benchmark(str(tmp_path / "data"), per_class=4,
+                                           held_out_per_class=2)
+        cfg = replace(bench_train_config(manifest, seed=1, epochs=1, batch_size=4),
+                      learning_rate=learning_rate)
+        with pytest.raises(error, match=message):
+            train(cfg, "fusenet", out_dir=str(tmp_path / "lib"))
+        config_path = tmp_path / "train.json"
+        write_train_config(config_path, cfg)
+        argv = ["train", "--config", str(config_path), "--model", "fusenet",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_training_split_under_two_fails_up_front(self, tiny_manifest, tmp_path, capsys,
+                                                      monkeypatch):
+        import importlib
+
+        # one class of two cubes splits 1/1; one sample cannot form a batch-norm batch
+        with open(tiny_manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        root = os.path.dirname(tiny_manifest)
+        samples = [dict(s, path=os.path.join(root, s["path"]))
+                   for s in doc["samples"] if s["class"] == 0][:2]
+        manifest = tmp_path / "one_class.json"
+        manifest.write_text(json.dumps({**doc, "classes": ["class_0"], "samples": samples}))
+        built = []
+        monkeypatch.setattr(importlib.import_module("cvradar.traincli.train"), "init_model",
+                            lambda *a: built.append(a))
+        cfg = self._config(str(manifest))
+        with pytest.raises(TrainingError, match="training split has 1 sample") as info:
+            train(cfg, "fusenet")
+        assert str(manifest) in str(info.value)
+        assert not built
+        config_path = tmp_path / "train.json"
+        write_train_config(config_path, cfg)
+        argv = ["train", "--config", str(config_path), "--model", "fusenet",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert f"error: {manifest}: training split has 1 sample" in capsys.readouterr().err
 
     def test_constant_predictor_balanced_half(self, tiny_manifest):
         # zeroed head emits all-zero logits; argmax ties to class 0
