@@ -19,7 +19,7 @@ from .tensor import ComplexTensor, ShapeError
 from .tape import active_tape
 
 __all__ = [
-    "add", "sub", "mul", "scale", "conj", "real",
+    "add", "mul", "scale", "conj", "real",
     "reshape", "permute", "concat", "index0", "matmul", "bmm", "add_row",
     "sum_all", "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
@@ -74,16 +74,6 @@ def add(a, b):
         return ((gre, gim), (gre, gim))
 
     return _record("add", out, (a, b), bwd)
-
-
-def sub(a, b):
-    _same_shape("sub", a, b)
-    out = _wrap(a.re - b.re, a.im - b.im)
-
-    def bwd(gre, gim):
-        return ((gre, gim), (-gre, -gim))
-
-    return _record("sub", out, (a, b), bwd)
 
 
 def mul(a, b):

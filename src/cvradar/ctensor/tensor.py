@@ -42,13 +42,6 @@ class ComplexTensor:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexTensor is immutable")
 
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def scalar(value, dtype=np.float64):
-        value = complex(value)
-        return ComplexTensor(np.array(value.real), np.array(value.imag), dtype=dtype)
-
     # -- views -----------------------------------------------------------
 
     @property
@@ -66,17 +59,6 @@ class ComplexTensor:
     def to_complex(self):
         """Materialize as a native numpy complex array (copy)."""
         return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
-    def item(self):
-        if self.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return complex(self.re.reshape(())[()], self.im.reshape(())[()])
-
-    def allclose(self, other, rtol=1e-12, atol=1e-12):
-        return bool(
-            np.allclose(self.re, other.re, rtol=rtol, atol=atol)
-            and np.allclose(self.im, other.im, rtol=rtol, atol=atol)
-        )
 
     def __repr__(self):
         return f"ComplexTensor(shape={self.shape}, dtype={self.dtype})"

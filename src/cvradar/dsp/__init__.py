@@ -14,7 +14,6 @@ from .scenes import (
     SyntheticScene,
     class_scene,
     parse_scene_file,
-    predicted_bins,
     range_bin_width,
     synth_fmcw_cube,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SyntheticScene",
     "class_scene",
     "parse_scene_file",
-    "predicted_bins",
     "range_bin_width",
     "synth_fmcw_cube",
 ]

@@ -30,7 +30,6 @@ from .dataset import DatasetError, _check_samples, _read_json
 __all__ = [
     "SyntheticScene",
     "synth_fmcw_cube",
-    "predicted_bins",
     "range_bin_width",
     "class_scene",
     "parse_scene_file",
@@ -56,16 +55,6 @@ class SyntheticScene:
 def range_bin_width(config):
     """Meters of range per fast-time frequency bin."""
     return _SPEED_OF_LIGHT / (2.0 * config.bandwidth)
-
-
-def predicted_bins(reflector, config):
-    """(azimuth, elevation, range) bin indices where one reflector peaks."""
-    r, az, el, _ = reflector
-    x, y, n = config.shape
-    l = int(round(x * 0.5 * np.sin(az))) % x
-    m = int(round(y * 0.5 * np.sin(el))) % y
-    k = int(round(2.0 * config.bandwidth * r / _SPEED_OF_LIGHT)) % n
-    return (l, m, k)
 
 
 def synth_fmcw_cube(scene, config):

@@ -1,4 +1,4 @@
-"""Cross-attention fusion, classification head, and loss."""
+"""Cross-attention fusion and the classification head; the loss op is in ctensor.ops."""
 
 from .attention import (
     AttentionBlock,
@@ -7,7 +7,6 @@ from .attention import (
     init_attention,
     scaled_dot_attention,
 )
-from .loss import cross_entropy, cross_entropy_from_logits, one_hot, softmax_np
 from .model import (
     FuseNetModel,
     classify,
@@ -22,10 +21,6 @@ __all__ = [
     "bidirectional_fuse",
     "init_attention",
     "scaled_dot_attention",
-    "cross_entropy",
-    "cross_entropy_from_logits",
-    "one_hot",
-    "softmax_np",
     "FuseNetModel",
     "classify",
     "fusenet_forward",

@@ -35,7 +35,6 @@ from .metrics import (
     MetricsReport,
     evaluate_pairs,
     render_report,
-    report_from_dict,
     report_to_dict,
 )
 from .pipeline import SamplePair, load_pairs, preprocess_dataset, split_pairs
@@ -75,7 +74,6 @@ __all__ = [
     "MetricsReport",
     "evaluate_pairs",
     "render_report",
-    "report_from_dict",
     "report_to_dict",
     "SamplePair",
     "load_pairs",

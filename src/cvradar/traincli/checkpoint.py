@@ -8,7 +8,8 @@ followed by the imaginary plane as little-endian 32-bit floats in row-major
 order. Loading restores float64 working precision from those 32-bit values,
 so save -> load -> save reproduces the file byte for byte. Every stored
 value is finite: saving raises before the file is opened if a tensor's
-float32 form is not, and loading refuses a non-finite payload.
+float32 form is not, and loading refuses a non-finite payload or a negative
+batch-norm running variance.
 """
 
 import json
@@ -176,6 +177,8 @@ def load_checkpoint(path):
         offset += need
         if not np.isfinite(planes).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+        if name.endswith(".running_var") and (planes < 0).any():
+            raise CheckpointError(f"{path}: tensor {name!r} holds negative variances")
         re = planes[:count].astype(np.float64).reshape(extents)
         im = planes[count:].astype(np.float64).reshape(extents)
         mapping[name] = ComplexTensor(re, im)

@@ -17,7 +17,7 @@ from ..ctensor import ComplexTensor, ops
 from ..ctensor.gradcheck import grad_check, grad_check_multi
 from ..cnn import BranchConfig, ConvSpec, init_batchnorm, init_conv
 from ..dsp import dft3d_direct, fft3d_array
-from ..fusion import bidirectional_fuse, cross_entropy_from_logits, fusenet_logits_batch, init_attention, init_fusenet, one_hot
+from ..fusion import bidirectional_fuse, fusenet_logits_batch, init_attention, init_fusenet
 
 __all__ = [
     "CheckResult",
@@ -106,7 +106,7 @@ def toy_fusenet_instance(model_seed=2, data_seed=46):
     rng = np.random.default_rng(data_seed)
     x = _rand(rng, (1, 1, 4, 8))
     big_x = _rand(rng, (1, 1, 4, 8))
-    return model, x, big_x, one_hot(1, 2)[None]
+    return model, x, big_x, np.eye(2)[[1]]
 
 
 def check_primitives():
@@ -127,7 +127,7 @@ def check_primitives():
         ("cavgpool_last", lambda: grad_check(lambda x: _energy(ops.cavgpool_last(x, 2)), a)),
         (
             "cross_entropy_logits",
-            lambda: grad_check(lambda x: cross_entropy_from_logits(x, one_hot(2, 4)), logits),
+            lambda: grad_check(lambda x: ops.cross_entropy_logits(x, np.eye(4)[2]), logits),
         ),
     ]
     return [CheckResult("primitives", n, f(), 1e-6) for n, f in cases]
@@ -177,7 +177,7 @@ def check_fusenet():
 
     def fn(*tensors):
         trial = model.with_tensors(dict(zip(names, tensors)))
-        return cross_entropy_from_logits(fusenet_logits_batch(x, big_x, trial, "eval"), target)
+        return ops.cross_entropy_logits(fusenet_logits_batch(x, big_x, trial, "eval"), target)
 
     err = grad_check_multi(fn, [initial[n] for n in names])
     return [CheckResult("fusenet", "all parameters", err, 1e-4)]

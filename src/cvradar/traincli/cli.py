@@ -7,10 +7,14 @@ import sys
 
 import numpy as np
 
-from ..dsp import ManifestEntry, SyntheticScene, parse_scene_file, synth_fmcw_cube, write_manifest, write_rfc1
+from ..dsp import (
+    CubeFormatError, DatasetError, ManifestEntry, SyntheticScene,
+    parse_scene_file, synth_fmcw_cube, write_manifest, write_rfc1,
+)
+from .adam import OptimizerError
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import GRAD_SUITES, fft_check, run_grad_suites
-from .config import load_train_config
+from .config import ConfigError, load_train_config
 from .metrics import evaluate_pairs, render_report, report_json, report_to_dict
 from .pipeline import load_pairs, preprocess_dataset, split_pairs
 from .train import TrainingError, train
@@ -68,11 +72,7 @@ def _cmd_train(args):
             line += f"  train-accuracy {report.accuracy:.4f}"
         print(line)
 
-    try:
-        _, reports = train(config, args.model, out_dir=args.out, progress=progress)
-    except (TrainingError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    _, reports = train(config, args.model, out_dir=args.out, progress=progress)
     metrics_path = os.path.join(args.out, "metrics.json")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         json.dump([report_to_dict(r) for r in reports], fh, indent=2, sort_keys=True)
@@ -170,9 +170,17 @@ _COMMANDS = {
 }
 
 
+# The package's named input and run errors; each becomes one `error:` line.
+_ERRORS = (ConfigError, DatasetError, CubeFormatError, CheckpointError, TrainingError, OptimizerError)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ __all__ = [
     "MetricsReport",
     "evaluate_pairs",
     "report_to_dict",
-    "report_from_dict",
     "render_report",
     "report_json",
 ]
@@ -98,16 +97,6 @@ def report_to_dict(report):
         "tag": report.tag,
         "total": report.total,
     }
-
-
-def report_from_dict(doc):
-    return MetricsReport(
-        accuracy=float(doc["accuracy"]),
-        per_class=tuple(float(v) for v in doc["per_class"]),
-        confusion=tuple(tuple(int(v) for v in row) for row in doc["confusion"]),
-        loss_curve=tuple(float(v) for v in doc.get("loss_curve", [])),
-        tag=str(doc["tag"]),
-    )
 
 
 def render_report(report, classes=None):

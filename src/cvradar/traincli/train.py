@@ -11,9 +11,9 @@ import os
 
 import numpy as np
 
-from ..ctensor import GradTape
+from ..ctensor import GradTape, ops
 from ..cnn import baseline_logits, init_baseline
-from ..fusion import cross_entropy_from_logits, fusenet_logits_batch, init_fusenet, one_hot
+from ..fusion import fusenet_logits_batch, init_fusenet
 from .adam import adam_step, init_adam_state
 from .checkpoint import save_checkpoint
 from .metrics import MetricsReport, evaluate_pairs
@@ -45,6 +45,12 @@ def epoch_batches(n, batch_size, rng):
     return batches
 
 
+# perfbench's tracer patches this name. It looks the op up at call time, so the
+# traced op is the one that runs; an import alias would bypass that wrapper.
+def cross_entropy_from_logits(logits, targets):
+    return ops.cross_entropy_logits(logits, targets)
+
+
 def _batch_loss(model, kind, pairs, idx, n_classes):
     """Mean cross-entropy over one batch: one loss op on the (B, C) logits."""
     batch = [pairs[i] for i in idx]
@@ -53,7 +59,7 @@ def _batch_loss(model, kind, pairs, idx, n_classes):
         logits = fusenet_logits_batch(stack_pairs(batch, "iq"), x_fft, model, "train")
     else:
         logits = baseline_logits(x_fft, model, "train")
-    targets = np.stack([one_hot(p.label, n_classes) for p in batch])
+    targets = np.eye(n_classes)[[p.label for p in batch]]
     return cross_entropy_from_logits(logits, targets)
 
 

@@ -49,6 +49,10 @@ fusion = {{s for _, _, s in instrument.TRACED_CALLS if s.startswith(("fusion.", 
 recorded = {{tracer.names[i] for i in tracer.name}}
 missing = sorted(fusion - recorded)
 assert not missing, f"traced calls never reached: {{missing}}"
+# the loss call site looks the traced op up at call time, so the step's one
+# loss op is recorded; an import alias would bypass the op's wrapper
+assert "ctensor.fwd.cross_entropy_logits" in recorded
+assert tracer.counts.get("calls.cross_entropy_logits") == 1
 # the probe times one fusenet_forward per eval chunk: both toy pairs fit one
 assert len(probes.sample_times) == 1
 # prep-eval-paper's unit_p50_s is one sample per timed forward at paper geometry

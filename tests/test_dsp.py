@@ -18,7 +18,6 @@ from cvradar.dsp import (
     dft3d_direct,
     fft3d_array,
     flatten_channels,
-    predicted_bins,
     range_bin_width,
     read_rfc1,
     synth_fmcw_cube,
@@ -302,6 +301,16 @@ def exp_per_sample_cube(scene, config):
         sigma = scene.noise_level * scale / np.sqrt(2.0)
         acc = acc + sigma * (rng.standard_normal((x, y, n)) + 1j * rng.standard_normal((x, y, n)))
     return acc
+
+
+def predicted_bins(reflector, config):
+    """(azimuth, elevation, range) bin indices where one reflector peaks."""
+    r, az, el, _ = reflector
+    x, y, n = config.shape
+    l = int(round(x * 0.5 * np.sin(az))) % x
+    m = int(round(y * 0.5 * np.sin(el))) % y
+    k = int(round(2.0 * config.bandwidth * r / 299_792_458.0)) % n
+    return (l, m, k)
 
 
 class TestScenes:

@@ -10,14 +10,10 @@ from cvradar.fusion import (
     attention_weights,
     bidirectional_fuse,
     classify,
-    cross_entropy,
-    cross_entropy_from_logits,
     fusenet_logits_batch,
     init_attention,
     init_fusenet,
-    one_hot,
     scaled_dot_attention,
-    softmax_np,
 )
 from cvradar.traincli import bench_branch_config
 
@@ -198,56 +194,35 @@ class TestClassify:
 
 
 class TestCrossEntropy:
-    def test_one_hot_match(self):
-        assert cross_entropy([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_uniform_ten(self):
-        assert cross_entropy(np.full(10, 0.1), one_hot(4, 10)) == pytest.approx(
-            2.302585, abs=1e-6
-        )
-
-    def test_hand_value(self):
-        assert cross_entropy([0.8, 0.2], [1.0, 0.0]) == pytest.approx(0.223144, abs=1e-6)
-
-    def test_zero_probability_clamped(self):
-        loss = cross_entropy([1.0, 0.0], [0.0, 1.0])
-        assert np.isfinite(loss) and loss >= 20.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy([np.nan, 1.0], [1.0, 0.0])
-
-    def test_not_a_distribution(self):
-        with pytest.raises(ValueError):
-            cross_entropy([0.9, 0.9], [1.0, 0.0])
-
     def test_logit_form_values(self):
         logits = ComplexTensor(np.zeros(10))
-        loss = cross_entropy_from_logits(logits, one_hot(3, 10))
+        loss = ops.cross_entropy_logits(logits, np.eye(10)[3])
         assert float(loss.re) == pytest.approx(np.log(10.0), abs=1e-12)
 
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(15)
         raw = rng.standard_normal(5)
-        t = one_hot(2, 5)
-        a = cross_entropy_from_logits(ComplexTensor(raw), t)
-        b = cross_entropy_from_logits(ComplexTensor(raw + 123.456), t)
+        t = np.eye(5)[2]
+        a = ops.cross_entropy_logits(ComplexTensor(raw), t)
+        b = ops.cross_entropy_logits(ComplexTensor(raw + 123.456), t)
         assert abs(float(a.re) - float(b.re)) <= 1e-9
 
     def test_matches_distribution_form(self):
+        # -sum_j t_j log softmax(raw)_j, by a plain numpy log-softmax
         rng = np.random.default_rng(16)
         raw = rng.standard_normal(4)
-        t = one_hot(1, 4)
-        via_logits = float(cross_entropy_from_logits(ComplexTensor(raw), t).re)
-        via_probs = cross_entropy(softmax_np(raw), t)
+        t = np.eye(4)[1]
+        via_logits = float(ops.cross_entropy_logits(ComplexTensor(raw), t).re)
+        shifted = raw - raw.max()
+        via_probs = -float(t @ (shifted - np.log(np.exp(shifted).sum())))
         assert via_logits == pytest.approx(via_probs, abs=1e-12)
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(23)
         raw = rng.standard_normal((6, 4))
-        targets = np.stack([one_hot(int(c), 4) for c in rng.integers(0, 4, 6)])
-        batch = float(cross_entropy_from_logits(ComplexTensor(raw), targets).re)
-        rows = [float(cross_entropy_from_logits(ComplexTensor(r), t).re) for r, t in zip(raw, targets)]
+        targets = np.eye(4)[rng.integers(0, 4, 6)]
+        batch = float(ops.cross_entropy_logits(ComplexTensor(raw), targets).re)
+        rows = [float(ops.cross_entropy_logits(ComplexTensor(r), t).re) for r, t in zip(raw, targets)]
         assert abs(batch - np.mean(rows)) <= 1e-12
 
 
@@ -292,7 +267,7 @@ class TestFuseNet:
 
         def f(*tensors):
             trial = model.with_tensors(dict(zip(names, tensors)))
-            return cross_entropy_from_logits(fusenet_logits_batch(x, X, trial, "eval"), target)
+            return ops.cross_entropy_logits(fusenet_logits_batch(x, X, trial, "eval"), target)
 
         err = grad_check_multi(f, [initial[n] for n in names])
         assert err <= 1e-4
@@ -334,7 +309,7 @@ class TestFuseNet:
                 for _, t in model.parameters():
                     tape.watch(t)
                 logits = fusenet_logits_batch(x_iq, x_fft, model, "train")
-                loss = cross_entropy_from_logits(logits, targets)
+                loss = ops.cross_entropy_logits(logits, targets)
             return logits, tape.backward(loss)
 
         def counted(*thunks):

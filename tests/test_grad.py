@@ -38,15 +38,6 @@ class TestPrimitiveGradients:
         )
         assert err <= TOL
 
-    def test_sub(self):
-        rng = np.random.default_rng(1)
-        c = rand_ct(rng, (3, 4))
-        err = grad_check_multi(
-            lambda a, b: probe(ops.sub(a, b), c),
-            [rand_ct(rng, (3, 4)), rand_ct(rng, (3, 4))],
-        )
-        assert err <= TOL
-
     def test_mul(self):
         rng = np.random.default_rng(2)
         c = rand_ct(rng, (3, 4))

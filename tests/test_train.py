@@ -49,7 +49,6 @@ from cvradar.traincli import (
     preprocess_dataset,
     render_report,
     render_trend,
-    report_from_dict,
     report_to_dict,
     save_checkpoint,
     split_pairs,
@@ -667,6 +666,17 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    def test_negative_running_var_refused_on_load(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = init_model(bench_train_config("m.json", 0, 1), 2, "fusenet")
+        save_checkpoint(path, model, "fusenet")
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x80  # the sign bit of the last value of the last tensor
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="'fft.bn2.running_var'.*negative") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_tensor_layout_pinned(self):
         """The checkpoint's tensor names and their order, as the README lists them."""
         rng = np.random.default_rng(0)
@@ -717,7 +727,10 @@ class TestMetricsReport:
     def test_dict_round_trip(self):
         r = MetricsReport(accuracy=0.75, per_class=(1.0, 0.5), confusion=((2, 0), (1, 1)),
                           loss_curve=(0.9, 0.4), tag="test")
-        assert report_from_dict(report_to_dict(r)) == r
+        assert json.loads(json.dumps(report_to_dict(r))) == {
+            "accuracy": 0.75, "per_class": [1.0, 0.5], "confusion": [[2, 0], [1, 1]],
+            "loss_curve": [0.9, 0.4], "tag": "test", "total": 4,
+        }
 
     def test_render_contains_summary(self):
         r = MetricsReport(accuracy=0.75, per_class=(1.0, 0.5), confusion=((2, 0), (1, 1)),
@@ -1064,13 +1077,39 @@ class TestCli:
         assert classes == ("foam", "steel")
         assert [p.unseen for p in pairs] == [False, True]
 
-    def test_synth_rejects_bad_classes_before_writing(self, tmp_path):
+    def test_synth_rejects_bad_classes_before_writing(self, tmp_path, capsys):
         scenes = tmp_path / "scenes.json"
         scenes.write_text(json.dumps({
             "version": 1, "config": TestPipeline._SCENE_CONFIG, "classes": [1, 2],
             "scenes": [{"class": 0, "reflectors": [[0.3, 0.1, 0.0, 1.0, 0.0]]}],
         }))
         out = tmp_path / "cubes"
-        with pytest.raises(DatasetError, match="'classes'"):
-            main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "0"])
+        assert main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "0"]) == 1
+        assert "'classes'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.rfc1"))
+
+    def test_eval_garbage_weights_is_one_error_line(self, tiny_manifest, tmp_path, capsys):
+        weights = tmp_path / "garbage.ckpt"
+        weights.write_text("garbage")
+        assert main(["eval", "--weights", str(weights), "--manifest", tiny_manifest,
+                     "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(weights) in err and "magic" in err
+
+    def test_preprocess_malformed_manifest_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"version": 1, "samples": []}')
+        assert main(["preprocess", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "cache")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(manifest) in err
+
+    def test_train_bad_config_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**config_to_dict(small_config()), "batch_size": 2.5}))
+        assert main(["train", "--config", str(config), "--model", "fusenet",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "batch_size" in err
