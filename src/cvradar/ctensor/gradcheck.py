@@ -13,6 +13,7 @@ from .tape import GradTape
 __all__ = ["grad_check", "grad_check_multi", "GradCheckError"]
 
 _REL_FLOOR = 1e-8
+_STEP = 1e-5  # central-difference probe step, per real coordinate
 
 
 class GradCheckError(RuntimeError):
@@ -28,15 +29,13 @@ def _loss_value(t):
     return v
 
 
-def grad_check_multi(fn, points, step=1e-5):
+def grad_check_multi(fn, points):
     """Max relative error of analytic vs central differences over all inputs.
 
     fn takes one ComplexTensor argument per entry of points, returns a real
     scalar tensor, and must be pure and deterministic. Relative error per
     coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     points = list(points)
 
     with GradTape() as tape:
@@ -54,11 +53,11 @@ def grad_check_multi(fn, points, step=1e-5):
             flat_g = g.reshape(-1)
             for idx in range(flat_base.size):
                 bumped = flat_base.copy()
-                bumped[idx] = flat_base[idx] + step
+                bumped[idx] = flat_base[idx] + _STEP
                 plus = _eval_at(fn, points, pi, plane_name, bumped.reshape(base.shape))
-                bumped[idx] = flat_base[idx] - step
+                bumped[idx] = flat_base[idx] - _STEP
                 minus = _eval_at(fn, points, pi, plane_name, bumped.reshape(base.shape))
-                numeric = (plus - minus) / (2.0 * step)
+                numeric = (plus - minus) / (2.0 * _STEP)
                 a = flat_g[idx]
                 if not (np.isfinite(a) and np.isfinite(numeric)):
                     raise GradCheckError(
@@ -73,14 +72,14 @@ def grad_check_multi(fn, points, step=1e-5):
 def _eval_at(fn, points, pi, plane_name, plane):
     point = points[pi]
     if plane_name == "re":
-        moved = ComplexTensor(plane, point.im, dtype=point.dtype)
+        moved = ComplexTensor(plane, point.im)
     else:
-        moved = ComplexTensor(point.re, plane, dtype=point.dtype)
+        moved = ComplexTensor(point.re, plane)
     trial = list(points)
     trial[pi] = moved
     return _loss_value(fn(*trial))
 
 
-def grad_check(fn, point, step=1e-5):
+def grad_check(fn, point):
     """Single-input convenience wrapper around grad_check_multi."""
-    return grad_check_multi(fn, [point], step=step)
+    return grad_check_multi(fn, [point])

@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ComplexTensor, ShapeError
+from .tensor import ShapeError, _wrap
 from .tape import active_tape
 
 __all__ = [
@@ -26,28 +26,6 @@ __all__ = [
     "cbatchnorm_train", "cbatchnorm_eval", "cross_entropy_logits",
     "BatchStats", "BN_EPS", "CHUNK_BYTES",
 ]
-
-
-def _wrap(re, im=None):
-    # Adopt freshly computed planes without the constructor's defensive copy.
-    t = object.__new__(ComplexTensor)
-    re = np.asarray(re)
-    im = np.zeros_like(re) if im is None else np.asarray(im)
-    if im.dtype != re.dtype:
-        im = im.astype(re.dtype)
-    if re.shape != im.shape:
-        raise ShapeError(f"re shape {re.shape} != im shape {im.shape}")
-    if any(n <= 0 for n in re.shape):
-        raise ShapeError(f"zero or negative extent in shape {re.shape}")
-    for plane in (re, im):
-        try:
-            plane.flags.writeable = False
-        except ValueError:
-            pass
-    object.__setattr__(t, "re", re)
-    object.__setattr__(t, "im", im)
-    object.__setattr__(t, "shape", re.shape)
-    return t
 
 
 def _record(op, out, inputs, backward_fn):

@@ -3,7 +3,7 @@
 Differentiation semantics: every complex tensor is treated as an
 independent pair of real tensors (re, im), and standard real reverse-mode
 accumulation runs over the recorded primitives. Losses are real scalars;
-gradients come back as one real pair per watched leaf.
+gradients come back as one read-only ComplexTensor per watched leaf.
 
 One training step builds and consumes one tape; parallel() lets threads
 record into it on separate lanes. Backward is a pure function of the tape,
@@ -24,30 +24,13 @@ import weakref
 
 import numpy as np
 
-from .tensor import ComplexTensor, ShapeError
+from .tensor import ComplexTensor, ShapeError, _wrap
 
-__all__ = ["GradTape", "Gradient", "TapeError", "active_tape", "parallel"]
+__all__ = ["GradTape", "TapeError", "active_tape", "parallel"]
 
 
 class TapeError(RuntimeError):
     """Raised on tape misuse: nesting, shared lanes, non-scalar or off-tape loss."""
-
-
-class Gradient:
-    """Real-valued gradient pair for one complex tensor."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @property
-    def shape(self):
-        return self.re.shape
-
-    def __repr__(self):
-        return f"Gradient(shape={self.re.shape})"
 
 
 class _Node:
@@ -85,7 +68,9 @@ def _run_lanes(fns, lanes):
     lazy worker (all here with < 2 usable CPUs). All end before an error is raised."""
     global _WORKER
     here, rest = list(zip(fns, lanes)), []
-    if len(here) > 1 and len(os.sched_getaffinity(0)) > 1:
+    # sched_getaffinity is missing on Windows and macOS: count every CPU there
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if len(here) > 1 and cpus > 1:
         if _WORKER is None:
             from concurrent.futures import ThreadPoolExecutor
             _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cvradar-lane")
@@ -195,10 +180,12 @@ class GradTape:
     def backward(self, loss):
         """Gradients of a real scalar loss with respect to every watched leaf.
 
-        Walks the node record in reverse insertion order, accumulating
-        adjoints per tensor key. Every gradient plane is a dense array:
-        the loss adjoint is seeded as (1, 0), each backward_fn returns an
-        array pair per input, and a leaf the loss never reaches gets zeros.
+        Returns a dict from each watched leaf to a read-only ComplexTensor
+        of its gradient. Walks the node record in reverse insertion order,
+        accumulating adjoints per tensor key. Every gradient plane is a
+        dense array: the loss adjoint is seeded as (1, 0), each backward_fn
+        returns an array pair per input, and a leaf the loss never reaches
+        gets zeros.
         An intermediate tensor's adjoint is freed as soon as the node that
         produced it has run, so the walk holds only the adjoints still
         awaiting their producer; watched tensors keep theirs. The recorded
@@ -231,7 +218,7 @@ class GradTape:
                 raise ShapeError(
                     f"gradient shape {gre.shape} does not match leaf shape {leaf.shape}"
                 )
-            result[leaf] = Gradient(gre, gim)
+            result[leaf] = _wrap(gre, gim)
         return result
 
     def _walk(self, nodes, adjoints):

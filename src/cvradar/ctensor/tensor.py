@@ -17,27 +17,16 @@ class ShapeError(ValueError):
 class ComplexTensor:
     """Immutable complex array: shape-tagged pair of real planes (re, im).
 
-    Construction copies and freezes both planes; zero extents are rejected.
-    Rank 0 (shape ()) is the scalar, with element count 1.
+    Construction copies both planes to float64 and freezes them; zero
+    extents are rejected. Rank 0 (shape ()) is the scalar, with element
+    count 1.
     """
 
     __slots__ = ("re", "im", "shape", "__weakref__")
 
-    def __init__(self, re, im=None, dtype=np.float64):
-        re = np.array(re, dtype=dtype)
-        if im is None:
-            im = np.zeros_like(re)
-        else:
-            im = np.array(im, dtype=dtype)
-        if re.shape != im.shape:
-            raise ShapeError(f"re shape {re.shape} != im shape {im.shape}")
-        if any(n <= 0 for n in re.shape):
-            raise ShapeError(f"zero or negative extent in shape {re.shape}")
-        re.flags.writeable = False
-        im.flags.writeable = False
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "shape", re.shape)
+    def __init__(self, re, im=None):
+        re = np.array(re, dtype=np.float64)
+        _adopt(self, re, np.zeros_like(re) if im is None else np.array(im, dtype=np.float64))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexTensor is immutable")
@@ -62,3 +51,22 @@ class ComplexTensor:
 
     def __repr__(self):
         return f"ComplexTensor(shape={self.shape}, dtype={self.dtype})"
+
+
+def _adopt(t, re, im):
+    # The one plane check and freeze, shared by the constructor and _wrap.
+    if re.shape != im.shape:
+        raise ShapeError(f"re shape {re.shape} != im shape {im.shape}")
+    if any(n <= 0 for n in re.shape):
+        raise ShapeError(f"zero or negative extent in shape {re.shape}")
+    re.flags.writeable = False
+    im.flags.writeable = False
+    object.__setattr__(t, "re", re)
+    object.__setattr__(t, "im", im)
+    object.__setattr__(t, "shape", re.shape)
+    return t
+
+
+def _wrap(re, im):
+    """A ComplexTensor that adopts freshly computed planes without copying them."""
+    return _adopt(object.__new__(ComplexTensor), np.asarray(re), np.asarray(im))

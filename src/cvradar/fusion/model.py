@@ -60,7 +60,7 @@ class FuseNetModel:
                        head_b=mapping.get("head.b", self.head_b))
 
 
-def init_fusenet(config, n_classes, rng, embed_dim=256, heads=16):
+def init_fusenet(config, n_classes, rng, embed_dim, heads):
     c_f, _ = config.feature_shape()
     attn = init_attention(2 * c_f, embed_dim, heads, rng)
     return FuseNetModel(

@@ -16,6 +16,9 @@ from ..ctensor import ComplexTensor
 
 __all__ = ["OptimizerError", "AdamState", "init_adam_state", "adam_step"]
 
+# Kingma & Ba's defaults (ICLR 2015), which the paper trains with
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class OptimizerError(ValueError):
     """Raised on non-finite gradients; the message names the parameter."""
@@ -35,28 +38,28 @@ def init_adam_state():
     return AdamState(step=0, moments={})
 
 
-def _plane_update(value, grad, key, moments, lr, beta1, beta2, eps, t):
+def _plane_update(value, grad, key, moments, lr, t):
     m, v = moments.get(key, (None, None))
     if m is None:
         m = np.zeros_like(value)
         v = np.zeros_like(value)
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
     moments[key] = (m, v)
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def adam_step(params, grads, state, config):
     """One optimizer step.
 
     params: ordered (name, ComplexTensor) pairs. grads: name -> object with
-    .re/.im real arrays (a tape Gradient), or None for a parameter that got
-    no gradient at all. Returns (updated pairs in the same order, new state).
+    .re/.im real arrays (the tape's ComplexTensor gradient), or None for a
+    parameter that got no gradient at all. Returns (updated pairs in the
+    same order, new state).
     """
     t = state.step + 1
-    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.eps
     moments = dict(state.moments)
     updated = []
     for name, p in params:
@@ -70,7 +73,7 @@ def adam_step(params, grads, state, config):
             if not np.all(np.isfinite(grad)):
                 raise OptimizerError(f"non-finite gradient for parameter {name!r} ({plane} plane)")
             value = getattr(p, plane)
-            out = _plane_update(value, grad, (name, plane), moments, lr, b1, b2, eps, t)
+            out = _plane_update(value, grad, (name, plane), moments, config.learning_rate, t)
             if plane == "re":
                 new_re = out
             else:

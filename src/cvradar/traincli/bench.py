@@ -96,22 +96,13 @@ def _emit(out_dir, radar, specs, classes, data_seed, noise_level):
     return manifest
 
 
-def build_shift_benchmark(
-    out_dir,
-    n_classes=2,
-    per_class_train=25,
-    per_class_shifted=15,
-    train_band=(0.30, 0.70),
-    shifted_band=(0.75, 0.90),
-    noise_level=0.1,
-    data_seed=1,
-):
-    """Near-band training cubes plus far-band cubes marked unseen."""
+def build_shift_benchmark(out_dir, n_classes=2, per_class_train=25, per_class_shifted=15):
+    """Training cubes at 0.30-0.70 m plus cubes at 0.75-0.90 m marked unseen."""
     radar = bench_radar_config()
     classes = tuple(f"class_{c}" for c in range(n_classes))
-    specs = [(c, per_class_train, train_band, "auto") for c in range(n_classes)]
-    specs += [(c, per_class_shifted, shifted_band, "unseen") for c in range(n_classes)]
-    return _emit(out_dir, radar, specs, classes, data_seed, noise_level)
+    specs = [(c, per_class_train, (0.30, 0.70), "auto") for c in range(n_classes)]
+    specs += [(c, per_class_shifted, (0.75, 0.90), "unseen") for c in range(n_classes)]
+    return _emit(out_dir, radar, specs, classes, data_seed=1, noise_level=0.1)
 
 
 def build_overfit_benchmark(out_dir, per_class=20, held_out_per_class=10, data_seed=3):
@@ -151,7 +142,6 @@ def benchmark_trend(
     kinds=("baseline", "fusenet"),
     epochs=12,
     manifest=None,
-    progress=None,
 ):
     """Train both kinds per seed on the shift benchmark; evaluate far-band."""
     seeds = tuple(int(s) for s in seeds)
@@ -173,8 +163,6 @@ def benchmark_trend(
             model, _ = train(config, kind, track_accuracy=False)
             report = evaluate_pairs(model, kind, shifted, tag="unseen")
             per_seed.append(report.accuracy)
-            if progress is not None:
-                progress(kind, seed, report.accuracy)
         accuracies.append(tuple(per_seed))
     return TrendReport(
         seeds=seeds,

@@ -20,7 +20,7 @@ import numpy as np
 from ..ctensor import ComplexTensor
 from ..cnn import init_baseline
 from ..fusion import init_fusenet
-from .config import branch_from_dict, branch_to_dict
+from .config import _json_float, _json_int, branch_from_dict, branch_to_dict
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -89,18 +89,26 @@ def _implied_values(kind, branch, n_classes, embed_dim):
 
 
 def _positive_int(header, key):
-    value = header[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    value = _json_int(header[key], repr(key))
+    if value < 1:
         raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
     return value
 
 
 def _skeleton(header, path, payload_bytes):
-    """Build a placeholder model once the header's dimensions fit the payload."""
+    """Check the header's fields, then build a placeholder model once its
+    dimensions fit the payload."""
     kind = header.get("kind")
     if kind not in ("baseline", "fusenet"):
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     try:
+        # eval re-derives the test split from these, so they must be usable as stored
+        meta = header.get("meta", {})
+        if "seed" in meta and _json_int(meta["seed"], "meta 'seed'") < 0:
+            raise ValueError(f"meta 'seed' must be >= 0, got {meta['seed']!r}")
+        ratio = meta.get("split_ratio", 0.5)  # an absent ratio passes
+        if not 0.0 < _json_float(ratio, "meta 'split_ratio'") < 1.0:
+            raise ValueError(f"meta 'split_ratio' must be in (0, 1), got {ratio!r}")
         branch = branch_from_dict(header["branch"])
         n_classes = _positive_int(header, "n_classes")
         embed_dim = heads = None
@@ -140,7 +148,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: bad header: {e}") from e
     if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
         raise CheckpointError(f"{path}: header and its 'meta' must be JSON objects")
-    if header.get("version") != _VERSION:
+    if type(header.get("version")) is not int or header["version"] != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
     model = _skeleton(header, path, len(blob) - 8 - header_len)
     expected = [name for name, _ in _all_tensors(model)]

@@ -104,7 +104,7 @@ def _cmd_eval(args):
                 file=sys.stderr,
             )
             return 1
-        chosen = split_pairs(classes, pairs, int(meta["seed"]), float(meta["split_ratio"])).test
+        chosen = split_pairs(classes, pairs, meta["seed"], meta["split_ratio"]).test
     if not chosen:
         print(f"error: split {args.split!r} is empty in this manifest", file=sys.stderr)
         return 1
@@ -170,8 +170,10 @@ _COMMANDS = {
 }
 
 
-# The package's named input and run errors; each becomes one `error:` line.
-_ERRORS = (ConfigError, DatasetError, CubeFormatError, CheckpointError, TrainingError, OptimizerError)
+# The package's named input and run errors, and unreadable files (OSError names
+# the path); each becomes one `error:` line.
+_ERRORS = (ConfigError, DatasetError, CubeFormatError, CheckpointError, TrainingError,
+           OptimizerError, OSError)
 
 
 def main(argv=None):

@@ -30,9 +30,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 15
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     branch: BranchConfig = field(default_factory=default_branch_config)
     embed_dim: int = 256
     heads: int = 16
@@ -40,11 +37,9 @@ class TrainConfig:
     def __post_init__(self):
         if not self.manifest:
             raise ConfigError("manifest path must be non-empty")
-        for name in ("learning_rate", "beta1", "beta2", "eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        lr = self.learning_rate
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {lr}")
         # train-mode batch norm needs at least 2 samples to form a variance
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
@@ -52,12 +47,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 < b < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.embed_dim < 1 or self.heads < 1:
             raise ConfigError(
                 f"embed_dim and heads must be positive, got {self.embed_dim}, {self.heads}"
@@ -116,8 +105,7 @@ def branch_from_dict(doc):
 # the numeric TrainConfig fields a config document may set, and how each parses
 _NUMBER_FIELDS = {
     "learning_rate": _json_float, "batch_size": _json_int, "epochs": _json_int,
-    "seed": _json_int, "beta1": _json_float, "beta2": _json_float, "eps": _json_float,
-    "embed_dim": _json_int, "heads": _json_int,
+    "seed": _json_int, "embed_dim": _json_int, "heads": _json_int,
 }
 
 

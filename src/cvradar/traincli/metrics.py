@@ -99,10 +99,10 @@ def report_to_dict(report):
     }
 
 
-def render_report(report, classes=None):
-    """Human-readable table; classes supplies row labels when given."""
+def render_report(report, classes):
+    """Human-readable table, rows and columns labelled with the class names."""
     c = len(report.confusion)
-    names = list(classes) if classes else [f"class {i}" for i in range(c)]
+    names = list(classes)
     width = max(len(n) for n in names) + 2
     counts = max(len(str(v)) for row in report.confusion for v in row) if c else 1
     cell = max(6, counts + 2, max(len(n) for n in names) + 2)

@@ -1,5 +1,6 @@
 """Tensor construction, elementwise contracts, and tape backward behavior."""
 
+import os
 import sys
 import threading
 import time
@@ -108,6 +109,7 @@ class TestBackward:
         assert float(g.im) == pytest.approx(8.0, abs=1e-12)
 
     def test_gradient_shapes_match_leaves(self):
+        """backward gives each leaf a read-only ComplexTensor of its shape."""
         rng = np.random.default_rng(5)
         x = rand_ct(rng, (2, 3, 4))
         w = rand_ct(rng, (4,))
@@ -118,6 +120,10 @@ class TestBackward:
         grads = tape.backward(loss)
         assert grads[x].shape == (2, 3, 4)
         assert grads[w].shape == (4,)
+        for g in grads.values():
+            assert type(g) is ComplexTensor
+            with pytest.raises(ValueError):
+                g.re[0] = 1.0
 
     def test_unused_leaf_gets_zeros(self):
         x = ComplexTensor([1.0, 2.0])
@@ -474,6 +480,19 @@ class TestLanes:
         got, want = tape.backward(loss), ref_tape.backward(ref_loss)
         for leaf, ref_leaf in zip(leaves, ref_leaves):
             assert np.array_equal(got[leaf].re, want[ref_leaf].re)
+
+    def test_lanes_run_without_sched_getaffinity(self, monkeypatch):
+        """Windows and macOS lack os.sched_getaffinity; there the CPU count decides."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        first, second = parallel(threading.current_thread, threading.current_thread)
+        assert first is not second
+        tape, loss, leaves = self.step(3, lanes=True)
+        ref_tape, ref_loss, ref_leaves = self.step(3, lanes=False)
+        got, want = tape.backward(loss), ref_tape.backward(ref_loss)
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            assert np.array_equal(got[leaf].re, want[ref_leaf].re)
+            assert np.array_equal(got[leaf].im, want[ref_leaf].im)
 
     def test_without_tape_returns_results_in_order(self):
         assert parallel(lambda: 1, lambda: 2, lambda: 3) == [1, 2, 3]

@@ -99,7 +99,6 @@ class TestTrainConfig:
         assert c.learning_rate == 0.001
         assert c.batch_size == 16
         assert c.epochs == 15
-        assert (c.beta1, c.beta2, c.eps) == (0.9, 0.999, 1e-8)
         assert c.embed_dim == 256
         assert c.heads == 16
 
@@ -112,12 +111,6 @@ class TestTrainConfig:
             TrainConfig(manifest="m", batch_size=1)
         with pytest.raises(ConfigError):
             TrainConfig(manifest="m", epochs=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(manifest="m", beta1=1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(manifest="m", beta2=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(manifest="m", eps=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(manifest="m", embed_dim=10, heads=4)
 
@@ -169,7 +162,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         pytest.param("learning_rate", float("nan"), id="lr-nan"),
         pytest.param("learning_rate", float("inf"), id="lr-inf"),
-        pytest.param("eps", float("nan"), id="eps-nan"),
         pytest.param("convs", lambda convs: convs[:2], id="two-convs"),
         pytest.param("kernel", [99, 99], id="kernel-too-big"),
         pytest.param("out_channels", "x", id="channels-not-int"),
@@ -177,7 +169,9 @@ class TestTrainConfig:
         # float fields take int or float but not bool or string
         ("batch_size", 2.7), ("epochs", 1.9), ("embed_dim", 16.5), ("heads", 2.0),
         ("seed", True), ("batch_size", "8"), ("learning_rate", "0.01"),
-        ("learning_rate", True), ("eps", "1e-8"), ("pool_window", "1"), ("out_channels", True),
+        ("learning_rate", True), ("pool_window", "1"), ("out_channels", True),
+        # Adam's betas and eps are constants: a file that still sets one is refused
+        ("beta1", 0.9),
         pytest.param("kernel", [1.0, 3.0], id="kernel-floats"),
         pytest.param("learning_rate", 10**400, id="lr-beyond-float-range"),
     ])
@@ -563,11 +557,22 @@ class TestCheckpoint:
             body = struct.pack("<I", 2**30) + body[4:]
         if name == "extents-past-end":
             body = body[:10]  # the first rank word, then half an extent
+        # only the integer 1 is a version; eval re-derives its split from seed and split_ratio
+        header.update({
+            "version-2": {"version": 2}, "version-true": {"version": True},
+            "version-float": {"version": 1.0},
+            "seed-float": {"meta": {"seed": 1.7}}, "seed-string": {"meta": {"seed": "x"}},
+            "seed-negative": {"meta": {"seed": -1}},
+            "ratio-string": {"meta": {"split_ratio": "0.8"}},
+            "ratio-above-one": {"meta": {"split_ratio": 2.0}},
+        }.get(name, {}))
         return header, body
 
     @pytest.mark.parametrize("fault", [
         "header-list", "meta-list", "no-kind", "no-n_classes", "bad-branch", "zero-heads",
         "huge-rank", "extents-past-end", "float-kernel",
+        "version-2", "version-true", "version-float", "seed-float", "seed-string",
+        "seed-negative", "ratio-string", "ratio-above-one",
     ])
     def test_malformed_file_names_path(self, tmp_path, fault):
         path = tmp_path / "m.ckpt"
@@ -578,6 +583,37 @@ class TestCheckpoint:
         text = json.dumps(header).encode("utf-8")
         path.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + body)
         with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("header-past-end", "truncated header"),
+        ("header-not-utf8", "bad header"),
+        ("cut-before-rank", "truncated at tensor 'fft.bn2.running_var'"),
+        ("cut-in-extents", "truncated at tensor 'fft.bn2.running_var'"),
+        ("wrong-extents", "'iq.conv0.kernels' has shape \\(99,"),
+        ("trailing-bytes", "1 trailing bytes"),
+    ])
+    def test_damaged_file_names_path(self, tmp_path, fault, match):
+        """Byte-level damage that passes the header's size check fails at its own record."""
+        path = tmp_path / "m.ckpt"
+        model = self._model("fusenet")
+        save_checkpoint(path, model, "fusenet")
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[4:8])
+        # the last record: a rank word, one extent, then both float32 planes
+        last = len(blob) - (8 + 8 * _all_tensors(model)[-1][1].size)
+        first_extent = 8 + n + 4
+        damaged = {
+            "header-past-end": blob[:4] + struct.pack("<I", len(blob)) + blob[8:],
+            "header-not-utf8": blob[:8] + b"\xff" + blob[9:],
+            "cut-before-rank": blob[:last],
+            "cut-in-extents": blob[: last + 6],
+            "wrong-extents": blob[:first_extent] + struct.pack("<I", 99) + blob[first_extent + 4 :],
+            "trailing-bytes": blob + b"\x00",
+        }
+        path.write_bytes(damaged[fault])
+        with pytest.raises(CheckpointError, match=match) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
@@ -1105,6 +1141,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(manifest) in err
+
+    @pytest.mark.parametrize("command", ["eval", "preprocess", "train"])
+    def test_missing_input_file_is_one_error_line(self, tiny_manifest, tmp_path, capsys,
+                                                  command):
+        missing = str(tmp_path / "missing.json")
+        argv = {
+            "eval": ["--weights", missing, "--manifest", tiny_manifest, "--split", "test"],
+            "preprocess": ["--manifest", missing, "--out", str(tmp_path / "cache")],
+            "train": ["--config", missing, "--model", "fusenet", "--out", str(tmp_path / "run")],
+        }[command]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
 
     def test_train_bad_config_is_one_error_line(self, tmp_path, capsys):
         config = tmp_path / "config.json"
