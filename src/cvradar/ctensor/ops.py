@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, _wrap
-from .tape import active_tape
+from .tape import _run_lanes, active_tape
 
 __all__ = [
     "add", "mul", "scale", "conj", "real",
@@ -301,9 +301,9 @@ def mean_axis(a, axis):
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def _gate_mask(re, im):
+def _gate_mask(re, im, out=None):
     """crelu's gate: True where Re{z} >= 0 and Im{z} >= 0, built in one bool buffer."""
-    mask = re >= 0
+    mask = np.greater_equal(re, 0, out=out)
     mask &= im >= 0
     return mask
 
@@ -394,8 +394,39 @@ def cavgpool_last(a, window):
 # complex element), sized for memory: eval chunks of 4 / 8 / 16 / 30 at bench
 # geometry (194 kB per sample) read eval_samples_per_s 1448 / 1683 / 1589 / 1511
 # and peak_rss_mb 56.6 / 56.9 / 60.0 / 64.4 on perfbench train-bench (2 CPUs,
-# one BLAS thread). This gives 8 there and 1 at paper geometry (20.5 MB).
+# one BLAS thread). This gives 8 there and 1 at paper geometry (20.5 MB). One
+# sample above it runs cconv2d's and cbatchnorm_eval's forward in two row halves.
 CHUNK_BYTES = 3 << 19  # 1.5 MiB
+
+
+def _halves(n, fill):
+    """fill(a, e) over [0, n // 2) and [n // 2, n) of an op's split axis (output
+    rows for cconv2d, channels for cbatchnorm_eval), each half writing its own
+    slice of buffers the caller allocated, so the working set does not grow.
+
+    Off the tape the second half runs on the lane worker where the lane rule
+    gives a second core (tape._second_core): for one paper-geometry eval sample
+    that is both cores. Elsewhere it runs after the first. The halves are the
+    same numpy calls either way, so where they ran changes no bit.
+    """
+    m = n // 2
+    halves = [lambda: fill(0, m), lambda: fill(m, n)]
+    if active_tape() is None:
+        _run_lanes(halves, [None, None])
+    else:
+        for half in halves:
+            half()
+
+
+def _fill_cols(cols, re, im, sh, sw, a, e):
+    """Write output rows [a, e) of an (n, 2, C, kh, kw, Ho, Wo) column buffer from
+    input rows [a*sh, (e-1)*sh + kh) of a (n, C, H, W) plane pair."""
+    n, _, c, kh, kw, _, wo = cols.shape
+    for i, plane in enumerate((re, im)):
+        rows = plane[:, :, a * sh : (e - 1) * sh + kh]
+        s0, s1, s2, s3 = rows.strides  # copied from a (n, C, kh, kw, e-a, Wo) window view
+        cols[:, i, :, :, :, a:e] = as_strided(rows, (n, c, kh, kw, e - a, wo),
+                                              (s0, s1, s2, s3, sh * s2, sw * s3))
 
 
 def _im2col(re, im, kh, kw, sh, sw, ho, wo):
@@ -403,9 +434,7 @@ def _im2col(re, im, kh, kw, sh, sw, ho, wo):
     into one buffer: rows [0, k) hold re's patches, rows [k, 2k) im's."""
     n, c = re.shape[:2]
     cols = np.empty((n, 2, c, kh, kw, ho, wo), dtype=re.dtype)
-    for i, plane in enumerate((re, im)):
-        s0, s1, s2, s3 = plane.strides  # copied from a (n, C, kh, kw, Ho, Wo) window view
-        cols[:, i] = as_strided(plane, (n, c, kh, kw, ho, wo), (s0, s1, s2, s3, sh * s2, sw * s3))
+    _fill_cols(cols, re, im, sh, sw, 0, ho)
     return cols.reshape(n, 2 * c * kh * kw, ho * wo)
 
 
@@ -429,6 +458,10 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     The batch runs in chunks of CHUNK_BYTES over one sample's output plus
     columns. One chunk keeps its columns for the backward; more keep x's
     planes and rebuild them. GEMMs are per sample, so chunks change no bit.
+    One sample above CHUNK_BYTES runs as two halves of its output rows
+    (_halves), each building its columns and running its GEMM. OpenBLAS picks
+    its kernels by shape, so a GEMM split by columns can differ from the whole
+    in the last bit; at the paper geometry it does not.
 
     The backward builds the input gradient only if the tape tracks x (a
     watched leaf or a recorded output); for a data batch it returns a
@@ -458,14 +491,30 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     k = kr.shape[1]
     wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
-    chunk = max(1, CHUNK_BYTES // ((2 * k + 2 * cout) * ho * wo * 8))
-    spans = [slice(s, s + chunk) for s in range(0, b, chunk)]
-    y = None
-    for s in spans:
-        cols = _im2col(x.re[s], x.im[s], kh, kw, sh, sw, ho, wo)
-        # y after the first columns: allocated before them, prep-eval-paper peak RSS rose 0.2 MB
-        y = np.empty((b, 2 * cout, ho * wo), dtype=x.dtype) if y is None else y
-        np.matmul(wblock, cols, out=y[s])
+    sample_bytes = (2 * k + 2 * cout) * ho * wo * 8
+    if b == 1 and sample_bytes > CHUNK_BYTES:
+        # each half of the output rows builds its columns and runs one GEMM into
+        # its column range of y
+        buf = np.empty((1, 2, cin, kh, kw, ho, wo), dtype=x.dtype)
+        y = np.empty((1, 2 * cout, ho * wo), dtype=x.dtype)
+        cols = buf.reshape(1, 2 * k, ho * wo)
+
+        def rows(a, e):
+            _fill_cols(buf, x.re, x.im, sh, sw, a, e)
+            p = slice(a * wo, e * wo)
+            np.matmul(wblock, cols[0, :, p], out=y[0, :, p])
+
+        _halves(ho, rows)
+        spans = [slice(0, 1)]
+    else:
+        chunk = max(1, CHUNK_BYTES // sample_bytes)
+        spans = [slice(s, s + chunk) for s in range(0, b, chunk)]
+        y = None
+        for s in spans:
+            cols = _im2col(x.re[s], x.im[s], kh, kw, sh, sw, ho, wo)
+            # y after the first columns: allocated before them, prep-eval-paper peak RSS rose 0.2 MB
+            y = np.empty((b, 2 * cout, ho * wo), dtype=x.dtype) if y is None else y
+            np.matmul(wblock, cols, out=y[s])
     planes, cols = ((x.re, x.im), None) if len(spans) > 1 else (None, cols)
     if bias is not None:
         y[:, :cout] += bias.re[:, None]
@@ -511,15 +560,16 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
 # batch normalization
 # ---------------------------------------------------------------------------
 
-def _gate_output(y_re, y_im):
-    """Apply crelu to a batch norm's fresh output planes in place; returns the mask.
+def _gate_output(y_re, y_im, out=None):
+    """Apply crelu to a batch norm's fresh output planes in place; returns the
+    mask, written into out if given.
 
     Multiplying in place by crelu's mask gives crelu's values bit for bit,
     and the backward multiplies g by the same mask before the batch-norm
     adjoint, as the two-op sequence would, so the gate costs no tape node
     and no second pair of output planes.
     """
-    mask = _gate_mask(y_re, y_im)
+    mask = _gate_mask(y_re, y_im, out)
     y_re *= mask
     y_im *= mask
     return mask
@@ -624,7 +674,9 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
     output as (x - m) * (gamma * inv) + beta, in place, with per-channel
     factors; centring first keeps x * a + (beta - m * a) cancellation out.
     No full-size xhat is kept: the backward recomputes it from x. gate=True
-    applies crelu in the same op, as in cbatchnorm_train.
+    applies crelu in the same op, as in cbatchnorm_train. One sample above
+    CHUNK_BYTES runs as two halves of its channels (_halves), each a contiguous
+    block; each element gets the same arithmetic as in one pass.
     """
     vshape = _bn_view(x, gamma=gamma, beta=beta,
                       running_mean=running_mean, running_var=running_var)
@@ -633,13 +685,26 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
     affine = ((x.re, running_mean.re, inv_re, gamma.re, beta.re),
               (x.im, running_mean.im, inv_im, gamma.im, beta.im))
 
-    ys = []
-    for q, m, inv, gam, bta in affine:
-        y = q.reshape(vshape) - m[:, None]
-        y *= (gam * inv)[:, None]
-        y += bta[:, None]
-        ys.append(y.reshape(x.shape))
-    mask = _gate_output(*ys) if gate else None
+    views = [q.reshape(vshape) for q in (x.re, x.im)]
+    ys = [np.empty(v.shape, dtype=v.dtype) for v in views]
+    mask = np.empty(views[0].shape, dtype=bool) if gate else None
+    steps = [(m[:, None], (gam * inv)[:, None], bta[:, None]) for _, m, inv, gam, bta in affine]
+
+    def fill(a, e):  # channels [a, e)
+        for v, y, (m, s, bta) in zip(views, ys, steps):
+            y = np.subtract(v[:, a:e], m[a:e], out=y[:, a:e])
+            y *= s[a:e]
+            y += bta[a:e]
+        if gate:
+            _gate_output(ys[0][:, a:e], ys[1][:, a:e], out=mask[:, a:e])
+
+    c = x.shape[1]
+    if x.shape[0] == 1 and 16 * x.size > CHUNK_BYTES:
+        _halves(c, fill)
+    else:
+        fill(0, c)
+    ys = [y.reshape(x.shape) for y in ys]
+    mask = None if mask is None else mask.reshape(x.shape)
     out = _wrap(*ys)
 
     def bwd(gre, gim):

@@ -17,6 +17,7 @@ backward closures captured stays. Because the map is weak, a tensor
 allocated at a freed tensor's address gets a new key, never the old one.
 """
 
+import contextvars
 import itertools
 import os
 import threading
@@ -44,8 +45,14 @@ class _Node:
 
 
 _ACTIVE = None
-_LANE = type("_Lane", (threading.local,), {"nodes": None})()  # .nodes: this thread's lane
+# .nodes: the lane this thread records into; .busy: it runs a lane or a half (_outcome)
+_LANE = type("_Lane", (threading.local,), {"nodes": None, "busy": False})()
 _WORKER = None
+_BLAS_THREADS = None  # numpy's BLAS thread count, read on first use by _blas_threads
+
+# the thread-count getter of the OpenBLAS that numpy's wheels bundle: numpy >= 2
+# (scipy-openblas64), then numpy 1.22-1.26 (openblas64_)
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
 
 
 def active_tape():
@@ -53,28 +60,71 @@ def active_tape():
     return _ACTIVE
 
 
+def _read_blas_threads():
+    """The thread count numpy's bundled OpenBLAS reports, or 0 if none is found."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)  # wheels bundle it in numpy.libs, or numpy/.dylibs
+    for pattern in (os.path.join(root, os.pardir, "numpy.libs", "*openblas*"),
+                    os.path.join(root, ".dylibs", "*openblas*")):
+        for path in sorted(glob.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in _BLAS_GETTERS:
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return getter()
+    return 0
+
+
+def _blas_threads():
+    """_read_blas_threads, read once: nothing at import time."""
+    global _BLAS_THREADS
+    if _BLAS_THREADS is None:
+        _BLAS_THREADS = _read_blas_threads()
+    return _BLAS_THREADS
+
+
+def _second_core():
+    """May work go to the lane worker? Only with more than one usable CPU, from a
+    thread on no lane or half (the one worker must never wait on itself), and with
+    BLAS on one thread: BLAS threads of its own already hold the cores, and an
+    unknown count runs in order."""
+    if _LANE.busy:
+        return False
+    # sched_getaffinity is missing on Windows and macOS: count every CPU there
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus > 1 and _blas_threads() == 1
+
+
 def _outcome(fn, lane):
-    _LANE.nodes = lane
+    saved = _LANE.nodes, _LANE.busy
+    _LANE.nodes, _LANE.busy = lane, True
     try:
         return fn(), None
     except Exception as e:
         return None, e
     finally:
-        _LANE.nodes = None
+        _LANE.nodes, _LANE.busy = saved
 
 
 def _run_lanes(fns, lanes):
     """Results of fns, fn i recording into lanes[i]: the first here, the rest on one
-    lazy worker (all here with < 2 usable CPUs). All end before an error is raised."""
+    lazy worker, each in a copy of the caller's context so numpy's errstate holds
+    there too; all here, in order, unless _second_core allows. All end before an
+    error is raised."""
     global _WORKER
     here, rest = list(zip(fns, lanes)), []
-    # sched_getaffinity is missing on Windows and macOS: count every CPU there
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if len(here) > 1 and cpus > 1:
+    if len(here) > 1 and _second_core():
         if _WORKER is None:
             from concurrent.futures import ThreadPoolExecutor
             _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cvradar-lane")
-        here, rest = here[:1], [_WORKER.submit(_outcome, *pair) for pair in here[1:]]
+        here, rest = here[:1], [_WORKER.submit(contextvars.copy_context().run, _outcome, *pair)
+                                for pair in here[1:]]
     outcomes = [_outcome(*pair) for pair in here] + [f.result() for f in rest]
     for _, error in outcomes:
         if error is not None:
@@ -83,7 +133,8 @@ def _run_lanes(fns, lanes):
 
 
 def parallel(*thunks):
-    """Call independent thunks concurrently and return their results in order.
+    """Call independent thunks concurrently (in order where _second_core refuses)
+    and return their results in order.
 
     Under an active tape each thunk records into its own lane and the tape
     appends one fork, the tuple of lanes, which backward walks concurrently.

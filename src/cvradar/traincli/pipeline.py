@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ctensor import ComplexTensor
+from ..ctensor import ComplexTensor, ops
 from ..dsp import (
     DatasetError,
     fft3d_array,
@@ -65,8 +65,11 @@ def load_pairs(manifest_path):
 
 
 def stack_pairs(pairs, attr):
-    """One representation ("iq" or "fft") of a pair list as a (B, 1, H, W) batch, copied once."""
+    """One representation ("iq" or "fft") of a pair list as a (B, 1, H, W) batch:
+    a view of a single pair's planes, else copied once."""
     planes = [getattr(p, attr) for p in pairs]
+    if len(planes) == 1:
+        return ops.reshape(planes[0], (1, 1) + planes[0].shape)
     return ComplexTensor([t.re[None] for t in planes], [t.im[None] for t in planes])
 
 

@@ -51,6 +51,12 @@ def cross_entropy_from_logits(logits, targets):
     return ops.cross_entropy_logits(logits, targets)
 
 
+def _quiet():
+    """numpy's float warnings off. A diverging run overflows on its way to the
+    non-finite loss that train reports once; the warnings would only bury that."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _batch_loss(model, kind, pairs, idx, n_classes):
     """Mean cross-entropy over one batch: one loss op on the (B, C) logits."""
     batch = [pairs[i] for i in idx]
@@ -114,7 +120,7 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
         seen = 0
         for step, idx in enumerate(epoch_batches(len(split.train), config.batch_size, rng)):
             params = model.parameters()
-            with GradTape() as tape:
+            with GradTape() as tape, _quiet():
                 for _, t in params:
                     tape.watch(t)
                 loss = _batch_loss(model, kind, split.train, idx, n_classes)
@@ -127,7 +133,8 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
                     )
                 grads = tape.backward(loss)
             named = {name: grads[t] for name, t in params}
-            updated, state = adam_step(params, named, state, config)
+            with _quiet():
+                updated, state = adam_step(params, named, state, config)
             model = model.with_tensors(dict(updated))
             loss_sum += value * len(idx)
             seen += len(idx)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvradar.cnn import baseline_logits, init_baseline
-from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops, parallel
+from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops, parallel, tape
 from cvradar.fusion import fusenet_logits_batch, init_fusenet
 from cvradar.traincli.checks import toy_branch_config
 
@@ -390,6 +390,10 @@ class TestBackward:
 class TestLanes:
     """parallel(): each thunk records into its own tape lane, walked concurrently."""
 
+    @pytest.fixture(autouse=True)
+    def second_core(self, two_cores):
+        return two_cores
+
     @staticmethod
     def leaves(seed):
         rng = np.random.default_rng(seed)
@@ -496,6 +500,129 @@ class TestLanes:
 
     def test_without_tape_returns_results_in_order(self):
         assert parallel(lambda: 1, lambda: 2, lambda: 3) == [1, 2, 3]
+
+    @pytest.mark.parametrize("blas_threads, concurrent", [(1, True), (2, False), (0, False)])
+    def test_lanes_only_with_one_blas_thread(self, second_core, blas_threads, concurrent):
+        """BLAS threads of its own hold the cores, and 0 (count unreadable) runs in order."""
+        second_core(blas_threads)
+        first, second = parallel(threading.current_thread, threading.current_thread)
+        assert (first is not second) == concurrent
+
+    def test_lanes_in_order_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        first, second = parallel(threading.current_thread, threading.current_thread)
+        assert first is second
+
+    def test_worker_keeps_the_callers_errstate(self):
+        """numpy's errstate lives in a context variable; the worker runs in a copy."""
+        def overflow_rule():
+            return threading.current_thread(), np.geterr()["over"]
+
+        with np.errstate(over="ignore"):
+            (first, a), (second, b) = parallel(overflow_rule, overflow_rule)
+        assert first is not second
+        assert a == b == "ignore"
+
+
+def same_bits(a, b):
+    return all(np.array_equal(p.view(np.uint64), q.view(np.uint64))
+               for p, q in ((a.re, b.re), (a.im, b.im)))
+
+
+class TestRowSplit:
+    """One sample above CHUNK_BYTES runs the forward of cconv2d and cbatchnorm_eval
+    as two halves of its output rows; off the tape, with a second core, the
+    second half runs on the lane worker."""
+
+    @pytest.fixture(autouse=True)
+    def second_core(self, monkeypatch, two_cores):
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 64)  # so that these small inputs split
+        return two_cores
+
+    @staticmethod
+    def norm(y, gate):
+        c = y.shape[1]
+        rng = np.random.default_rng(11)
+        gamma, beta, mean = (rand_ct(rng, (c,)) for _ in range(3))
+        var = ComplexTensor(rng.random(c) + 0.5, rng.random(c) + 0.5)
+        return ops.cbatchnorm_eval(y, gamma, beta, mean, var, gate=gate)
+
+    def stage(self, x, k, stride=(1, 1), bias=None, gate=True):
+        y = ops.cconv2d(x, k, bias, stride)
+        return y, self.norm(y, gate)
+
+    @pytest.mark.parametrize("x_shape, k_shape, stride", [
+        ((1, 2, 9, 8), (3, 2, 1, 3), (1, 1)),  # Ho = 9, odd
+        ((1, 2, 10, 9), (4, 2, 3, 2), (1, 2)),  # kh = 3
+        ((1, 1, 12, 7), (2, 1, 3, 3), (2, 1)),  # sh = 2, kh = 3, Ho = 5
+        ((1, 3, 11, 6), (2, 3, 2, 1), (3, 2)),  # sh = 3, Ho = 4
+    ])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("gate", [False, True])
+    def test_split_matches_in_order(self, monkeypatch, second_core, lane_submissions, x_shape,
+                                    k_shape, stride, bias, gate):
+        rng = np.random.default_rng(7)
+        x, k = rand_ct(rng, x_shape), rand_ct(rng, k_shape)
+        b = rand_ct(rng, k_shape[:1]) if bias else None
+        split = self.stage(x, k, stride, b, gate)
+        assert len(lane_submissions) == 2  # one half per op
+        second_core(2)
+        in_order = self.stage(x, k, stride, b, gate)
+        assert len(lane_submissions) == 2
+        for got, want in zip(split, in_order):
+            assert same_bits(got, want)
+        # against one GEMM, and one batch-norm pass over the same input
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 3 << 19)
+        whole = ops.cconv2d(x, k, b, stride)
+        np.testing.assert_allclose(split[0].to_complex(), whole.to_complex(), rtol=1e-13,
+                                   atol=1e-13)
+        assert same_bits(split[1], self.norm(split[0], gate))
+        assert len(lane_submissions) == 2
+
+    def test_half_reads_only_its_input_rows(self):
+        """Output rows [a, e) come from input rows [a*sh, (e-1)*sh + kh) alone."""
+        rng = np.random.default_rng(9)
+        kh, kw, sh, sw, ho, wo = 3, 2, 2, 1, 7, 5
+        planes = rng.standard_normal((2, 1, 2, 15, 6))
+        full = ops._im2col(*planes, kh, kw, sh, sw, ho, wo).reshape(1, 2, 2, kh, kw, ho, wo)
+        for a, e in ((0, 3), (3, 7), (2, 5)):
+            rows = slice(a * sh, (e - 1) * sh + kh)
+            poisoned = np.full_like(planes, np.nan)
+            poisoned[:, :, :, rows] = planes[:, :, :, rows]
+            cols = np.full(full.shape, np.nan)
+            ops._fill_cols(cols, *poisoned, sh, sw, a, e)
+            assert np.array_equal(cols[..., a:e, :], full[..., a:e, :])
+            assert np.isnan(np.delete(cols, np.s_[a:e], axis=5)).all()
+
+    def test_rule(self, monkeypatch, second_core):
+        assert tape._second_core()
+        # never from a lane, on the calling thread or on the worker
+        assert parallel(tape._second_core, tape._second_core) == [False, False]
+        for blas_threads in (2, 0):
+            second_core(blas_threads)
+            assert not tape._second_core()
+        second_core(1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not tape._second_core()
+
+    def test_no_split_under_a_tape_in_a_lane_or_for_a_batch(self, lane_submissions):
+        rng = np.random.default_rng(10)
+        k = rand_ct(rng, (2, 1, 1, 3))
+        self.stage(rand_ct(rng, (2, 1, 6, 5)), k)
+        with GradTape():
+            self.stage(rand_ct(rng, (1, 1, 6, 5)), k)
+        assert lane_submissions == []
+        parallel(lambda: self.stage(rand_ct(rng, (1, 1, 6, 5)), k), lambda: None)
+        assert len(lane_submissions) == 1  # the lane itself
+
+    @pytest.mark.parametrize("blas_threads, cpus", [(2, {0, 1}), (1, {0})])
+    def test_no_split_without_a_free_core(self, monkeypatch, second_core, lane_submissions,
+                                          blas_threads, cpus):
+        second_core(blas_threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        rng = np.random.default_rng(12)
+        self.stage(rand_ct(rng, (1, 1, 6, 5)), rand_ct(rng, (2, 1, 1, 3)))
+        assert lane_submissions == []
 
 
 class TestBackwardContract:

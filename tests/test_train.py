@@ -4,8 +4,8 @@ import json
 import math
 import os
 import struct
-import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -838,7 +838,6 @@ class TestTrainLoop:
         assert os.path.exists(info.value.last_checkpoint)
         assert not os.path.exists(out / "final.ckpt")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights overflow on purpose
     @pytest.mark.parametrize("learning_rate, error, message", [
         (1e150, DivergenceError, "loss became non-finite at epoch 0, step 1"),
         (1e30, CheckpointError, "epoch_000.ckpt: tensor"),
@@ -847,18 +846,22 @@ class TestTrainLoop:
         """At learning rate 1e150 the first Adam step drives the second batch's
         logits non-finite and the loss check reports it. At 1e30 the loss stays
         finite, but the weights leave float32 range and the first checkpoint
-        refuses them. train() raises; the CLI prints the error and returns 1."""
+        refuses them. train() raises; the CLI prints the error and returns 1,
+        and no numpy RuntimeWarning buries that line."""
         manifest = build_overfit_benchmark(str(tmp_path / "data"), per_class=4,
                                            held_out_per_class=2)
         cfg = replace(bench_train_config(manifest, seed=1, epochs=1, batch_size=4),
                       learning_rate=learning_rate)
-        with pytest.raises(error, match=message):
-            train(cfg, "fusenet", out_dir=str(tmp_path / "lib"))
         config_path = tmp_path / "train.json"
         write_train_config(config_path, cfg)
         argv = ["train", "--config", str(config_path), "--model", "fusenet",
                 "--out", str(tmp_path / "run")]
-        assert main(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match=message):
+                train(cfg, "fusenet", out_dir=str(tmp_path / "lib"))
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
@@ -935,27 +938,33 @@ class TestTrainLoop:
         assert report.confusion == tuple(tuple(int(v) for v in row) for row in want)
         assert all(sum(col) for col in zip(*report.confusion))  # both classes predicted
 
-    def test_bench_step_and_eval_start_no_thread(self, tiny_manifest, monkeypatch):
-        """At bench geometry a batch of 8 fits one chunk and every eval chunk
-        does at any geometry, so neither runs the branches on lanes."""
+    def test_bench_submits_nothing_paper_eval_splits_each_op(self, tiny_manifest, monkeypatch,
+                                                             two_cores, lane_submissions):
+        """At bench geometry a batch of 8 fits one chunk and no eval sample passes
+        CHUNK_BYTES, so neither runs branches on lanes nor sends the lane worker
+        anything. A paper-geometry eval sample sends it one row half per conv and
+        batch norm, 12 in all, with the confusion matrix of the split off."""
         def no_lanes(*thunks):
             raise AssertionError("branches ran on lanes")
 
         monkeypatch.setattr(fusion_model, "parallel", no_lanes)
-        threads = threading.active_count()
         _, pairs, _ = load_pairs(tiny_manifest)
         cfg = self._config(tiny_manifest, batch_size=8, epochs=1)
         assert chunk_size(cfg.branch) == 8
         model, _ = train(cfg, "fusenet")
-        evaluate_pairs(model, "fusenet", pairs, tag="all")
+        evaluate_pairs(model, "fusenet", pairs[:17], tag="all")  # a one-sample tail chunk
+        assert lane_submissions == []
         paper = default_branch_config((400, 100))
         model = init_fusenet(paper, 2, np.random.default_rng(0), embed_dim=8, heads=2)
         rng = np.random.default_rng(1)
         big = [SimpleNamespace(iq=ComplexTensor(*rng.standard_normal((2, 400, 100))),
                                fft=ComplexTensor(*rng.standard_normal((2, 400, 100))), label=c)
                for c in (0, 1)]
-        evaluate_pairs(model, "fusenet", big, tag="paper")
-        assert threading.active_count() == threads
+        split = evaluate_pairs(model, "fusenet", big, tag="paper")
+        assert len(lane_submissions) == 12 * len(big)
+        two_cores(2)
+        assert evaluate_pairs(model, "fusenet", big, tag="paper") == split
+        assert len(lane_submissions) == 12 * len(big)
 
     def test_zero_head_baseline_ties_to_class_zero(self, tiny_manifest):
         _, pairs, _ = load_pairs(tiny_manifest)
