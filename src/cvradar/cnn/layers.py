@@ -51,8 +51,6 @@ class ComplexConvLayer:
     def __post_init__(self):
         if self.kernels.ndim != 4:
             raise ShapeError(f"kernels must be rank 4, got {self.kernels.shape}")
-        if min(self.kernels.shape) < 1:
-            raise ShapeError(f"kernel extents must be >= 1, got {self.kernels.shape}")
         if self.bias is not None and self.bias.shape != (self.kernels.shape[0],):
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match {self.kernels.shape[0]} output channels"

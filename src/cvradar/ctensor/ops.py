@@ -420,22 +420,15 @@ def _halves(n, fill):
 
 def _fill_cols(cols, re, im, sh, sw, a, e):
     """Write output rows [a, e) of an (n, 2, C, kh, kw, Ho, Wo) column buffer from
-    input rows [a*sh, (e-1)*sh + kh) of a (n, C, H, W) plane pair."""
-    n, _, c, kh, kw, _, wo = cols.shape
+    input rows [a*sh, (e-1)*sh + kh) of a (n, C, H, W) plane pair; returns it as
+    (n, 2k, Ho*Wo) columns, k = C*kh*kw, re's patches in rows [0, k), im's after."""
+    n, _, c, kh, kw, ho, wo = cols.shape
     for i, plane in enumerate((re, im)):
         rows = plane[:, :, a * sh : (e - 1) * sh + kh]
         s0, s1, s2, s3 = rows.strides  # copied from a (n, C, kh, kw, e-a, Wo) window view
         cols[:, i, :, :, :, a:e] = as_strided(rows, (n, c, kh, kw, e - a, wo),
                                               (s0, s1, s2, s3, sh * s2, sw * s3))
-
-
-def _im2col(re, im, kh, kw, sh, sw, ho, wo):
-    """Columns (n, 2k, Ho*Wo), k = C*kh*kw, of a (n, C, H, W) plane pair, copied
-    into one buffer: rows [0, k) hold re's patches, rows [k, 2k) im's."""
-    n, c = re.shape[:2]
-    cols = np.empty((n, 2, c, kh, kw, ho, wo), dtype=re.dtype)
-    _fill_cols(cols, re, im, sh, sw, 0, ho)
-    return cols.reshape(n, 2 * c * kh * kw, ho * wo)
+    return cols.reshape(n, -1, ho * wo)
 
 
 def _col2im(dcols, buf, kh, kw, sh, sw, ho, wo):
@@ -455,13 +448,14 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     channels into one column matrix, and the kernels as the block matrix
     [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
 
-    The batch runs in chunks of CHUNK_BYTES over one sample's output plus
-    columns. One chunk keeps its columns for the backward; more keep x's
-    planes and rebuild them. GEMMs are per sample, so chunks change no bit.
-    One sample above CHUNK_BYTES runs as two halves of its output rows
-    (_halves), each building its columns and running its GEMM. OpenBLAS picks
-    its kernels by shape, so a GEMM split by columns can differ from the whole
-    in the last bit; at the paper geometry it does not.
+    The batch runs as spans of CHUNK_BYTES over one sample's output plus
+    columns. Each span fills one column buffer, allocated once per call, and
+    runs one GEMM per sample, so spans change no bit. One span keeps the
+    buffer for the backward; more keep only x's planes, and the backward
+    refills a buffer of its own. A lone sample above CHUNK_BYTES is one span
+    whose output rows _halves splits. OpenBLAS picks its kernels by shape, so
+    a GEMM split by columns can differ from the whole in the last bit; at the
+    paper geometry it does not.
 
     The backward builds the input gradient only if the tape tracks x (a
     watched leaf or a recorded output); for a data batch it returns a
@@ -492,30 +486,25 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
     sample_bytes = (2 * k + 2 * cout) * ho * wo * 8
+    chunk = min(b, max(1, CHUNK_BYTES // sample_bytes))
+    spans = [slice(s, min(s + chunk, b)) for s in range(0, b, chunk)]
+    buf_shape = (chunk, 2, cin, kh, kw, ho, wo)
+    buf = np.empty(buf_shape, dtype=x.dtype)
+    y = np.empty((b, 2 * cout, ho * wo), dtype=x.dtype)
+
+    def rows(s, a, e):
+        # output rows [a, e) of span s: their columns, then one GEMM into y's columns
+        cols = _fill_cols(buf[: s.stop - s.start], x.re[s], x.im[s], sh, sw, a, e)
+        p = slice(a * wo, e * wo)
+        np.matmul(wblock, cols[:, :, p], out=y[s, :, p])
+
     if b == 1 and sample_bytes > CHUNK_BYTES:
-        # each half of the output rows builds its columns and runs one GEMM into
-        # its column range of y
-        buf = np.empty((1, 2, cin, kh, kw, ho, wo), dtype=x.dtype)
-        y = np.empty((1, 2 * cout, ho * wo), dtype=x.dtype)
-        cols = buf.reshape(1, 2 * k, ho * wo)
-
-        def rows(a, e):
-            _fill_cols(buf, x.re, x.im, sh, sw, a, e)
-            p = slice(a * wo, e * wo)
-            np.matmul(wblock, cols[0, :, p], out=y[0, :, p])
-
-        _halves(ho, rows)
-        spans = [slice(0, 1)]
+        _halves(ho, lambda a, e: rows(spans[0], a, e))
     else:
-        chunk = max(1, CHUNK_BYTES // sample_bytes)
-        spans = [slice(s, s + chunk) for s in range(0, b, chunk)]
-        y = None
         for s in spans:
-            cols = _im2col(x.re[s], x.im[s], kh, kw, sh, sw, ho, wo)
-            # y after the first columns: allocated before them, prep-eval-paper peak RSS rose 0.2 MB
-            y = np.empty((b, 2 * cout, ho * wo), dtype=x.dtype) if y is None else y
-            np.matmul(wblock, cols, out=y[s])
-    planes, cols = ((x.re, x.im), None) if len(spans) > 1 else (None, cols)
+            rows(s, 0, ho)
+    planes = (x.re, x.im) if len(spans) > 1 else None
+    cols = None if planes else buf.reshape(chunk, 2 * k, ho * wo)
     if bias is not None:
         y[:, :cout] += bias.re[:, None]
         y[:, cout:] += bias.im[:, None]
@@ -531,11 +520,12 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
 
     def bwd(gre, gim):
         dx = np.zeros(stacked_shape, dtype=gre.dtype) if x_tracked() else None
+        refill = None if planes is None else np.empty(buf_shape, dtype=planes[0].dtype)
         grams = []
         for s in spans:
             g = np.concatenate([gre[s], gim[s]], axis=1).reshape(-1, 2 * cout, ho * wo)
-            c = cols if planes is None else _im2col(planes[0][s], planes[1][s], kh, kw, sh, sw,
-                                                    ho, wo)
+            c = cols if refill is None else _fill_cols(refill[: s.stop - s.start], planes[0][s],
+                                                       planes[1][s], sh, sw, 0, ho)
             grams.append(g @ np.swapaxes(c, 1, 2))
             if dx is not None:
                 _col2im(wblock.T @ g, dx[s], kh, kw, sh, sw, ho, wo)

@@ -9,7 +9,7 @@ from .cube import (
     read_rfc1,
     write_rfc1,
 )
-from .dataset import DatasetError, ManifestEntry, load_samples, write_manifest
+from .dataset import DatasetError, ManifestEntry, json_float, json_int, load_samples, write_manifest
 from .scenes import (
     SyntheticScene,
     class_scene,
@@ -29,6 +29,8 @@ __all__ = [
     "write_rfc1",
     "DatasetError",
     "ManifestEntry",
+    "json_float",
+    "json_int",
     "load_samples",
     "write_manifest",
     "SyntheticScene",

@@ -1,18 +1,20 @@
-"""Sample-list files: the shared validator, the one cube read loop, and the manifest writer.
+"""Sample-list files: their validator, cube read loop and manifest writer, and the JSON-number rule.
 
 Cube manifests, pairs manifests and scene files are all checked by
-_check_samples. load_samples reads the cubes a manifest lists: one per
-sample under `path` in a cube manifest, two under `iq` and `fft` in a pairs
-manifest ("kind": "pairs").
+_check_samples. load_samples reads the cubes a manifest lists, and
+write_manifest writes them: one per sample under `path` in a cube manifest,
+two under `iq` and `fft` in a pairs manifest ("kind": "pairs").
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 from .cube import read_rfc1
 
-__all__ = ["DatasetError", "ManifestEntry", "load_samples", "write_manifest"]
+__all__ = ["DatasetError", "ManifestEntry", "json_float", "json_int", "load_samples",
+           "write_manifest"]
 
 MANIFEST_VERSION = 1
 _SPLIT_HINTS = ("auto", "unseen")
@@ -24,10 +26,29 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    path: str
+    path: str | tuple  # one cube file, or an (iq, fft) pair of them
     class_index: int
     distance_tag: str
     split_hint: str
+
+
+def json_int(value, name):
+    """value if it is a JSON integer, else TypeError naming it: a bool, float or
+    numeric string is refused, not cast. Callers add their path and error class."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(value, name):
+    """float(value) if it is a JSON number, else TypeError naming it: a bool or a
+    string is refused, not cast. An integer beyond float range reads as infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _read_json(path):
@@ -124,12 +145,16 @@ def load_samples(manifest_path):
 
 
 def write_manifest(path, classes, entries, shape=None):
+    """Write the manifest load_samples reads: a pairs manifest ("kind": "pairs")
+    if the entries' paths are (iq, fft) pairs, else a cube manifest."""
+    pairs = bool(entries) and isinstance(entries[0].path, tuple)
     doc = {
         "version": MANIFEST_VERSION,
+        **({"kind": "pairs"} if pairs else {}),
         "classes": list(classes),
         "samples": [
             {
-                "path": e.path,
+                **(dict(zip(("iq", "fft"), e.path)) if pairs else {"path": e.path}),
                 "class": e.class_index,
                 "distance_tag": e.distance_tag,
                 "split_hint": e.split_hint,

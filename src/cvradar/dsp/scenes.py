@@ -25,7 +25,7 @@ import numpy as np
 
 from ..ctensor import ComplexTensor
 from .cube import RadarConfig, _SPEED_OF_LIGHT
-from .dataset import DatasetError, _check_samples, _read_json
+from .dataset import DatasetError, _check_samples, _read_json, json_float, json_int
 
 __all__ = [
     "SyntheticScene",
@@ -128,34 +128,15 @@ def class_scene(class_index, distance_m, sample_seed, config, noise_level=0.05, 
     return SyntheticScene(tuple(reflectors), noise_level, sample_seed)
 
 
-def _json_float(value, field):
-    """float(value) if it is a JSON number, else DatasetError naming the field;
-    callers add the path. Booleans and strings are refused, not cast, as in
-    the train config; an integer beyond float range reads as infinite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DatasetError(f"{field!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _finite_floats(values, where):
     """Each value as a float, or DatasetError naming `where` unless all are finite numbers."""
     try:
-        out = tuple(_json_float(v, "value") for v in values)
-    except DatasetError:
+        out = tuple(json_float(v, "value") for v in values)
+    except TypeError:
         raise DatasetError(f"{where}: expected numbers, got {values!r}") from None
     if not all(math.isfinite(v) for v in out):
         raise DatasetError(f"{where}: non-finite value in {values!r}")
     return out
-
-
-def _json_int(value, field):
-    """value if it is a JSON integer, else DatasetError naming the field; callers add the path."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetError(f"{field!r} must be an integer, got {value!r}")
-    return value
 
 
 def parse_scene_file(path):
@@ -176,12 +157,12 @@ def parse_scene_file(path):
         raise DatasetError(f"{path}: missing 'config' object")
     try:
         config = RadarConfig(
-            center_frequency=_json_float(cfg["center_frequency"], "center_frequency"),
-            bandwidth=_json_float(cfg["bandwidth"], "bandwidth"),
-            eirp=_json_float(cfg.get("eirp", 0.0), "eirp"),
-            n_tx=_json_int(cfg["n_tx"], "n_tx"),
-            n_rx=_json_int(cfg["n_rx"], "n_rx"),
-            fast_time_samples=_json_int(cfg["fast_time_samples"], "fast_time_samples"),
+            center_frequency=json_float(cfg["center_frequency"], "'center_frequency'"),
+            bandwidth=json_float(cfg["bandwidth"], "'bandwidth'"),
+            eirp=json_float(cfg.get("eirp", 0.0), "'eirp'"),
+            n_tx=json_int(cfg["n_tx"], "'n_tx'"),
+            n_rx=json_int(cfg["n_rx"], "'n_rx'"),
+            fast_time_samples=json_int(cfg["fast_time_samples"], "'fast_time_samples'"),
         )
     except KeyError as missing:
         raise DatasetError(f"{path}: config missing field {missing}") from None

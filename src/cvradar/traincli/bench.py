@@ -120,15 +120,24 @@ class TrendReport:
     seeds: tuple
     kinds: tuple  # two model-kind labels
     accuracies: tuple  # two tuples, one accuracy per seed each
-    medians: tuple  # one median per kind
-    noise_bound: float  # half an accuracy step on the evaluated split
     n_eval: int
 
     def __post_init__(self):
-        if len(self.kinds) != 2 or len(self.accuracies) != 2 or len(self.medians) != 2:
+        if len(self.kinds) != 2 or len(self.accuracies) != 2:
             raise ValueError("trend report pairs exactly two model kinds")
         if any(len(a) != len(self.seeds) for a in self.accuracies):
             raise ValueError("one accuracy per seed per kind required")
+
+    @property
+    def medians(self):
+        """One median accuracy per kind."""
+        return tuple(statistics.median(a) for a in self.accuracies)
+
+    @property
+    def noise_bound(self):
+        """Half an accuracy step (1/n on n samples): two runs on the same split
+        whose accuracies differ by less are equal."""
+        return 1.0 / (2.0 * self.n_eval)
 
     @property
     def gap(self):
@@ -168,10 +177,6 @@ def benchmark_trend(
         seeds=seeds,
         kinds=tuple(kinds),
         accuracies=tuple(accuracies),
-        medians=tuple(statistics.median(a) for a in accuracies),
-        # accuracy on n samples moves in steps of 1/n; half a step separates
-        # "equal" from "different" when comparing two runs on the same split
-        noise_bound=1.0 / (2.0 * len(shifted)),
         n_eval=len(shifted),
     )
 

@@ -20,7 +20,8 @@ import numpy as np
 from ..ctensor import ComplexTensor
 from ..cnn import init_baseline
 from ..fusion import init_fusenet
-from .config import _json_float, _json_int, branch_from_dict, branch_to_dict
+from ..dsp import json_float, json_int
+from .config import branch_from_dict, branch_to_dict
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -89,7 +90,7 @@ def _implied_values(kind, branch, n_classes, embed_dim):
 
 
 def _positive_int(header, key):
-    value = _json_int(header[key], repr(key))
+    value = json_int(header[key], repr(key))
     if value < 1:
         raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
     return value
@@ -104,10 +105,10 @@ def _skeleton(header, path, payload_bytes):
     try:
         # eval re-derives the test split from these, so they must be usable as stored
         meta = header.get("meta", {})
-        if "seed" in meta and _json_int(meta["seed"], "meta 'seed'") < 0:
+        if "seed" in meta and json_int(meta["seed"], "meta 'seed'") < 0:
             raise ValueError(f"meta 'seed' must be >= 0, got {meta['seed']!r}")
         ratio = meta.get("split_ratio", 0.5)  # an absent ratio passes
-        if not 0.0 < _json_float(ratio, "meta 'split_ratio'") < 1.0:
+        if not 0.0 < json_float(ratio, "meta 'split_ratio'") < 1.0:
             raise ValueError(f"meta 'split_ratio' must be in (0, 1), got {ratio!r}")
         branch = branch_from_dict(header["branch"])
         n_classes = _positive_int(header, "n_classes")

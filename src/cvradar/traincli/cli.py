@@ -88,26 +88,21 @@ def _cmd_eval(args):
     want = (model.n_classes, tuple(model.config.input_hw))
     got = (len(classes), tuple(input_hw))
     if got != want:
-        print(
-            f"error: checkpoint {args.weights} expects {want[0]} classes of {want[1]} "
-            f"samples but manifest {args.manifest} declares {got[0]} classes of {got[1]}",
-            file=sys.stderr,
+        raise DatasetError(
+            f"checkpoint {args.weights} expects {want[0]} classes of {want[1]} "
+            f"samples but manifest {args.manifest} declares {got[0]} classes of {got[1]}"
         )
-        return 1
     if args.split == "unseen":
         chosen = tuple(p for p in pairs if p.unseen)
     else:
         if "seed" not in meta or "split_ratio" not in meta:
-            print(
-                "error: checkpoint carries no split seed; only --split unseen "
-                "is possible with it",
-                file=sys.stderr,
+            raise CheckpointError(
+                f"{args.weights}: checkpoint carries no split seed; only --split unseen "
+                "is possible with it"
             )
-            return 1
         chosen = split_pairs(classes, pairs, meta["seed"], meta["split_ratio"]).test
     if not chosen:
-        print(f"error: split {args.split!r} is empty in this manifest", file=sys.stderr)
-        return 1
+        raise DatasetError(f"{args.manifest}: split {args.split!r} is empty in this manifest")
     report = evaluate_pairs(model, kind, chosen, tag=args.split)
     print(report_json(report))
     print()

@@ -6,6 +6,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..cnn import BranchConfig, ConvSpec, default_branch_config
+from ..dsp import json_float, json_int
 
 __all__ = [
     "ConfigError",
@@ -66,37 +67,20 @@ def branch_to_dict(branch):
     }
 
 
-def _json_int(value, name):
-    # JSON integers only: a bool, float or numeric string is an error, not a cast
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _json_float(value, name):
-    # an integer beyond float range reads as infinite, which TrainConfig refuses
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def branch_from_dict(doc):
     try:
         convs = tuple(
             ConvSpec(
-                out_channels=_json_int(c["out_channels"], "out_channels"),
-                kernel=tuple(_json_int(v, "kernel") for v in c["kernel"]),
-                stride=tuple(_json_int(v, "stride") for v in c["stride"]),
+                out_channels=json_int(c["out_channels"], "out_channels"),
+                kernel=tuple(json_int(v, "kernel") for v in c["kernel"]),
+                stride=tuple(json_int(v, "stride") for v in c["stride"]),
             )
             for c in doc["convs"]
         )
         return BranchConfig(
-            input_hw=tuple(_json_int(v, "input_hw") for v in doc["input_hw"]),
+            input_hw=tuple(json_int(v, "input_hw") for v in doc["input_hw"]),
             convs=convs,
-            pool_window=_json_int(doc["pool_window"], "pool_window"),
+            pool_window=json_int(doc["pool_window"], "pool_window"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad branch config: {e}") from e
@@ -104,8 +88,8 @@ def branch_from_dict(doc):
 
 # the numeric TrainConfig fields a config document may set, and how each parses
 _NUMBER_FIELDS = {
-    "learning_rate": _json_float, "batch_size": _json_int, "epochs": _json_int,
-    "seed": _json_int, "embed_dim": _json_int, "heads": _json_int,
+    "learning_rate": json_float, "batch_size": json_int, "epochs": json_int,
+    "seed": json_int, "embed_dim": json_int, "heads": json_int,
 }
 
 
@@ -126,10 +110,13 @@ def config_from_dict(doc, base_dir=None):
     unknown = sorted(set(doc) - {"manifest", "branch"} - set(_NUMBER_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    fields = {
-        name: parse(doc[name], f"config field {name!r}")
-        for name, parse in _NUMBER_FIELDS.items() if name in doc
-    }
+    try:
+        fields = {
+            name: parse(doc[name], f"config field {name!r}")
+            for name, parse in _NUMBER_FIELDS.items() if name in doc
+        }
+    except TypeError as e:
+        raise ConfigError(str(e)) from e
     return TrainConfig(manifest=manifest, branch=branch, **fields)
 
 

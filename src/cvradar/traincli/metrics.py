@@ -20,8 +20,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricsReport:
-    accuracy: float
-    per_class: tuple  # accuracy fraction per class; 0.0 for classes absent from the split
     confusion: tuple  # rows = true class, columns = predicted class, integer counts
     loss_curve: tuple  # mean training loss per completed epoch; empty for pure evaluation
     tag: str
@@ -30,36 +28,21 @@ class MetricsReport:
         c = len(self.confusion)
         if any(len(row) != c for row in self.confusion):
             raise ValueError("confusion matrix must be square")
-        if len(self.per_class) != c:
-            raise ValueError(f"per_class has {len(self.per_class)} entries for {c} classes")
-        total = sum(sum(row) for row in self.confusion)
-        trace = sum(self.confusion[i][i] for i in range(c))
-        if total > 0 and self.accuracy != trace / total:
-            raise ValueError(
-                f"accuracy {self.accuracy} does not equal trace/total = {trace}/{total}"
-            )
 
     @property
     def total(self):
         return sum(sum(row) for row in self.confusion)
 
+    @property
+    def accuracy(self):
+        """trace / total; 0.0 for an empty split."""
+        total = self.total
+        return sum(row[i] for i, row in enumerate(self.confusion)) / total if total else 0.0
 
-def _confusion_report(confusion, loss_curve, tag):
-    confusion = np.asarray(confusion, dtype=np.int64)
-    total = int(confusion.sum())
-    trace = int(np.trace(confusion))
-    row_sums = confusion.sum(axis=1)
-    per_class = tuple(
-        float(confusion[i, i] / row_sums[i]) if row_sums[i] else 0.0
-        for i in range(confusion.shape[0])
-    )
-    return MetricsReport(
-        accuracy=float(trace / total) if total else 0.0,
-        per_class=per_class,
-        confusion=tuple(tuple(int(v) for v in row) for row in confusion),
-        loss_curve=tuple(float(v) for v in loss_curve),
-        tag=tag,
-    )
+    @property
+    def per_class(self):
+        """Accuracy fraction per class; 0.0 for classes absent from the split."""
+        return tuple(row[i] / sum(row) if sum(row) else 0.0 for i, row in enumerate(self.confusion))
 
 
 def evaluate_pairs(model, kind, pairs, tag, loss_curve=()):
@@ -85,7 +68,8 @@ def evaluate_pairs(model, kind, pairs, tag, loss_curve=()):
         else:
             logits = baseline_logits(x_fft, model, "eval")
         np.add.at(confusion, ([p.label for p in batch], np.argmax(logits.re, axis=1)), 1)
-    return _confusion_report(confusion, loss_curve, tag)
+    return MetricsReport(tuple(tuple(int(v) for v in row) for row in confusion),
+                         tuple(float(v) for v in loss_curve), tag)
 
 
 def report_to_dict(report):

@@ -9,7 +9,6 @@ quantized exactly like every other stored cube. Each cube reaches its
 SamplePair as a flattened view, never a copy.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -18,10 +17,12 @@ import numpy as np
 from ..ctensor import ComplexTensor, ops
 from ..dsp import (
     DatasetError,
+    ManifestEntry,
     fft3d_array,
     flatten_channels,
     load_samples,
     read_rfc1,  # unused here; the benchmark's tracer patches this name
+    write_manifest,
     write_rfc1,
 )
 
@@ -111,23 +112,10 @@ def preprocess_dataset(manifest_path, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, (cubes, label, distance_tag, unseen) in enumerate(samples):
-        iq, fft = _iq_and_spectrum(cubes)
-        iq_name = f"sample_{i:05d}.iq.rfc1"
-        fft_name = f"sample_{i:05d}.fft.rfc1"
-        write_rfc1(os.path.join(out_dir, iq_name), iq)
-        write_rfc1(os.path.join(out_dir, fft_name), fft)
-        entries.append(
-            {
-                "iq": iq_name,
-                "fft": fft_name,
-                "class": label,
-                "distance_tag": distance_tag,
-                "split_hint": "unseen" if unseen else "auto",
-            }
-        )
+        names = (f"sample_{i:05d}.iq.rfc1", f"sample_{i:05d}.fft.rfc1")
+        for name, cube in zip(names, _iq_and_spectrum(cubes)):
+            write_rfc1(os.path.join(out_dir, name), cube)
+        entries.append(ManifestEntry(names, label, distance_tag, "unseen" if unseen else "auto"))
     out_manifest = os.path.join(out_dir, "manifest.json")
-    doc = {"version": 1, "kind": "pairs", "classes": list(classes), "samples": entries}
-    with open(out_manifest, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_manifest(out_manifest, classes, entries)
     return out_manifest

@@ -144,14 +144,8 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
                 model, kind, split.train, tag="train", loss_curve=loss_curve
             )
         else:
-            zeros = tuple((0,) * n_classes for _ in range(n_classes))
-            report = MetricsReport(
-                accuracy=0.0,
-                per_class=(0.0,) * n_classes,
-                confusion=zeros,
-                loss_curve=tuple(loss_curve),
-                tag="train[loss-only]",
-            )
+            report = MetricsReport(((0,) * n_classes,) * n_classes, tuple(loss_curve),
+                                   "train[loss-only]")
         reports.append(report)
         if out_dir:
             last_ckpt = os.path.join(out_dir, f"epoch_{epoch:03d}.ckpt")

@@ -9,6 +9,7 @@ from cvradar.cnn import (
     ConvSpec,
     baseline_logits,
     branch_forward,
+    chunk_size,
     default_branch_config,
     init_baseline,
     init_batchnorm,
@@ -398,13 +399,13 @@ class TestConv:
         up = rand_ct(rng, (5, 4, 8, 500))
         assert ops.CHUNK_BYTES // ((2 * 6 + 2 * 4) * 8 * 500 * 8) == 2
         builds = []
-        im2col = ops._im2col
+        fill_cols = ops._fill_cols
 
-        def counted_im2col(re, *args):
+        def counted_fill_cols(cols, re, *args):
             builds.append(re.shape[0])
-            return im2col(re, *args)
+            return fill_cols(cols, re, *args)
 
-        monkeypatch.setattr(ops, "_im2col", counted_im2col)
+        monkeypatch.setattr(ops, "_fill_cols", counted_fill_cols)
         out, dx, dk, db = self.conv_step(x, k, bias, up)
         assert builds == [2, 2, 1, 2, 2, 1]
         samples = [self.conv_step(ComplexTensor(x.re[i : i + 1], x.im[i : i + 1]), k, bias,
@@ -670,6 +671,40 @@ class TestBranch:
         x = rand_ct(rng, (3, 1, 4, 8))
         out = branch_forward(x, TOY, weights, mode="train")
         assert out.shape == (3,) + TOY.feature_shape()
+
+    @pytest.mark.parametrize("geometry", ["toy", "bench", "paper"])
+    def test_chunk_size_is_one_conv_span(self, monkeypatch, geometry):
+        """chunk_size(config) samples run every stage's cconv2d as one span, and
+        one sample more runs the largest stage's as two."""
+        from cvradar.traincli import bench_branch_config
+
+        config = {"toy": TOY, "bench": bench_branch_config(),
+                  "paper": default_branch_config()}[geometry]
+        conv, fill_cols = ops.cconv2d, ops._fill_cols
+        spans = []  # per cconv2d call
+
+        def counted_conv(*args, **kwargs):
+            spans.append(0)
+            return conv(*args, **kwargs)
+
+        def counted_fill_cols(cols, re, im, sh, sw, a, e):
+            if a == 0:  # a span's first rows; _halves fills a lone sample's rest later
+                spans[-1] += 1
+            return fill_cols(cols, re, im, sh, sw, a, e)
+
+        monkeypatch.setattr(ops, "cconv2d", counted_conv)
+        monkeypatch.setattr(ops, "_fill_cols", counted_fill_cols)
+        weights = init_branch(config, np.random.default_rng(19))
+
+        def stage_spans(batch):
+            spans.clear()
+            branch_forward(ComplexTensor(np.zeros((batch, 1) + config.input_hw)), config,
+                           weights, mode="eval")
+            return spans
+
+        n = chunk_size(config)
+        assert stage_spans(n) == [1, 1, 1]
+        assert max(stage_spans(n + 1)) == 2
 
 
 class TestBaseline:

@@ -750,27 +750,19 @@ class TestCheckpoint:
 
 
 class TestMetricsReport:
-    def test_accuracy_consistency_enforced(self):
-        with pytest.raises(ValueError, match="trace/total"):
-            MetricsReport(accuracy=0.9, per_class=(1.0, 0.0), confusion=((1, 0), (1, 0)),
-                          loss_curve=(), tag="test")
-
     def test_square_confusion_enforced(self):
         with pytest.raises(ValueError, match="square"):
-            MetricsReport(accuracy=1.0, per_class=(1.0,), confusion=((1, 0),),
-                          loss_curve=(), tag="test")
+            MetricsReport(confusion=((1, 0),), loss_curve=(), tag="test")
 
     def test_dict_round_trip(self):
-        r = MetricsReport(accuracy=0.75, per_class=(1.0, 0.5), confusion=((2, 0), (1, 1)),
-                          loss_curve=(0.9, 0.4), tag="test")
+        r = MetricsReport(confusion=((2, 0), (1, 1)), loss_curve=(0.9, 0.4), tag="test")
         assert json.loads(json.dumps(report_to_dict(r))) == {
             "accuracy": 0.75, "per_class": [1.0, 0.5], "confusion": [[2, 0], [1, 1]],
             "loss_curve": [0.9, 0.4], "tag": "test", "total": 4,
         }
 
     def test_render_contains_summary(self):
-        r = MetricsReport(accuracy=0.75, per_class=(1.0, 0.5), confusion=((2, 0), (1, 1)),
-                          loss_curve=(), tag="unseen")
+        r = MetricsReport(confusion=((2, 0), (1, 1)), loss_curve=(), tag="unseen")
         text = render_report(r, classes=("foam", "steel"))
         assert "0.7500" in text and "foam" in text and "unseen" in text
 
@@ -1026,8 +1018,7 @@ class TestTrendBenchmark:
         from cvradar.traincli import TrendReport
 
         r = TrendReport(seeds=(1, 2, 3), kinds=("baseline", "fusenet"),
-                        accuracies=((0.5, 0.6, 0.7), (0.6, 0.7, 0.8)),
-                        medians=(0.6, 0.7), noise_bound=0.05, n_eval=10)
+                        accuracies=((0.5, 0.6, 0.7), (0.6, 0.7, 0.8)), n_eval=10)
         text = render_trend(r)
         assert "baseline" in text and "fusenet" in text
         assert "+0.1000" in text
@@ -1085,6 +1076,24 @@ class TestCli:
         assert err.startswith("error:")
         assert str(ckpt) in err and tiny_manifest in err
         assert "(4, 8)" in err and "(64, 32)" in err
+
+    @pytest.mark.parametrize("fault", ["no-seed", "no-unseen"])
+    def test_eval_unusable_split_is_one_error_line(self, tiny_manifest, tmp_path, capsys, fault):
+        """A checkpoint without a split seed cannot give --split test, and a
+        manifest without unseen samples has no --split unseen."""
+        manifest = tiny_manifest
+        if fault == "no-unseen":
+            manifest = build_overfit_benchmark(str(tmp_path / "seen"), per_class=2,
+                                               held_out_per_class=0)
+        ckpt = tmp_path / "no_meta.ckpt"
+        model = init_model(bench_train_config(tiny_manifest, seed=0, epochs=1), 2, "baseline")
+        save_checkpoint(ckpt, model, "baseline")
+        split = {"no-seed": "test", "no-unseen": "unseen"}[fault]
+        assert main(["eval", "--weights", str(ckpt), "--manifest", manifest,
+                     "--split", split]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert {"no-seed": str(ckpt), "no-unseen": manifest}[fault] in err
 
     def test_preprocess_then_train(self, tiny_manifest, tmp_path):
         assert main(["preprocess", "--manifest", tiny_manifest,
