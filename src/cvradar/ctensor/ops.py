@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, _wrap
-from .tape import _run_lanes, active_tape
+from .tape import active_tape, halves
 
 __all__ = [
     "add", "mul", "scale", "conj", "real",
@@ -399,25 +399,6 @@ def cavgpool_last(a, window):
 CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
 
-def _halves(n, fill):
-    """fill(a, e) over [0, n // 2) and [n // 2, n) of an op's split axis (output
-    rows for cconv2d, channels for cbatchnorm_eval), each half writing its own
-    slice of buffers the caller allocated, so the working set does not grow.
-
-    Off the tape the second half runs on the lane worker where the lane rule
-    gives a second core (tape._second_core): for one paper-geometry eval sample
-    that is both cores. Elsewhere it runs after the first. The halves are the
-    same numpy calls either way, so where they ran changes no bit.
-    """
-    m = n // 2
-    halves = [lambda: fill(0, m), lambda: fill(m, n)]
-    if active_tape() is None:
-        _run_lanes(halves, [None, None])
-    else:
-        for half in halves:
-            half()
-
-
 def _fill_cols(cols, re, im, sh, sw, a, e):
     """Write output rows [a, e) of an (n, 2, C, kh, kw, Ho, Wo) column buffer from
     input rows [a*sh, (e-1)*sh + kh) of a (n, C, H, W) plane pair; returns it as
@@ -453,7 +434,7 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     runs one GEMM per sample, so spans change no bit. One span keeps the
     buffer for the backward; more keep only x's planes, and the backward
     refills a buffer of its own. A lone sample above CHUNK_BYTES is one span
-    whose output rows _halves splits. OpenBLAS picks its kernels by shape, so
+    whose output rows halves splits. OpenBLAS picks its kernels by shape, so
     a GEMM split by columns can differ from the whole in the last bit; at the
     paper geometry it does not.
 
@@ -499,7 +480,7 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
         np.matmul(wblock, cols[:, :, p], out=y[s, :, p])
 
     if b == 1 and sample_bytes > CHUNK_BYTES:
-        _halves(ho, lambda a, e: rows(spans[0], a, e))
+        halves(ho, lambda a, e: rows(spans[0], a, e))
     else:
         for s in spans:
             rows(s, 0, ho)
@@ -665,7 +646,7 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
     factors; centring first keeps x * a + (beta - m * a) cancellation out.
     No full-size xhat is kept: the backward recomputes it from x. gate=True
     applies crelu in the same op, as in cbatchnorm_train. One sample above
-    CHUNK_BYTES runs as two halves of its channels (_halves), each a contiguous
+    CHUNK_BYTES runs as two halves of its channels (halves), each a contiguous
     block; each element gets the same arithmetic as in one pass.
     """
     vshape = _bn_view(x, gamma=gamma, beta=beta,
@@ -690,7 +671,7 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
 
     c = x.shape[1]
     if x.shape[0] == 1 and 16 * x.size > CHUNK_BYTES:
-        _halves(c, fill)
+        halves(c, fill)
     else:
         fill(0, c)
     ys = [y.reshape(x.shape) for y in ys]

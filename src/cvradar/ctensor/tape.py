@@ -27,7 +27,7 @@ import numpy as np
 
 from .tensor import ComplexTensor, ShapeError, _wrap
 
-__all__ = ["GradTape", "TapeError", "active_tape", "parallel"]
+__all__ = ["GradTape", "TapeError", "active_tape", "halves", "parallel"]
 
 
 class TapeError(RuntimeError):
@@ -130,6 +130,24 @@ def _run_lanes(fns, lanes):
         if error is not None:
             raise error
     return [value for value, _ in outcomes]
+
+
+def halves(n, fill):
+    """[fill(0, n // 2), fill(n // 2, n)]: one job over n items as two contiguous
+    halves, each writing only its own part of what the caller allocated (an op's
+    output rows or channels, a dataset's samples).
+
+    Off the tape the second half runs on the lane worker where _second_core
+    allows, so the job uses both cores; under an active tape, and wherever the
+    rule refuses, the halves run here in order. They are the same calls wherever
+    they run, so where they ran changes no bit. Where items fail independently,
+    the error raised is the one in-order running gives: the first half's.
+    """
+    m = n // 2
+    fns = [lambda: fill(0, m), lambda: fill(m, n)]
+    if _ACTIVE is None:
+        return _run_lanes(fns, [None, None])
+    return [fn() for fn in fns]
 
 
 def parallel(*thunks):

@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from ..ctensor import halves
 from .cube import read_rfc1
 
 __all__ = ["DatasetError", "ManifestEntry", "json_float", "json_int", "load_samples",
@@ -103,7 +104,7 @@ def _check_samples(path, doc, path_keys, list_key="samples"):
 
 
 def load_samples(manifest_path):
-    """Every sample of a cube or pairs manifest, its cubes read in manifest order.
+    """Every sample of a cube or pairs manifest, its cubes in manifest order.
 
     Returns (classes, samples), each sample as (cubes, class_index,
     distance_tag, unseen) with cubes a tuple of (X, Y, N) ComplexTensors: the
@@ -111,7 +112,9 @@ def load_samples(manifest_path):
     shape, the manifest's `shape` if it gives one, else the first cube's. An
     empty sample list raises DatasetError naming the manifest; a missing file
     or a wrong shape raises it naming the manifest, samples[i] and the cube
-    file.
+    file, for the lowest failing i. After sample 0 the rest are read as two
+    halves of the list (ctensor.halves), the second on the lane worker where
+    the lane rule allows.
     """
     doc = _read_json(manifest_path)
     pairs = isinstance(doc, dict) and doc.get("kind") == "pairs"
@@ -125,8 +128,9 @@ def load_samples(manifest_path):
     if not checked:
         raise DatasetError(f"{manifest_path}: manifest lists no samples")
     root = os.path.dirname(os.path.abspath(manifest_path))
-    samples = []
-    for i, (raw, class_index, distance_tag, split_hint) in enumerate(checked):
+
+    def read(i, shape):
+        raw, class_index, distance_tag, split_hint = checked[i]
         cubes = []
         for key in path_keys:
             full = os.path.join(root, raw[key])
@@ -140,8 +144,14 @@ def load_samples(manifest_path):
                     f"does not match expected {shape}"
                 )
             cubes.append(cube)
-        samples.append((tuple(cubes), class_index, distance_tag, split_hint == "unseen"))
-    return classes, samples
+        return tuple(cubes), class_index, distance_tag, split_hint == "unseen"
+
+    # sample 0 fixes the shape, so each later sample fails or reads on its own
+    first = read(0, shape)
+    shape = first[0][0].shape
+    head, tail = halves(len(checked) - 1,
+                        lambda a, e: [read(i, shape) for i in range(a + 1, e + 1)])
+    return classes, [first, *head, *tail]
 
 
 def write_manifest(path, classes, entries, shape=None):

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 
+from ..ctensor import halves
 from ..dsp import (
     CubeFormatError, DatasetError, ManifestEntry, SyntheticScene,
     parse_scene_file, synth_fmcw_cube, write_manifest, write_rfc1,
@@ -55,6 +56,12 @@ def build_parser():
     p.add_argument("--size", required=True, help="cube extents as XxYxN, e.g. 20x20x100")
     p.add_argument("--trials", required=True, type=int)
     return parser
+
+
+def _usage_error(message):
+    """A refused argument: one `error:` line, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_preprocess(args):
@@ -111,17 +118,26 @@ def _cmd_eval(args):
 
 
 def _cmd_synth(args):
+    if args.seed < 0:
+        return _usage_error(f"--seed must be a non-negative integer, got {args.seed}")
     config, classes, entries = parse_scene_file(args.scenes)
     os.makedirs(args.out, exist_ok=True)
-    manifest_entries = []
-    for i, (scene, class_index, distance_tag, split_hint) in enumerate(entries):
-        seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
-        cube = synth_fmcw_cube(
-            SyntheticScene(scene.reflectors, scene.noise_level, seed), config
-        )
-        name = f"cube_{i:05d}.rfc1"
-        write_rfc1(os.path.join(args.out, name), cube)
-        manifest_entries.append(ManifestEntry(name, class_index, distance_tag, split_hint))
+    names = [f"cube_{i:05d}.rfc1" for i in range(len(entries))]
+
+    def write(a, e):
+        for i in range(a, e):
+            scene = entries[i][0]
+            seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
+            cube = synth_fmcw_cube(
+                SyntheticScene(scene.reflectors, scene.noise_level, seed), config
+            )
+            write_rfc1(os.path.join(args.out, names[i]), cube)
+
+    # two halves of the scene list, the second on the lane worker where the lane
+    # rule allows; the manifest follows in scene order once both have ended
+    halves(len(entries), write)
+    manifest_entries = [ManifestEntry(name, class_index, distance_tag, split_hint)
+                        for name, (_, class_index, distance_tag, split_hint) in zip(names, entries)]
     manifest_path = os.path.join(args.out, "manifest.json")
     write_manifest(manifest_path, classes, manifest_entries, shape=config.shape)
     print(f"wrote {len(manifest_entries)} cubes and {manifest_path}")
@@ -144,8 +160,9 @@ def _cmd_gradcheck(args):
 def _cmd_fftcheck(args):
     parts = args.size.lower().split("x")
     if len(parts) != 3 or not all(p.isdigit() and int(p) > 0 for p in parts):
-        print(f"error: --size must look like 20x20x100, got {args.size!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"--size must look like 20x20x100, got {args.size!r}")
+    if args.trials < 1:
+        return _usage_error(f"--trials must be a positive integer, got {args.trials}")
     result = fft_check(tuple(int(p) for p in parts), args.trials)
     status = "ok  " if result.ok else "FAIL"
     print(

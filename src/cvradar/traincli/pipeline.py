@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ctensor import ComplexTensor, ops
+from ..ctensor import ComplexTensor, halves, ops
 from ..dsp import (
     DatasetError,
     ManifestEntry,
@@ -107,15 +107,25 @@ def split_pairs(classes, samples, seed, ratio=SPLIT_RATIO):
 
 
 def preprocess_dataset(manifest_path, out_dir):
-    """Cache both representations of every sample; returns the new manifest path."""
+    """Cache both representations of every sample; returns the new manifest path.
+
+    The samples are transformed and written as two halves of the list
+    (ctensor.halves), the second on the lane worker where the lane rule allows;
+    the manifest is written in sample order once both have ended, and not at all
+    if a sample failed.
+    """
     classes, samples = load_samples(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for i, (cubes, label, distance_tag, unseen) in enumerate(samples):
-        names = (f"sample_{i:05d}.iq.rfc1", f"sample_{i:05d}.fft.rfc1")
-        for name, cube in zip(names, _iq_and_spectrum(cubes)):
-            write_rfc1(os.path.join(out_dir, name), cube)
-        entries.append(ManifestEntry(names, label, distance_tag, "unseen" if unseen else "auto"))
+    names = [(f"sample_{i:05d}.iq.rfc1", f"sample_{i:05d}.fft.rfc1") for i in range(len(samples))]
+
+    def cache(a, e):
+        for i in range(a, e):
+            for name, cube in zip(names[i], _iq_and_spectrum(samples[i][0])):
+                write_rfc1(os.path.join(out_dir, name), cube)
+
+    halves(len(samples), cache)
+    entries = [ManifestEntry(pair, label, distance_tag, "unseen" if unseen else "auto")
+               for pair, (_, label, distance_tag, unseen) in zip(names, samples)]
     out_manifest = os.path.join(out_dir, "manifest.json")
     write_manifest(out_manifest, classes, entries)
     return out_manifest

@@ -57,6 +57,34 @@ assert tracer.counts.get("calls.cross_entropy_logits") == 1
 assert len(probes.sample_times) == 1
 # prep-eval-paper's unit_p50_s is one sample per timed forward at paper geometry
 assert chunk_size(default_branch_config((400, 100))) == 1
+
+# a tiny synth -> preprocess -> load_pairs through the patched names, with the
+# lane rule giving each a second core, so halves on the worker are traced too
+import contextlib, io, json, os, tempfile
+from cvradar.ctensor import tape
+cli = importlib.import_module("cvradar.traincli.cli")
+pipeline = importlib.import_module("cvradar.traincli.pipeline")
+os.sched_getaffinity = lambda pid: {{0, 1}}
+tape._blas_threads = lambda: 1
+scenes = [{{"class": i % 2, "reflectors": [[0.3 + 0.02 * i, 0.1, 0.0, 1.0, 0.0]]}}
+          for i in range(3)]
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    with open(os.path.join(tmp, "scenes.json"), "w", encoding="utf-8") as fh:
+        json.dump({{"version": 1, "classes": ["a", "b"], "scenes": scenes,
+                   "config": {{"center_frequency": 64e9, "bandwidth": 4e9, "n_tx": 2,
+                              "n_rx": 2, "fast_time_samples": 16}}}}, fh)
+    cubes, cache = os.path.join(tmp, "cubes"), os.path.join(tmp, "cache")
+    assert cli.main(["synth", "--scenes", fh.name, "--out", cubes, "--seed", "1"]) == 0
+    assert cli.main(["preprocess", "--manifest", os.path.join(cubes, "manifest.json"),
+                     "--out", cache]) == 0
+    pipeline.load_pairs(os.path.join(cache, "manifest.json"))
+dsp = [tracer.names[i] for i in tracer.name if tracer.names[i].startswith("dsp.")]
+# synth writes 3 cubes; preprocess reads them and writes 3 pairs; load_pairs reads the pairs
+assert dsp.count("dsp.synth") == 3, dsp
+assert dsp.count("dsp.fft3d") == 3, dsp
+assert dsp.count("dsp.write_rfc1") == 3 + 6, dsp
+assert dsp.count("dsp.read_rfc1") == 3 + 6, dsp
+assert tracer.counts.get("dsp.write_rfc1_bytes", 0) > 0
 print("ok")
 """
 

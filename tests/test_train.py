@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cvradar.ctensor import ComplexTensor
+from cvradar.ctensor import ComplexTensor, tape
 from cvradar.cnn import (
     BranchConfig, ConvSpec, baseline_logits, chunk_size, default_branch_config, init_baseline,
 )
@@ -59,6 +60,8 @@ from cvradar.traincli import (
 from cvradar.fusion import fusenet_logits_batch, init_fusenet
 from cvradar.fusion import model as fusion_model
 from cvradar.traincli import checkpoint as checkpoint_module
+from cvradar.traincli import cli as cli_module
+from cvradar.traincli import pipeline as pipeline_module
 from cvradar.traincli.checkpoint import _all_tensors, _implied_values
 from cvradar.traincli.cli import main
 
@@ -934,18 +937,22 @@ class TestTrainLoop:
                                                              two_cores, lane_submissions):
         """At bench geometry a batch of 8 fits one chunk and no eval sample passes
         CHUNK_BYTES, so neither runs branches on lanes nor sends the lane worker
-        anything. A paper-geometry eval sample sends it one row half per conv and
-        batch norm, 12 in all, with the confusion matrix of the split off."""
+        anything; only each load_pairs sends it its second half of the cubes. A
+        paper-geometry eval sample sends it one row half per conv and batch norm,
+        12 in all, with the confusion matrix of the split off."""
         def no_lanes(*thunks):
             raise AssertionError("branches ran on lanes")
 
         monkeypatch.setattr(fusion_model, "parallel", no_lanes)
         _, pairs, _ = load_pairs(tiny_manifest)
+        assert len(lane_submissions) == 1
         cfg = self._config(tiny_manifest, batch_size=8, epochs=1)
         assert chunk_size(cfg.branch) == 8
         model, _ = train(cfg, "fusenet")
+        assert len(lane_submissions) == 2  # train's load_pairs; its steps none
         evaluate_pairs(model, "fusenet", pairs[:17], tag="all")  # a one-sample tail chunk
-        assert lane_submissions == []
+        assert len(lane_submissions) == 2
+        del lane_submissions[:]
         paper = default_branch_config((400, 100))
         model = init_fusenet(paper, 2, np.random.default_rng(0), embed_dim=8, heads=2)
         rng = np.random.default_rng(1)
@@ -1024,6 +1031,117 @@ class TestTrendBenchmark:
         assert "+0.1000" in text
 
 
+class TestDspHalves:
+    """synth, preprocess and load_samples run their per-sample work as two halves
+    of the sample list (ctensor.halves): the second on the lane worker where the
+    lane rule gives a second core, else after the first. Where a half ran
+    changes no byte."""
+
+    SCENES = {
+        "version": 1,
+        "config": {"center_frequency": 64e9, "bandwidth": 4e9,
+                   "n_tx": 2, "n_rx": 2, "fast_time_samples": 16},
+        "classes": ["a", "b"],
+        "scenes": [{"class": i % 2, "reflectors": [[0.3 + 0.02 * i, 0.1, 0.0, 1.0, 0.0]],
+                    "noise_level": 0.05, "distance_tag": f"{i}",
+                    "split_hint": "unseen" if i == 4 else "auto"} for i in range(5)],
+    }
+
+    def _synth(self, tmp_path, out):
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps(self.SCENES))
+        return main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "3"])
+
+    def _run(self, tmp_path, root, submissions):
+        """synth, preprocess and load_pairs under root: every file written, the
+        pairs read, and the worker submissions counted after each step."""
+        counts = []
+        assert self._synth(tmp_path, root / "cubes") == 0
+        counts.append(len(submissions))
+        assert main(["preprocess", "--manifest", str(root / "cubes" / "manifest.json"),
+                     "--out", str(root / "cache")]) == 0
+        counts.append(len(submissions))
+        _, pairs, _ = load_pairs(str(root / "cache" / "manifest.json"))
+        counts.append(len(submissions))
+        files = {p.relative_to(root).as_posix(): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        return files, pairs, counts
+
+    def test_worker_and_in_order_give_the_same_bytes(self, tmp_path, monkeypatch, two_cores,
+                                                     lane_submissions):
+        files, pairs, counts = self._run(tmp_path, tmp_path / "worker", lane_submissions)
+        # synth and load_pairs each send one half; preprocess one of its reads and
+        # one of its transforms and writes
+        assert counts == [1, 3, 4]
+        monkeypatch.setattr(tape, "_second_core", lambda: False)
+        in_order, in_order_pairs, counts = self._run(tmp_path, tmp_path / "in_order",
+                                                     lane_submissions)
+        assert counts == [4, 4, 4]
+        assert len(files) == 5 + 1 + 2 * 5 + 1
+        assert files == in_order
+        assert [p.distance_tag for p in pairs] == [str(i) for i in range(5)]
+        for a, b in zip(pairs, in_order_pairs, strict=True):
+            for attr in ("iq", "fft"):
+                assert np.array_equal(getattr(a, attr).re, getattr(b, attr).re)
+                assert np.array_equal(getattr(a, attr).im, getattr(b, attr).im)
+            assert (a.label, a.distance_tag, a.unseen) == (b.label, b.distance_tag, b.unseen)
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "in-order"])
+    def test_lowest_failing_sample_is_named(self, tmp_path, monkeypatch, two_cores,
+                                            lane_submissions, worker):
+        if not worker:
+            monkeypatch.setattr(tape, "_second_core", lambda: False)
+        cubes = tmp_path / "cubes"
+        assert self._synth(tmp_path, cubes) == 0
+        manifest = str(cubes / "manifest.json")
+        (cubes / "cube_00004.rfc1").unlink()
+        with pytest.raises(DatasetError, match=r"samples\[4\]: file not found"):
+            load_pairs(manifest)
+        (cubes / "cube_00001.rfc1").unlink()  # first half; samples[4] is in the second
+        with pytest.raises(DatasetError, match=r"samples\[1\]: file not found") as info:
+            load_pairs(manifest)
+        assert "samples[4]" not in str(info.value)
+        assert len(lane_submissions) == (3 if worker else 0)
+
+    def test_first_sample_fixes_the_shape_for_both_halves(self, tmp_path, two_cores,
+                                                          lane_submissions):
+        cubes = tmp_path / "cubes"
+        assert self._synth(tmp_path, cubes) == 0
+        doc = json.loads((cubes / "manifest.json").read_text())
+        del doc["shape"]
+        (cubes / "manifest.json").write_text(json.dumps(doc))
+        write_rfc1(cubes / "cube_00004.rfc1", ComplexTensor(np.ones((2, 2, 8)), np.ones((2, 2, 8))))
+        with pytest.raises(DatasetError, match=r"samples\[4\]: cube_00004.rfc1: shape \(2, 2, 8\) "
+                                               r"does not match expected \(2, 2, 16\)"):
+            load_pairs(str(cubes / "manifest.json"))
+        assert len(lane_submissions) == 2
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess"])
+    def test_second_half_failure_writes_no_manifest(self, tmp_path, monkeypatch, capsys,
+                                                    two_cores, lane_submissions, command):
+        cubes, cache = tmp_path / "cubes", tmp_path / "cache"
+        module, argv, out = cli_module, None, cubes
+        if command == "preprocess":
+            assert self._synth(tmp_path, cubes) == 0
+            module, out = pipeline_module, cache
+            argv = ["preprocess", "--manifest", str(cubes / "manifest.json"), "--out", str(cache)]
+        write, failed_on = module.write_rfc1, []
+
+        def write_but_the_last(path, cube):
+            if "_00004." in os.path.basename(path):
+                failed_on.append(threading.current_thread().name)
+                raise OSError(f"disk full: {path}")
+            return write(path, cube)
+
+        monkeypatch.setattr(module, "write_rfc1", write_but_the_last)
+        capsys.readouterr()
+        assert (self._synth(tmp_path, cubes) if argv is None else main(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: disk full: ") and err.count("\n") == 1
+        assert failed_on and failed_on[0].startswith("test-lane")
+        assert not (out / "manifest.json").exists()
+
+
 class TestCli:
     def test_gradcheck_module(self, capsys):
         assert main(["gradcheck", "--module", "primitives"]) == 0
@@ -1036,6 +1154,13 @@ class TestCli:
 
     def test_fftcheck_bad_size(self, capsys):
         assert main(["fftcheck", "--size", "4x3", "--trials", "2"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fftcheck_bad_trials(self, capsys, trials):
+        assert main(["fftcheck", "--size", "4x3x5", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --trials must be a positive integer, got {trials}\n"
+        assert captured.out == ""
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -1141,6 +1266,14 @@ class TestCli:
         assert main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "0"]) == 1
         assert "'classes'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.rfc1"))
+
+    def test_synth_negative_seed_refused_before_writing(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps(TestDspHalves.SCENES))
+        out = tmp_path / "cubes"
+        assert main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_eval_garbage_weights_is_one_error_line(self, tiny_manifest, tmp_path, capsys):
         weights = tmp_path / "garbage.ckpt"
