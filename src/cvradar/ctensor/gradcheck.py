@@ -1,8 +1,13 @@
-"""Finite-difference verification of tape gradients.
+"""Vector-Jacobian finite-difference verification of tape gradients.
 
-The checker perturbs every real coordinate (both planes) of the inputs,
-evaluates the function twice per coordinate, and compares the central
-difference against the analytic gradient from one backward pass.
+The checked function may return a tensor of any shape. The checker pairs it
+with one cotangent c drawn from a fixed seed, <c, y> = sum(c.re * y.re +
+c.im * y.im), and compares, per real coordinate (both planes) of the inputs,
+the seeded backward pass GradTape.backward(out, c) against the central
+difference (<c, f(x+h)> - <c, f(x-h)>) / 2h, paired in numpy. A random c
+weighs every output component, so no input's gradient cancels out of the
+check (batch norm's output energy, say, does not depend on its input). This
+is the usual vector-Jacobian check, as in torch.autograd.gradcheck.
 """
 
 import numpy as np
@@ -14,36 +19,38 @@ __all__ = ["grad_check", "grad_check_multi", "GradCheckError"]
 
 _REL_FLOOR = 1e-8
 _STEP = 1e-5  # central-difference probe step, per real coordinate
+_COTANGENT_SEED = 0  # every check pairs its output with a cotangent drawn from this seed
 
 
 class GradCheckError(RuntimeError):
     """Raised when a check encounters non-finite values."""
 
 
-def _loss_value(t):
-    if t.shape != ():
-        raise GradCheckError(f"checked function must return a scalar, got shape {t.shape}")
-    v = float(t.re)
+def _pairing(c, y):
+    """<c, y> = sum(c.re * y.re + c.im * y.im): the scalar the seeded backward differentiates."""
+    v = float(np.sum(c.re * y.re) + np.sum(c.im * y.im))
     if not np.isfinite(v):
-        raise GradCheckError("checked function returned a non-finite loss")
+        raise GradCheckError("checked function returned a non-finite value")
     return v
 
 
 def grad_check_multi(fn, points):
     """Max relative error of analytic vs central differences over all inputs.
 
-    fn takes one ComplexTensor argument per entry of points, returns a real
-    scalar tensor, and must be pure and deterministic. Relative error per
-    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    fn takes one ComplexTensor argument per entry of points, returns a
+    ComplexTensor of any shape, and must be pure and deterministic. Relative
+    error per coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
     points = list(points)
 
     with GradTape() as tape:
         for p in points:
             tape.watch(p)
-        loss = fn(*points)
-    grads = tape.backward(loss)
-    _loss_value(loss)
+        out = fn(*points)
+    rng = np.random.default_rng(_COTANGENT_SEED)
+    c = ComplexTensor(rng.standard_normal(out.shape), rng.standard_normal(out.shape))
+    grads = tape.backward(out, c)
+    _pairing(c, out)
 
     worst = 0.0
     for pi, point in enumerate(points):
@@ -54,9 +61,9 @@ def grad_check_multi(fn, points):
             for idx in range(flat_base.size):
                 bumped = flat_base.copy()
                 bumped[idx] = flat_base[idx] + _STEP
-                plus = _eval_at(fn, points, pi, plane_name, bumped.reshape(base.shape))
+                plus = _eval_at(fn, c, points, pi, plane_name, bumped.reshape(base.shape))
                 bumped[idx] = flat_base[idx] - _STEP
-                minus = _eval_at(fn, points, pi, plane_name, bumped.reshape(base.shape))
+                minus = _eval_at(fn, c, points, pi, plane_name, bumped.reshape(base.shape))
                 numeric = (plus - minus) / (2.0 * _STEP)
                 a = flat_g[idx]
                 if not (np.isfinite(a) and np.isfinite(numeric)):
@@ -69,7 +76,7 @@ def grad_check_multi(fn, points):
     return worst
 
 
-def _eval_at(fn, points, pi, plane_name, plane):
+def _eval_at(fn, c, points, pi, plane_name, plane):
     point = points[pi]
     if plane_name == "re":
         moved = ComplexTensor(plane, point.im)
@@ -77,7 +84,7 @@ def _eval_at(fn, points, pi, plane_name, plane):
         moved = ComplexTensor(point.re, plane)
     trial = list(points)
     trial[pi] = moved
-    return _loss_value(fn(*trial))
+    return _pairing(c, fn(*trial))
 
 
 def grad_check(fn, point):

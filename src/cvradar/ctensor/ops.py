@@ -19,9 +19,9 @@ from .tensor import ShapeError, _wrap
 from .tape import active_tape, halves
 
 __all__ = [
-    "add", "mul", "scale", "conj", "real",
+    "add", "scale",
     "reshape", "permute", "concat", "index0", "matmul", "bmm", "add_row",
-    "sum_all", "mean_axis", "crelu", "softmax_last", "cavgpool_last",
+    "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
     "cbatchnorm_train", "cbatchnorm_eval", "cross_entropy_logits",
     "BatchStats", "BN_EPS", "CHUNK_BYTES",
@@ -54,19 +54,6 @@ def add(a, b):
     return _record("add", out, (a, b), bwd)
 
 
-def mul(a, b):
-    """Elementwise complex product: (c+jd)(a+jb) = ca-db + j(cb+da)."""
-    _same_shape("mul", a, b)
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
-    out = _wrap(ar * br - ai * bi, ar * bi + ai * br)
-
-    def bwd(gre, gim):
-        return ((gre * br + gim * bi, -gre * bi + gim * br),
-                (gre * ar + gim * ai, -gre * ai + gim * ar))
-
-    return _record("mul", out, (a, b), bwd)
-
-
 def scale(a, s):
     """Multiply by a fixed Python scalar (real or complex); s is not a leaf."""
     s = complex(s)
@@ -77,25 +64,6 @@ def scale(a, s):
         return ((sr * gre + si * gim, -si * gre + sr * gim),)
 
     return _record("scale", out, (a,), bwd)
-
-
-def conj(a):
-    out = _wrap(a.re, -a.im)
-
-    def bwd(gre, gim):
-        return ((gre, -gim),)
-
-    return _record("conj", out, (a,), bwd)
-
-
-def real(a):
-    """Keep the real plane, zero the imaginary plane."""
-    out = _wrap(a.re, np.zeros_like(a.re))
-
-    def bwd(gre, gim):
-        return ((gre, np.zeros_like(gim)),)
-
-    return _record("real", out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +234,6 @@ def add_row(x, b):
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
-
-def sum_all(a):
-    """Sum every element down to a complex scalar."""
-    out = _wrap(np.asarray(a.re.sum()), np.asarray(a.im.sum()))
-    shp = a.shape
-    dtype = a.dtype
-
-    def bwd(gre, gim):
-        def spread(g):
-            return np.full(shp, g, dtype=dtype)
-        return ((spread(gre), spread(gim)),)
-
-    return _record("sum_all", out, (a,), bwd)
-
 
 def mean_axis(a, axis):
     """Arithmetic mean along one axis, applied to each plane."""

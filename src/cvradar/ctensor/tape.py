@@ -2,8 +2,9 @@
 
 Differentiation semantics: every complex tensor is treated as an
 independent pair of real tensors (re, im), and standard real reverse-mode
-accumulation runs over the recorded primitives. Losses are real scalars;
-gradients come back as one read-only ComplexTensor per watched leaf.
+accumulation runs over the recorded primitives. A loss is a real scalar,
+or any output with a cotangent of its shape; gradients come back as one
+read-only ComplexTensor per watched leaf.
 
 One training step builds and consumes one tape; parallel() lets threads
 record into it on separate lanes. Backward is a pure function of the tape,
@@ -138,14 +139,15 @@ def halves(n, fill):
     output rows or channels, a dataset's samples).
 
     Off the tape the second half runs on the lane worker where _second_core
-    allows, so the job uses both cores; under an active tape, and wherever the
-    rule refuses, the halves run here in order. They are the same calls wherever
+    allows, so the job uses both cores; under an active tape, for fewer than two
+    items (a half would hold the whole job or nothing), and wherever the rule
+    refuses, the halves run here in order. They are the same calls wherever
     they run, so where they ran changes no bit. Where items fail independently,
     the error raised is the one in-order running gives: the first half's.
     """
     m = n // 2
     fns = [lambda: fill(0, m), lambda: fill(m, n)]
-    if _ACTIVE is None:
+    if _ACTIVE is None and n > 1:
         return _run_lanes(fns, [None, None])
     return [fn() for fn in fns]
 
@@ -246,15 +248,19 @@ class GradTape:
 
     # -- backward ---------------------------------------------------------
 
-    def backward(self, loss):
+    def backward(self, loss, cotangent=None):
         """Gradients of a real scalar loss with respect to every watched leaf.
 
+        A cotangent c, a ComplexTensor of loss's shape, makes loss any
+        recorded output and seeds its adjoint with c's planes: the gradients
+        are then those of sum(c.re * loss.re + c.im * loss.im), one
+        vector-Jacobian product.
         Returns a dict from each watched leaf to a read-only ComplexTensor
         of its gradient. Walks the node record in reverse insertion order,
         accumulating adjoints per tensor key. Every gradient plane is a
-        dense array: the loss adjoint is seeded as (1, 0), each backward_fn
-        returns an array pair per input, and a leaf the loss never reaches
-        gets zeros.
+        dense array: a scalar loss's adjoint is seeded as (1, 0), each
+        backward_fn returns an array pair per input, and a leaf the loss
+        never reaches gets zeros.
         An intermediate tensor's adjoint is freed as soon as the node that
         produced it has run, so the walk holds only the adjoints still
         awaiting their producer; watched tensors keep theirs. The recorded
@@ -263,17 +269,25 @@ class GradTape:
         each closure holds the arrays its own gradient reads.
         """
         if not isinstance(loss, ComplexTensor):
-            raise TapeError("loss must be a ComplexTensor scalar")
-        if loss.shape != ():
-            raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
+            raise TapeError("loss must be a ComplexTensor")
+        if cotangent is None:
+            if loss.shape != ():
+                raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
+            if float(loss.im) != 0.0:
+                raise TapeError("loss must be real (im part exactly zero)")
+            seed = [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]
+        elif cotangent.shape != loss.shape:
+            raise ShapeError(
+                f"cotangent shape {cotangent.shape} does not match output shape {loss.shape}"
+            )
+        else:
+            seed = [cotangent.re, cotangent.im]
         loss_key = self._keys.get(loss)
         if loss_key not in self._output_keys:
             raise TapeError("loss was not produced on this tape")
-        if float(loss.im) != 0.0:
-            raise TapeError("loss must be real (im part exactly zero)")
 
         # adjoints[key] = [re_grad, im_grad]
-        adjoints = {loss_key: [np.ones((), dtype=loss.dtype), np.zeros((), dtype=loss.dtype)]}
+        adjoints = {loss_key: seed}
 
         self._walk(self._nodes, adjoints)
 

@@ -1,12 +1,12 @@
 """Self-contained numeric verification suites behind the CLI check commands.
 
 Every entry compares an analytic result against an independent reference:
-tape gradients against central finite differences, and the fast transform
-against the direct triple-sum evaluation. Finite-difference points are
-sampled away from the activation's gate boundary, which is a discontinuity
-surface: values are kept a margin above the 1e-5 probe step, and additive
-parameters (biases, betas) are drawn from a band bounded away from zero so
-no gate input sits at exactly 0 where perturbation flips the gate.
+tape gradients against the vector-Jacobian finite-difference check
+(ctensor.gradcheck), and the fast transform against the direct triple-sum
+evaluation. Finite-difference points are sampled away from the gate's
+boundary, which is a discontinuity surface: gate inputs are kept a margin
+above the 1e-5 probe step, by drawing the betas from a band bounded away
+from zero or by a scanned seed.
 """
 
 from dataclasses import dataclass
@@ -49,27 +49,14 @@ def _rand(rng, shape):
     return ComplexTensor(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
-def _rand_off_axis(rng, shape, margin=0.2):
-    """Both planes at least `margin` from zero, so crelu gates cannot flip."""
-
-    def plane():
-        return rng.uniform(margin, 1.0, shape) * np.sign(rng.standard_normal(shape))
-
-    return ComplexTensor(plane(), plane())
-
-
-def _energy(t):
-    return ops.sum_all(ops.mul(t, ops.conj(t)))
-
-
-def _probe(t, c):
-    """Energy plus a linear term Re sum(c * t).
-
-    The linear term keeps the loss sensitive to inputs that a standardizing
-    op would otherwise cancel out of the pure energy (batch norm's output
-    energy is a function of gamma and beta alone, up to its eps damping).
+def _gated_batchnorm_point():
+    """(gamma, beta, x) for the gated train-mode batch-norm check, off the gate
+    boundary: the gate is discontinuous where a pre-gate output component is 0.
+    Seeds 0-39 were scanned and 5 gives the widest margin: its smallest
+    pre-gate output component is 0.13, four decades above the 1e-5 probe step.
     """
-    return ops.add(_energy(t), ops.real(ops.sum_all(ops.mul(c, t))))
+    rng = np.random.default_rng(5)
+    return _rand(rng, (3,)), _rand(rng, (3,)), _rand(rng, (4, 3, 5))
 
 
 def toy_branch_config():
@@ -112,19 +99,18 @@ def toy_fusenet_instance(model_seed=2):
 def check_primitives():
     """Finite-difference checks of representative tape primitives."""
     rng = np.random.default_rng(7)
-    a, b = _rand(rng, (3, 4)), _rand(rng, (3, 4))
+    a = _rand(rng, (3, 4))
     m1, m2 = _rand(rng, (3, 4)), _rand(rng, (4, 2))
     sm = _rand(rng, (2, 5))
-    cr = _rand_off_axis(rng, (3, 4))
+    b1, b2 = _rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 2))
     logits = _rand(rng, (4,))
     logits = ComplexTensor(logits.re, np.zeros(4))
     cases = [
-        ("mul", lambda: grad_check_multi(lambda x, y: ops.real(ops.sum_all(ops.mul(x, y))), [a, b])),
-        ("matmul", lambda: grad_check_multi(lambda x, y: _energy(ops.matmul(x, y)), [m1, m2])),
-        ("softmax_last", lambda: grad_check(lambda x: _energy(ops.softmax_last(x)), sm)),
-        ("crelu", lambda: grad_check(lambda x: _energy(ops.crelu(x)), cr)),
-        ("mean_axis", lambda: grad_check(lambda x: _energy(ops.mean_axis(x, 1)), a)),
-        ("cavgpool_last", lambda: grad_check(lambda x: _energy(ops.cavgpool_last(x, 2)), a)),
+        ("bmm", lambda: grad_check_multi(ops.bmm, [b1, b2])),
+        ("matmul", lambda: grad_check_multi(ops.matmul, [m1, m2])),
+        ("softmax_last", lambda: grad_check(ops.softmax_last, sm)),
+        ("mean_axis", lambda: grad_check(lambda x: ops.mean_axis(x, 1), a)),
+        ("cavgpool_last", lambda: grad_check(lambda x: ops.cavgpool_last(x, 2), a)),
         (
             "cross_entropy_logits",
             lambda: grad_check(lambda x: ops.cross_entropy_logits(x, np.eye(4)[2]), logits),
@@ -136,21 +122,21 @@ def check_primitives():
 def check_layers():
     """Finite-difference checks of the parameterized layers."""
     rng = np.random.default_rng(11)
-    x = _rand_off_axis(rng, (2, 2, 3, 6), margin=0.3)
+    x = _rand(rng, (2, 2, 3, 6))
     conv = init_conv(rng, 3, 2, (1, 3), (1, 2))
     bn = init_batchnorm(3)
     xb = _rand(rng, (4, 3, 5))
-    conv_err = grad_check_multi(lambda k, c: _energy(ops.cconv2d(x, k, c, stride=(1, 2))),
+    conv_err = grad_check_multi(lambda k, c: ops.cconv2d(x, k, c, stride=(1, 2)),
                                 [conv.kernels, _rand(rng, (3,))])
-    probe_c = _rand(rng, (4, 3, 5))
-    train_err = grad_check_multi(
-        lambda g, bt, v: _probe(ops.cbatchnorm_train(v, g, bt)[0], probe_c),
-        [bn.gamma, _rand(rng, (3,)), xb])
-    eval_err = grad_check(lambda v: _energy(ops.cbatchnorm_eval(
-        v, bn.gamma, bn.beta, bn.running_mean, bn.running_var)), xb)
+    train_err = grad_check_multi(lambda g, bt, v: ops.cbatchnorm_train(v, g, bt)[0],
+                                 [bn.gamma, _rand(rng, (3,)), xb])
+    gated_err = grad_check_multi(lambda g, bt, v: ops.cbatchnorm_train(v, g, bt, gate=True)[0],
+                                 _gated_batchnorm_point())
+    eval_err = grad_check(lambda v: ops.cbatchnorm_eval(
+        v, bn.gamma, bn.beta, bn.running_mean, bn.running_var), xb)
     return [CheckResult("layers", name, err, 1e-6) for name, err in (
         ("conv kernels+bias", conv_err), ("batchnorm train gamma+beta+x", train_err),
-        ("batchnorm eval x", eval_err))]
+        ("batchnorm train, gated", gated_err), ("batchnorm eval x", eval_err))]
 
 
 def check_attention():
@@ -162,8 +148,7 @@ def check_attention():
     names, tensors = zip(*block.parameters())
 
     def fn(*ws):
-        trial = block.with_tensors(dict(zip(names, ws)))
-        return ops.real(_energy(bidirectional_fuse(f1, f2, trial)))
+        return bidirectional_fuse(f1, f2, block.with_tensors(dict(zip(names, ws))))
 
     err = grad_check_multi(fn, tensors)
     return [CheckResult("attention", "all projections", err, 1e-6)]

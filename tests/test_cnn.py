@@ -168,11 +168,9 @@ class TestPlaneReference:
                 tape.watch(leaf)
             out, stats = ops.cbatchnorm_train(x, gamma, beta)
             up = rand_ct(rng, out.shape)
-            # Re(sum(out * up)) has adjoint (up.re, -up.im) on out's planes
-            loss = ops.real(ops.sum_all(ops.mul(out, up)))
-        grads = tape.backward(loss)
+        grads = tape.backward(out, up)
         want_re = bn_train_plane_reference(x.re, gamma.re, beta.re, 1e-5, up.re)
-        want_im = bn_train_plane_reference(x.im, gamma.im, beta.im, 1e-5, -up.im)
+        want_im = bn_train_plane_reference(x.im, gamma.im, beta.im, 1e-5, up.im)
         assert_all_close(
             (out.re, stats.mean_re, stats.var_re, grads[x].re, grads[gamma].re, grads[beta].re),
             want_re,
@@ -193,15 +191,14 @@ class TestPlaneReference:
                 tape.watch(leaf)
             out = ops.cbatchnorm_eval(x, gamma, beta, mean, var)
             up = rand_ct(rng, out.shape)
-            loss = ops.real(ops.sum_all(ops.mul(out, up)))
-        grads = tape.backward(loss)
+        grads = tape.backward(out, up)
         assert_all_close(
             (out.re, grads[x].re, grads[gamma].re, grads[beta].re),
             bn_eval_plane_reference(x.re, gamma.re, beta.re, mean.re, var.re, 1e-5, up.re),
         )
         assert_all_close(
             (out.im, grads[x].im, grads[gamma].im, grads[beta].im),
-            bn_eval_plane_reference(x.im, gamma.im, beta.im, mean.im, var.im, 1e-5, -up.im),
+            bn_eval_plane_reference(x.im, gamma.im, beta.im, mean.im, var.im, 1e-5, up.im),
         )
 
     @pytest.mark.parametrize("b, rank, layout", CASES)
@@ -212,9 +209,8 @@ class TestPlaneReference:
             tape.watch(x)
             out = ops.crelu(x)
             up = rand_ct(rng, out.shape)
-            loss = ops.real(ops.sum_all(ops.mul(out, up)))
-        grads = tape.backward(loss)
-        (want_re, want_im), (dre, dim) = crelu_planes_reference(x.re, x.im, up.re, -up.im)
+        grads = tape.backward(out, up)
+        (want_re, want_im), (dre, dim) = crelu_planes_reference(x.re, x.im, up.re, up.im)
         assert_all_close((out.re, out.im, grads[x].re, grads[x].im), (want_re, want_im, dre, dim))
 
     def test_crelu_boundary(self):
@@ -226,14 +222,13 @@ class TestPlaneReference:
         with GradTape() as tape:
             tape.watch(x)
             out = ops.crelu(x)
-            loss = ops.real(ops.sum_all(ops.mul(out, ComplexTensor(np.ones(8), np.ones(8)))))
-        grads = tape.backward(loss)
+        grads = tape.backward(out, ComplexTensor(np.ones(8), np.ones(8)))
         assert np.all(np.isfinite(out.re)) and np.all(np.isfinite(out.im))
         assert np.array_equal(out.re, np.where(passes, re, 0.0))
         assert np.array_equal(out.im, np.where(passes, im, 0.0))
         assert np.all(out.re[~passes] == 0) and np.all(out.im[~passes] == 0)
         assert np.array_equal(grads[x].re, passes.astype(float))
-        assert np.array_equal(grads[x].im, -passes.astype(float))
+        assert np.array_equal(grads[x].im, passes.astype(float))
 
     def test_crelu_non_finite(self):
         # a passing inf stays; a blocked non-finite entry is x * 0 = NaN
@@ -257,8 +252,7 @@ def gated_bn_planes(mode, fused, x, gamma, beta, up, stats=None):
             out = ops.cbatchnorm_eval(x, gamma, beta, *stats, gate=fused)
         if not fused:
             out = ops.crelu(out)
-        loss = ops.real(ops.sum_all(ops.mul(out, up)))
-    grads = tape.backward(loss)
+    grads = tape.backward(out, up)
     return [out.re, out.im] + [p for t in (x, gamma, beta) for p in (grads[t].re, grads[t].im)]
 
 
@@ -367,11 +361,9 @@ class TestConv:
                 tape.watch(leaf)
             out = ops.cconv2d(x, k, bias, stride=stride)
             up = rand_ct(rng, out.shape)
-            # Re(sum(out * up)) has adjoint (up.re, -up.im) on out's planes
-            loss = ops.real(ops.sum_all(ops.mul(out, up)))
-        grads = tape.backward(loss)
+        grads = tape.backward(out, up)
         want = conv_planes_reference(x.re, x.im, k.re, k.im, bias.re, bias.im, stride,
-                                     up.re, -up.im)
+                                     up.re, up.im)
         got = ((out.re, out.im),) + tuple((grads[t].re, grads[t].im) for t in (x, k, bias))
         for got_pair, want_pair in zip(got, want):
             for g, w in zip(got_pair, want_pair):
@@ -380,13 +372,12 @@ class TestConv:
 
     @staticmethod
     def conv_step(x, k, bias, up):
-        """Output and (x, kernel, bias) gradients of Re(sum(conv(x) * up))."""
+        """Output and (x, kernel, bias) gradients for the cotangent up."""
         with GradTape() as tape:
             for leaf in (x, k, bias):
                 tape.watch(leaf)
             out = ops.cconv2d(x, k, bias)
-            loss = ops.real(ops.sum_all(ops.mul(out, up)))
-        grads = tape.backward(loss)
+        grads = tape.backward(out, up)
         return out, grads[x], grads[k], grads[bias]
 
     def test_batch_spanning_chunks_matches_per_sample_calls(self, monkeypatch):
@@ -441,12 +432,11 @@ class TestConv:
                     tape.watch(leaf)
                 out = ops.cconv2d(x, k, bias, stride=stride)
                 up = rand_ct(rng, out.shape)
-                loss = ops.real(ops.sum_all(ops.mul(out, up)))
-            grads = tape.backward(loss)
+            grads = tape.backward(out, up)
             want = conv_oracle(x.to_complex(), k.to_complex(), bias.to_complex(), stride)
             assert np.max(np.abs(out.to_complex() - want)) <= 1e-10
             ref = conv_planes_reference(x.re, x.im, k.re, k.im, bias.re, bias.im, stride,
-                                        up.re, -up.im)[1:]
+                                        up.re, up.im)[1:]
             for t, want_pair in zip((x, k, bias), ref):
                 for g, w in zip((grads[t].re, grads[t].im), want_pair):
                     assert np.max(np.abs(g - w)) <= 1e-12
@@ -464,10 +454,7 @@ class TestConv:
         x = rand_ct(rng, (1, 2, 4, 6))
         k = rand_ct(rng, (2, 2, 2, 2))
         zero_b = ComplexTensor(np.zeros(2), np.zeros(2))
-        alpha = ComplexTensor(
-            np.full((1, 2, 4, 6), 0.7), np.full((1, 2, 4, 6), -1.9)
-        )
-        lhs = ops.cconv2d(ops.mul(alpha, x), k, zero_b, stride=(1, 1)).to_complex()
+        lhs = ops.cconv2d(ops.scale(x, 0.7 - 1.9j), k, zero_b, stride=(1, 1)).to_complex()
         rhs = (0.7 - 1.9j) * ops.cconv2d(x, k, zero_b, stride=(1, 1)).to_complex()
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) <= 1e-10
 

@@ -13,15 +13,16 @@ import pytest
 from cvradar.cnn import baseline_logits, init_baseline
 from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops, parallel, tape
 from cvradar.fusion import fusenet_logits_batch, init_fusenet
-from cvradar.traincli.checks import toy_branch_config
+from cvradar.traincli.checks import toy_branch_config, toy_fusenet_instance
 
 
 def rand_ct(rng, shape, scale=1.0):
     return ComplexTensor(scale * rng.standard_normal(shape), scale * rng.standard_normal(shape))
 
 
-def abs2_loss(t):
-    return ops.real(ops.sum_all(ops.mul(t, ops.conj(t))))
+def abs2_seed(t):
+    """The cotangent of sum |t|^2: 2t."""
+    return ComplexTensor(2 * t.re, 2 * t.im)
 
 
 class TestConstruction:
@@ -51,18 +52,6 @@ class TestConstruction:
 
 
 class TestElementwise:
-    def test_mul_hand_value(self):
-        # (1+j)(2+3j): ca-db + j(cb+da) with k=1+j, x=2+3j gives 2-3 + j(3+2)
-        out = ops.mul(ComplexTensor(1.0, 1.0), ComplexTensor(2.0, 3.0))
-        assert complex(out.to_complex()) == (-1 + 5j)
-
-    def test_mul_identity(self):
-        rng = np.random.default_rng(7)
-        z = rand_ct(rng, (4, 5))
-        one = ComplexTensor(np.ones((4, 5)), np.zeros((4, 5)))
-        out = ops.mul(z, one)
-        assert np.array_equal(out.re, z.re) and np.array_equal(out.im, z.im)
-
     def test_add_inverse(self):
         a = ComplexTensor(1.0, 2.0)
         b = ComplexTensor(-1.0, -2.0)
@@ -76,17 +65,6 @@ class TestElementwise:
         msg = str(ei.value)
         assert "(2, 3)" in msg and "(4,)" in msg
 
-    def test_mul_distributes(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rand_ct(rng, (3, 4))
-            b = rand_ct(rng, (3, 4))
-            c = rand_ct(rng, (3, 4))
-            lhs = ops.mul(a, ops.add(b, c))
-            rhs = ops.add(ops.mul(a, b), ops.mul(a, c))
-            assert np.allclose(lhs.re, rhs.re, rtol=0, atol=1e-12)
-            assert np.allclose(lhs.im, rhs.im, rtol=0, atol=1e-12)
-
 
 class TestBackward:
     def test_sum_of_re_gradient(self):
@@ -94,17 +72,18 @@ class TestBackward:
         x = rand_ct(rng, (2, 3))
         with GradTape() as tape:
             tape.watch(x)
-            loss = ops.real(ops.sum_all(ops.real(x)))
-        g = tape.backward(loss)[x]
+            y = ops.reshape(x, (6,))
+        g = tape.backward(y, ComplexTensor(np.ones(6), np.zeros(6)))[x]
         assert np.array_equal(g.re, np.ones((2, 3)))
         assert np.array_equal(g.im, np.zeros((2, 3)))
 
     def test_abs2_gradient(self):
+        # |jz|^2 = |z|^2: the seed 2y passes back through scale's adjoint as 2z
         z = ComplexTensor(3.0, 4.0)
         with GradTape() as tape:
             tape.watch(z)
-            loss = abs2_loss(z)
-        g = tape.backward(loss)[z]
+            y = ops.scale(z, 1j)
+        g = tape.backward(y, abs2_seed(y))[z]
         assert float(g.re) == pytest.approx(6.0, abs=1e-12)
         assert float(g.im) == pytest.approx(8.0, abs=1e-12)
 
@@ -116,8 +95,8 @@ class TestBackward:
         with GradTape() as tape:
             tape.watch(x)
             tape.watch(w)
-            loss = abs2_loss(ops.mul(x, ops.reshape(ops.concat([w] * 6, 0), (2, 3, 4))))
-        grads = tape.backward(loss)
+            y = ops.bmm(x, ops.reshape(ops.concat([w] * 2, 0), (2, 4, 1)))
+        grads = tape.backward(y, abs2_seed(y))
         assert grads[x].shape == (2, 3, 4)
         assert grads[w].shape == (4,)
         for g in grads.values():
@@ -131,8 +110,8 @@ class TestBackward:
         with GradTape() as tape:
             tape.watch(x)
             tape.watch(unused)
-            loss = ops.real(ops.sum_all(x))
-        g = tape.backward(loss)[unused]
+            y = ops.scale(x, 1.0)
+        g = tape.backward(y, ComplexTensor(np.ones(2)))[unused]
         assert np.array_equal(g.re, np.zeros(1))
         assert np.array_equal(g.im, np.zeros(1))
 
@@ -143,9 +122,9 @@ class TestBackward:
         with GradTape() as tape:
             tape.watch(x)
             tape.watch(y)
-            loss = abs2_loss(ops.matmul(ops.crelu(x), y))
-        g1 = tape.backward(loss)
-        g2 = tape.backward(loss)
+            out = ops.matmul(ops.crelu(x), y)
+        g1 = tape.backward(out, abs2_seed(out))
+        g2 = tape.backward(out, abs2_seed(out))
         for leaf in (x, y):
             assert np.array_equal(g1[leaf].re, g2[leaf].re)
             assert np.array_equal(g1[leaf].im, g2[leaf].im)
@@ -162,10 +141,10 @@ class TestBackward:
                 for _ in range(40):
                     chain.append(ops.scale(chain[-1], 0.5))
                 mid = tape.watch(chain[20])
-                loss = ops.real(ops.sum_all(chain[-1]))
+            ones = ComplexTensor(np.ones(x.shape))
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            g1 = tape.backward(loss)
+            g1 = tape.backward(chain[-1], ones)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -173,7 +152,7 @@ class TestBackward:
         assert np.array_equal(g1[mid].re, np.full(x.shape, 0.5**20))
         assert np.array_equal(g1[mid].im, np.zeros(x.shape))
         assert np.array_equal(g1[x].re, np.full(x.shape, 0.5**40))
-        g2 = tape.backward(loss)
+        g2 = tape.backward(chain[-1], ones)
         for leaf in (x, mid):
             assert np.array_equal(g1[leaf].re, g2[leaf].re)
             assert np.array_equal(g1[leaf].im, g2[leaf].im)
@@ -190,17 +169,16 @@ class TestBackward:
                 h = x
                 for _ in range(40):
                     h = ops.scale(h, 0.5)
-                loss = ops.real(ops.sum_all(h))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held - start <= 8 * mib, f"forward holds {(held - start) / mib:.1f} MiB"
-        g = tape.backward(loss)[x]
+        g = tape.backward(h, ComplexTensor(np.ones(x.shape)))[x]
         assert np.array_equal(g.re, np.full(x.shape, 0.5**40))
         assert np.array_equal(g.im, np.zeros(x.shape))
 
     def test_stage_closures_do_not_keep_tensors(self):
-        """conv -> batch norm -> crelu: no intermediate outlives its last reference,
+        """conv -> batch norm -> crelu -> mean: no intermediate outlives its last reference,
         and the gradients equal those of a run that keeps every intermediate."""
         rng = np.random.default_rng(4)
         x = rand_ct(rng, (2, 2, 6, 5))
@@ -214,12 +192,12 @@ class TestBackward:
                 conv = ops.cconv2d(x, params[0], params[1])
                 bn, _ = ops.cbatchnorm_train(conv, params[2], params[3])
                 act = ops.crelu(bn)
-                loss = abs2_loss(act)
+                out = ops.mean_axis(act, 0)
             refs = [weakref.ref(t) for t in (conv, bn, act)]
             if keep is not None:
                 keep.extend((conv, bn, act))
             del conv, bn, act
-            return tape.backward(loss), [r() is not None for r in refs]
+            return tape.backward(out, abs2_seed(out)), [r() is not None for r in refs]
 
         kept = []
         g_kept, _ = stage(kept)
@@ -253,10 +231,9 @@ class TestBackward:
                 if watch_x:
                     tape.watch(x)
                 out, _ = ops.cbatchnorm_train(ops.cconv2d(x, params[0]), *params[1:], gate=True)
-                loss = abs2_loss(out)
             ref = weakref.ref(x)
-            del x, out
-            return tape.backward(loss), ref() is None
+            del x
+            return tape.backward(out, abs2_seed(out)), ref() is None
 
         g_free, freed = stage(False)
         assert freed and scatters == []
@@ -280,12 +257,11 @@ class TestBackward:
                 tape.watch(gamma)
                 tape.watch(beta)
                 out = ops.cbatchnorm_eval(x, gamma, beta, mean, var, gate=True)
-                loss = abs2_loss(out)
             ref = weakref.ref(x)
             if keep is not None:
                 keep.append(x)
-            del x, out
-            return tape.backward(loss), ref() is None
+            del x
+            return tape.backward(out, abs2_seed(out)), ref() is None
 
         g_freed, freed = stage(None)
         assert freed
@@ -304,8 +280,7 @@ class TestBackward:
                     tape.watch(x)
                 out = ops.cconv2d(x, k)
                 tape.watch(x)
-                loss = abs2_loss(out)
-            return tape.backward(loss)[x]
+            return tape.backward(out, abs2_seed(out))[x]
 
         late, early = grad_x(False), grad_x(True)
         assert np.any(late.re != 0) and np.any(late.im != 0)
@@ -321,19 +296,19 @@ class TestBackward:
             chain = [x]
             for _ in range(50):
                 chain.append(ops.scale(chain[-1], 0.5))
-            total = ops.real(ops.sum_all(chain[-1]))
+            total = ops.scale(chain[-1], 1.0)
             refs = [weakref.ref(t) for t in chain[1:]]
             freed = {id(t) for t in chain[1:]}
             del chain
             assert all(r() is None for r in refs)
             constants = []
             while len(constants) < 10000:
-                constants.append(ComplexTensor(3.0, 0.0))
+                constants.append(ComplexTensor([3.0, 3.0]))
                 if id(constants[-1]) in freed:
                     break
             assert id(constants[-1]) in freed, "no constant landed on a freed address"
-            loss = ops.add(total, constants[-1])
-        g = tape.backward(loss)[x]
+            out = ops.add(total, constants[-1])
+        g = tape.backward(out, ComplexTensor(np.ones(2)))[x]
         assert np.array_equal(g.re, np.full(2, 0.5**50))
         assert np.array_equal(g.im, np.zeros(2))
 
@@ -342,8 +317,7 @@ class TestBackward:
         with GradTape() as tape:
             y = ops.scale(x, 3.0)
             tape.watch(x)
-            loss = ops.real(ops.sum_all(y))
-        g = tape.backward(loss)[x]
+        g = tape.backward(y, ComplexTensor(np.ones(2)))[x]
         assert np.array_equal(g.re, np.full(2, 3.0))
         assert np.array_equal(g.im, np.zeros(2))
 
@@ -365,12 +339,37 @@ class TestBackward:
             tape.backward(stray)
 
     def test_loss_must_be_real(self):
-        x = ComplexTensor(1.0, 1.0)
+        x = ComplexTensor([1.0, 2.0], [1.0, 1.0])
         with GradTape() as tape:
             tape.watch(x)
-            loss = ops.sum_all(x)
-        with pytest.raises(TapeError):
+            loss = ops.mean_axis(x, 0)
+        with pytest.raises(TapeError, match="real"):
             tape.backward(loss)
+
+    def test_unit_cotangent_matches_the_default_seed(self):
+        """An explicit (1, 0) cotangent gives the toy fusenet loss's gradients bit for bit."""
+        model, x, big_x, target = toy_fusenet_instance()
+
+        def grads(*cotangent):
+            with GradTape() as tape:
+                for _, t in model.parameters():
+                    tape.watch(t)
+                logits = fusenet_logits_batch(x, big_x, model, "eval")
+                loss = ops.cross_entropy_logits(logits, target)
+            return list(tape.backward(loss, *cotangent).values())
+
+        default, seeded = grads(), grads(ComplexTensor(1.0, 0.0))
+        assert len(default) == len(seeded) == len(model.parameters())
+        for a, b in zip(default, seeded):
+            assert same_bits(a, b)
+
+    def test_cotangent_shape_must_match(self):
+        x = ComplexTensor([1.0, 2.0])
+        with GradTape() as tape:
+            tape.watch(x)
+            out = ops.scale(x, 2.0)
+        with pytest.raises(ShapeError, match=r"cotangent shape \(3,\) .* output shape \(2,\)"):
+            tape.backward(out, ComplexTensor([1.0, 2.0, 3.0]))
 
     def test_tapes_do_not_nest(self):
         with GradTape():
@@ -412,15 +411,17 @@ class TestLanes:
                 tape.watch(t)
             thunks = (lambda: self.chain(*a), lambda: self.chain(*b))
             ya, yb = parallel(*thunks) if lanes else [t() for t in thunks]
-            loss = abs2_loss(ops.add(ya, ops.scale(yb, 0.5j)))
-        return tape, loss, a + b
+            out = ops.concat([ya, ops.scale(yb, 0.5j)], 0)
+        return tape, out, a + b
 
     def test_lanes_match_in_order_recording(self):
-        tape, loss, leaves = self.step(1, lanes=True)
-        ref_tape, ref_loss, ref_leaves = self.step(1, lanes=False)
+        tape, out, leaves = self.step(1, lanes=True)
+        ref_tape, ref_out, ref_leaves = self.step(1, lanes=False)
         assert len(tape) == len(ref_tape)
-        assert np.array_equal(loss.re, ref_loss.re)
-        g1, g2, ref = tape.backward(loss), tape.backward(loss), ref_tape.backward(ref_loss)
+        assert np.array_equal(out.re, ref_out.re)
+        seed = abs2_seed(out)
+        g1, g2 = tape.backward(out, seed), tape.backward(out, seed)
+        ref = ref_tape.backward(ref_out, abs2_seed(ref_out))
         for leaf, ref_leaf in zip(leaves, ref_leaves):
             for g in (g1[leaf], g2[leaf]):
                 assert np.array_equal(g.re, ref[ref_leaf].re)
@@ -479,9 +480,10 @@ class TestLanes:
                 parallel(*thunks)
             assert finished.is_set()
         # the worker and the lane state are clean for the next step
-        tape, loss, leaves = self.step(2, lanes=True)
-        ref_tape, ref_loss, ref_leaves = self.step(2, lanes=False)
-        got, want = tape.backward(loss), ref_tape.backward(ref_loss)
+        tape, out, leaves = self.step(2, lanes=True)
+        ref_tape, ref_out, ref_leaves = self.step(2, lanes=False)
+        got = tape.backward(out, abs2_seed(out))
+        want = ref_tape.backward(ref_out, abs2_seed(ref_out))
         for leaf, ref_leaf in zip(leaves, ref_leaves):
             assert np.array_equal(got[leaf].re, want[ref_leaf].re)
 
@@ -491,9 +493,10 @@ class TestLanes:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         first, second = parallel(threading.current_thread, threading.current_thread)
         assert first is not second
-        tape, loss, leaves = self.step(3, lanes=True)
-        ref_tape, ref_loss, ref_leaves = self.step(3, lanes=False)
-        got, want = tape.backward(loss), ref_tape.backward(ref_loss)
+        tape, out, leaves = self.step(3, lanes=True)
+        ref_tape, ref_out, ref_leaves = self.step(3, lanes=False)
+        got = tape.backward(out, abs2_seed(out))
+        want = ref_tape.backward(ref_out, abs2_seed(ref_out))
         for leaf, ref_leaf in zip(leaves, ref_leaves):
             assert np.array_equal(got[leaf].re, want[ref_leaf].re)
             assert np.array_equal(got[leaf].im, want[ref_leaf].im)

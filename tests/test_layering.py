@@ -1,21 +1,31 @@
-"""Subpackages of cvradar reach each other through public names only, and
-every module uses what it imports.
+"""Subpackages of cvradar reach each other through public names only, every
+module uses what it imports, and every public tape op has a caller.
 
 A module may import an underscore name (or from an underscore module) of
 its own subpackage, but not of another one: dsp's private helpers stay
 private to dsp, and so on for ctensor, cnn, fusion and traincli. Outside the
 package __init__ files, which re-export, every imported name must be read in
-its module. The checks read every module under src/cvradar with ast.
+its module. Every function ctensor.ops exports is used by some other
+module, as ops.f or imported from ops. The checks read every module under
+src/cvradar with ast.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from cvradar.ctensor import ops
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvradar"
 
 # (module, name) -> why an import that nothing in its module reads stays
 UNUSED_IMPORTS_ALLOWED = {
     ("traincli/pipeline.py", "read_rfc1"): "perfbench patches it; ROADMAP item 1",
+}
+
+# ops function -> why it stays exported although no other module uses it
+UNUSED_OPS_ALLOWED = {
+    name: "perfbench wraps it by name; ROADMAP item 3" for name in ("add", "crelu", "index0")
 }
 
 
@@ -93,3 +103,31 @@ def test_every_module_uses_its_imports():
 def test_unused_import_checker():
     source = "import os\nimport numpy as np\nimport a.b\nfrom .m import c, d as e\nnp.zeros(a.b.x(e))\n"
     assert unused_imports("m.py", source) == [(1, "os"), (4, "c")]
+
+
+def ops_used(source):
+    """Every ops function source names, as ops.f or through from ...ops import f."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ops":
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ops":
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_every_exported_op_has_a_caller():
+    used = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() != "ctensor/ops.py":
+            used |= ops_used(path.read_text(encoding="utf-8"))
+    exported = {name for name in ops.__all__ if inspect.isfunction(getattr(ops, name))}
+    unused = sorted(exported - used - UNUSED_OPS_ALLOWED.keys())
+    assert not unused, f"ops exported but used by no other module: {unused}"
+    stale = sorted(UNUSED_OPS_ALLOWED.keys() & used)
+    assert not stale, f"allowed unused ops that now have a caller: {stale}"
+
+
+def test_ops_use_checker():
+    source = "from ..ctensor.ops import reshape\nops.cconv2d(x)\nf(ops.bmm)\ns.add(1)\nbmm(a, b)\n"
+    assert ops_used(source) == {"reshape", "cconv2d", "bmm"}

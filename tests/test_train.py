@@ -1047,9 +1047,9 @@ class TestDspHalves:
                     "split_hint": "unseen" if i == 4 else "auto"} for i in range(5)],
     }
 
-    def _synth(self, tmp_path, out):
+    def _synth(self, tmp_path, out, n=5):
         scenes = tmp_path / "scenes.json"
-        scenes.write_text(json.dumps(self.SCENES))
+        scenes.write_text(json.dumps(dict(self.SCENES, scenes=self.SCENES["scenes"][:n])))
         return main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "3"])
 
     def _run(self, tmp_path, root, submissions):
@@ -1102,6 +1102,17 @@ class TestDspHalves:
             load_pairs(manifest)
         assert "samples[4]" not in str(info.value)
         assert len(lane_submissions) == (3 if worker else 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_samples_are_read_here(self, tmp_path, two_cores, lane_submissions, n):
+        """After sample 0, load_samples halves n - 1 < 2 samples: a half would hold
+        all of them or none, so both halves run here and the worker gets nothing."""
+        cubes = tmp_path / "cubes"
+        assert self._synth(tmp_path, cubes, n) == 0
+        lane_submissions.clear()
+        _, pairs, _ = load_pairs(str(cubes / "manifest.json"))
+        assert len(pairs) == n
+        assert lane_submissions == []
 
     def test_first_sample_fixes_the_shape_for_both_halves(self, tmp_path, two_cores,
                                                           lane_submissions):
