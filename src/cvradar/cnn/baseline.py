@@ -2,9 +2,7 @@
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from ..ctensor import ComplexTensor, ShapeError, ops
+from ..ctensor import ComplexTensor, ops
 from .branch import (
     BranchConfig,
     BranchWeights,
@@ -14,7 +12,7 @@ from .branch import (
     init_branch,
     rebuild_branch,
 )
-from .layers import real_uniform
+from .layers import check_head, init_head
 
 __all__ = [
     "BaselineModel",
@@ -32,15 +30,7 @@ class BaselineModel:
 
     def __post_init__(self):
         c_f, length = self.config.feature_shape()
-        want = 2 * c_f * length
-        if self.head_w.ndim != 2 or self.head_w.shape[0] != want:
-            raise ShapeError(
-                f"head weights {self.head_w.shape} do not accept {want} flattened features"
-            )
-        if self.head_b.shape != (self.head_w.shape[1],):
-            raise ShapeError(
-                f"head bias {self.head_b.shape} does not match {self.head_w.shape[1]} classes"
-            )
+        check_head(self.head_w, self.head_b, 2 * c_f * length, "flattened features")
 
     @property
     def n_classes(self):
@@ -61,13 +51,8 @@ class BaselineModel:
 
 def init_baseline(config, n_classes, rng):
     c_f, length = config.feature_shape()
-    fan_in = 2 * c_f * length
-    return BaselineModel(
-        config=config,
-        branch=init_branch(config, rng),
-        head_w=real_uniform(rng, (fan_in, n_classes), fan_in),
-        head_b=ComplexTensor(np.zeros(n_classes), np.zeros(n_classes)),
-    )
+    branch = init_branch(config, rng)  # draws before the head
+    return BaselineModel(config, branch, *init_head(rng, 2 * c_f * length, n_classes))
 
 
 def baseline_logits(x, model, mode):

@@ -103,11 +103,11 @@ def default_branch_config(input_hw=(400, 100)):
 
 
 def chunk_size(config):
-    """Samples per batch chunk, at least 1: ops.CHUNK_BYTES over one sample's
-    largest stage, so such a batch is one cconv2d chunk at every stage."""
+    """Samples per batch chunk, at least 1: ops.CHUNK_BYTES over the largest stage's
+    ops.conv_sample_bytes, so such a batch is one cconv2d span at every stage."""
     c_in, largest = 1, 0
     for spec, (c, h, w) in zip(config.convs, config.stage_shapes()):
-        largest = max(largest, (c + c_in * spec.kernel[0] * spec.kernel[1]) * h * w * 16)
+        largest = max(largest, ops.conv_sample_bytes(c_in, c, *spec.kernel, h, w))
         c_in = c
     return max(1, ops.CHUNK_BYTES // largest)
 

@@ -17,6 +17,8 @@ __all__ = [
     "ComplexBatchNormLayer",
     "init_conv",
     "init_batchnorm",
+    "init_head",
+    "check_head",
     "complex_uniform",
     "real_uniform",
 ]
@@ -38,6 +40,20 @@ def real_uniform(rng, shape, fan_in):
     """
     limit = 1.0 / np.sqrt(fan_in)
     return ComplexTensor(rng.uniform(-limit, limit, shape), np.zeros(shape))
+
+
+def init_head(rng, fan_in, n_classes):
+    """A classifier head: real (fan_in, n_classes) weights from rng, then a zero bias."""
+    return (real_uniform(rng, (fan_in, n_classes), fan_in),
+            ComplexTensor(np.zeros(n_classes), np.zeros(n_classes)))
+
+
+def check_head(head_w, head_b, fan_in, what):
+    """ShapeError unless head_w is (fan_in, C) and head_b is (C,); what names fan_in."""
+    if head_w.ndim != 2 or head_w.shape[0] != fan_in:
+        raise ShapeError(f"head weights {head_w.shape} do not accept {fan_in} {what}")
+    if head_b.shape != (head_w.shape[1],):
+        raise ShapeError(f"head bias {head_b.shape} does not match {head_w.shape[1]} classes")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ __all__ = [
     "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
     "cbatchnorm_train", "cbatchnorm_eval", "cross_entropy_logits",
-    "BatchStats", "BN_EPS", "CHUNK_BYTES",
+    "BatchStats", "BN_EPS", "CHUNK_BYTES", "conv_sample_bytes",
 ]
 
 
@@ -353,6 +353,11 @@ def cavgpool_last(a, window):
 CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
 
+def conv_sample_bytes(c_in, c_out, kh, kw, ho, wo):
+    """Bytes one sample takes in a cconv2d span: its columns and its output."""
+    return (2 * c_in * kh * kw + 2 * c_out) * ho * wo * 8
+
+
 def _fill_cols(cols, re, im, sh, sw, a, e):
     """Write output rows [a, e) of an (n, 2, C, kh, kw, Ho, Wo) column buffer from
     input rows [a*sh, (e-1)*sh + kh) of a (n, C, H, W) plane pair; returns it as
@@ -420,7 +425,7 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     k = kr.shape[1]
     wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
-    sample_bytes = (2 * k + 2 * cout) * ho * wo * 8
+    sample_bytes = conv_sample_bytes(cin, cout, kh, kw, ho, wo)
     chunk = min(b, max(1, CHUNK_BYTES // sample_bytes))
     spans = [slice(s, min(s + chunk, b)) for s in range(0, b, chunk)]
     buf_shape = (chunk, 2, cin, kh, kw, ho, wo)

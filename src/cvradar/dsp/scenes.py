@@ -146,12 +146,15 @@ def parse_scene_file(path):
     "scenes": [{"class": idx, "reflectors": [[r, az, el, re, im], ...],
     "noise_level": x, "distance_tag": str, "split_hint": str}]}.
     Returns (config, classes, entries) where each entry is
-    (scene, class_index, distance_tag, split_hint). A scene file carries no
+    (scene, class_index, distance_tag, split_hint); an empty scene list is
+    refused, since no manifest may list no samples. A scene file carries no
     noise seed: each scene's seed is None, for the caller to set (cvradar
     synth derives one per scene from --seed). Unknown keys are ignored.
     """
     doc = _read_json(path)
     classes, samples = _check_samples(path, doc, (), "scenes")
+    if not samples:
+        raise DatasetError(f"{path}: 'scenes' lists no scenes")
     cfg = doc.get("config")
     if not isinstance(cfg, dict):
         raise DatasetError(f"{path}: missing 'config' object")

@@ -3,8 +3,6 @@ cross-attention over their realified features, and one fully connected head."""
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ..ctensor import ComplexTensor, ShapeError, ops, parallel
 from ..cnn.branch import (
     branch_forward,
@@ -14,7 +12,7 @@ from ..cnn.branch import (
     init_branch,
     rebuild_branch,
 )
-from ..cnn.layers import real_uniform
+from ..cnn.layers import check_head, init_head
 from .attention import AttentionBlock, bidirectional_fuse, init_attention
 
 __all__ = ["FuseNetModel", "init_fusenet", "classify", "fusenet_forward", "fusenet_logits_batch"]
@@ -30,13 +28,7 @@ class FuseNetModel:
     head_b: ComplexTensor  # (n_classes,)
 
     def __post_init__(self):
-        want = self.attn.fused_dim
-        if self.head_w.ndim != 2 or self.head_w.shape[0] != want:
-            raise ShapeError(f"head weights {self.head_w.shape} do not accept {want} fused dims")
-        if self.head_b.shape != (self.head_w.shape[1],):
-            raise ShapeError(
-                f"head bias {self.head_b.shape} does not match {self.head_w.shape[1]} classes"
-            )
+        check_head(self.head_w, self.head_b, self.attn.fused_dim, "fused dims")
 
     @property
     def n_classes(self):
@@ -63,14 +55,9 @@ class FuseNetModel:
 def init_fusenet(config, n_classes, rng, embed_dim, heads):
     c_f, _ = config.feature_shape()
     attn = init_attention(2 * c_f, embed_dim, heads, rng)
-    return FuseNetModel(
-        config=config,
-        branch_iq=init_branch(config, rng),
-        branch_fft=init_branch(config, rng),
-        attn=attn,
-        head_w=real_uniform(rng, (attn.fused_dim, n_classes), attn.fused_dim),
-        head_b=ComplexTensor(np.zeros(n_classes), np.zeros(n_classes)),
-    )
+    # rng draws, as arguments run left to right: attention, iq branch, fft branch, head
+    return FuseNetModel(config, init_branch(config, rng), init_branch(config, rng), attn,
+                        *init_head(rng, attn.fused_dim, n_classes))
 
 
 def classify(fused, head_w, head_b):

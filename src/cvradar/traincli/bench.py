@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cnn import BranchConfig, ConvSpec
-from ..dsp import ManifestEntry, RadarConfig, class_scene, synth_fmcw_cube, write_manifest, write_rfc1
+from ..dsp import RadarConfig, class_scene
+from .cli import write_cubes
 from .config import TrainConfig
 from .metrics import evaluate_pairs
 from .pipeline import load_pairs
@@ -73,27 +74,17 @@ def bench_train_config(manifest, seed, epochs, batch_size=8):
 
 
 def _emit(out_dir, radar, specs, classes, data_seed, noise_level):
-    """specs: list of (class_index, n, distance band, split_hint)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """specs: list of (class_index, n, distance band, split_hint). Each cube draws
+    its distance, then its sample seed, from data_seed; cli.write_cubes writes the set."""
     rng = np.random.default_rng(data_seed)
-    entries = []
+    scenes = []
     for class_index, count, (lo, hi), hint in specs:
         for _ in range(count):
             distance = float(rng.uniform(lo, hi))
-            scene = class_scene(
-                class_index,
-                distance,
-                sample_seed=int(rng.integers(2**31)),
-                config=radar,
-                noise_level=noise_level,
-            )
-            cube = synth_fmcw_cube(scene, radar)
-            name = f"cube_{len(entries):05d}.rfc1"
-            write_rfc1(os.path.join(out_dir, name), cube)
-            entries.append(ManifestEntry(name, class_index, f"{distance:.3f}m", hint))
-    manifest = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest, classes, entries, shape=radar.shape)
-    return manifest
+            scene = class_scene(class_index, distance, sample_seed=int(rng.integers(2**31)),
+                                config=radar, noise_level=noise_level)
+            scenes.append((scene, class_index, f"{distance:.3f}m", hint))
+    return write_cubes(out_dir, radar, classes, scenes)
 
 
 def build_shift_benchmark(out_dir, n_classes=2, per_class_train=25, per_class_shifted=15):

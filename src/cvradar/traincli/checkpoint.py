@@ -23,23 +23,37 @@ from ..fusion import init_fusenet
 from ..dsp import json_float, json_int
 from .config import branch_from_dict, branch_to_dict
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointError", "MODEL_KINDS", "model_kind", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"CVW1"
 _VERSION = 1
+
+# model kind -> (initializer, the header fields it takes beyond the branch and class count)
+MODEL_KINDS = {"baseline": (init_baseline, ()), "fusenet": (init_fusenet, ("embed_dim", "heads"))}
 
 
 class CheckpointError(ValueError):
     """Raised on malformed checkpoint files; the message names the path."""
 
 
+def model_kind(kind):
+    """kind's MODEL_KINDS entry; ValueError for anything else."""
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
+    return MODEL_KINDS[kind]
+
+
 def _all_tensors(model):
     return list(model.parameters()) + list(model.state())
 
 
+def _record_head(t):
+    """The head of a tensor's record: u32 rank, then its u32 extents."""
+    return struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape)
+
+
 def save_checkpoint(path, model, kind, meta=None):
-    if kind not in ("baseline", "fusenet"):
-        raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
+    _, dims = model_kind(kind)
     tensors = _all_tensors(model)
     header = {
         "version": _VERSION,
@@ -48,10 +62,8 @@ def save_checkpoint(path, model, kind, meta=None):
         "branch": branch_to_dict(model.config),
         "tensors": [name for name, _ in tensors],
         "meta": meta or {},
+        **{d: getattr(model.attn, d) for d in dims},
     }
-    if kind == "fusenet":
-        header["embed_dim"] = model.attn.embed_dim
-        header["heads"] = model.attn.heads
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     records = []
     for name, t in tensors:
@@ -61,7 +73,7 @@ def save_checkpoint(path, model, kind, meta=None):
             raise CheckpointError(
                 f"{path}: tensor {name!r} holds NaN, Inf or values beyond float32 range"
             )
-        records.append(struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape) + planes.tobytes())
+        records.append(_record_head(t) + planes.tobytes())
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -100,9 +112,8 @@ def _skeleton(header, path, payload_bytes):
     """Check the header's fields, then build a placeholder model once its
     dimensions fit the payload."""
     kind = header.get("kind")
-    if kind not in ("baseline", "fusenet"):
-        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     try:
+        init, dims = model_kind(kind)
         # eval re-derives the test split from these, so they must be usable as stored
         meta = header.get("meta", {})
         if "seed" in meta and json_int(meta["seed"], "meta 'seed'") < 0:
@@ -112,20 +123,14 @@ def _skeleton(header, path, payload_bytes):
             raise ValueError(f"meta 'split_ratio' must be in (0, 1), got {ratio!r}")
         branch = branch_from_dict(header["branch"])
         n_classes = _positive_int(header, "n_classes")
-        embed_dim = heads = None
-        if kind == "fusenet":
-            embed_dim = _positive_int(header, "embed_dim")
-            heads = _positive_int(header, "heads")
-        need = 8 * _implied_values(kind, branch, n_classes, embed_dim)
+        extra = {d: _positive_int(header, d) for d in dims}
+        need = 8 * _implied_values(kind, branch, n_classes, extra.get("embed_dim"))
         if need > payload_bytes:
             raise CheckpointError(
                 f"{path}: header dimensions need {need} payload bytes, "
                 f"only {payload_bytes} follow the header"
             )
-        rng = np.random.default_rng(0)  # placeholder values; every tensor is overwritten
-        if kind == "baseline":
-            return init_baseline(branch, n_classes, rng)
-        return init_fusenet(branch, n_classes, rng, embed_dim=embed_dim, heads=heads)
+        return init(branch, n_classes, np.random.default_rng(0), **extra)  # placeholder values
     except CheckpointError:
         raise
     except KeyError as e:
@@ -152,45 +157,33 @@ def load_checkpoint(path):
     if type(header.get("version")) is not int or header["version"] != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
     model = _skeleton(header, path, len(blob) - 8 - header_len)
-    expected = [name for name, _ in _all_tensors(model)]
-    if header.get("tensors") != expected:
+    tensors = _all_tensors(model)
+    if header.get("tensors") != [name for name, _ in tensors]:
         raise CheckpointError(
             f"{path}: tensor manifest does not match a {header['kind']} model "
             f"of the declared dimensions"
         )
-    shapes = {name: t.shape for name, t in _all_tensors(model)}
     offset = 8 + header_len
     mapping = {}
-    for name in expected:
-        if offset + 4 > len(blob):
+    for name, t in tensors:
+        head = _record_head(t)
+        stored = blob[offset : offset + len(head)]
+        offset += len(head)
+        if offset + 8 * t.size > len(blob):
             raise CheckpointError(f"{path}: truncated at tensor {name!r}")
-        (rank,) = struct.unpack("<I", blob[offset : offset + 4])
-        offset += 4
-        if rank != len(shapes[name]):
+        if stored != head:
+            rank, *extents = struct.unpack(f"<{1 + t.ndim}I", stored)
             raise CheckpointError(
-                f"{path}: tensor {name!r} has rank {rank}, expected {len(shapes[name])}"
+                f"{path}: tensor {name!r} has shape {tuple(extents)} of rank {rank}, "
+                f"expected {t.shape}"
             )
-        if offset + 4 * rank > len(blob):
-            raise CheckpointError(f"{path}: truncated at tensor {name!r}")
-        extents = struct.unpack(f"<{rank}I", blob[offset : offset + 4 * rank]) if rank else ()
-        offset += 4 * rank
-        if extents != shapes[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {extents}, expected {shapes[name]}"
-            )
-        count = int(np.prod(extents, dtype=np.int64)) if rank else 1
-        need = 8 * count
-        if offset + need > len(blob):
-            raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-        planes = np.frombuffer(blob, dtype="<f4", count=2 * count, offset=offset)
-        offset += need
+        planes = np.frombuffer(blob, dtype="<f4", count=2 * t.size, offset=offset)
+        offset += 8 * t.size
         if not np.isfinite(planes).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         if name.endswith(".running_var") and (planes < 0).any():
             raise CheckpointError(f"{path}: tensor {name!r} holds negative variances")
-        re = planes[:count].astype(np.float64).reshape(extents)
-        im = planes[count:].astype(np.float64).reshape(extents)
-        mapping[name] = ComplexTensor(re, im)
+        mapping[name] = ComplexTensor(*planes.reshape((2,) + t.shape))  # copied to float64
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
     return model.with_tensors(mapping), header["kind"], header.get("meta", {})

@@ -13,14 +13,14 @@ from ..dsp import (
     parse_scene_file, synth_fmcw_cube, write_manifest, write_rfc1,
 )
 from .adam import OptimizerError
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import MODEL_KINDS, CheckpointError, load_checkpoint
 from .checks import GRAD_SUITES, fft_check, run_grad_suites
 from .config import ConfigError, load_train_config
 from .metrics import evaluate_pairs, render_report, report_json, report_to_dict
 from .pipeline import load_pairs, preprocess_dataset, split_pairs
 from .train import TrainingError, train
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "write_cubes"]
 
 
 def build_parser():
@@ -36,7 +36,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model and write per-epoch checkpoints")
     p.add_argument("--config", required=True, help="JSON training configuration")
-    p.add_argument("--model", required=True, choices=("baseline", "fusenet"))
+    p.add_argument("--model", required=True, choices=tuple(MODEL_KINDS))
     p.add_argument("--out", required=True, help="output directory for checkpoints and metrics")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -102,10 +102,10 @@ def _cmd_eval(args):
     if args.split == "unseen":
         chosen = tuple(p for p in pairs if p.unseen)
     else:
-        if "seed" not in meta or "split_ratio" not in meta:
+        if missing := [key for key in ("seed", "split_ratio") if key not in meta]:
             raise CheckpointError(
-                f"{args.weights}: checkpoint carries no split seed; only --split unseen "
-                "is possible with it"
+                f"{args.weights}: checkpoint meta lacks {' and '.join(map(repr, missing))}; "
+                "only --split unseen is possible with it"
             )
         chosen = split_pairs(classes, pairs, meta["seed"], meta["split_ratio"]).test
     if not chosen:
@@ -117,30 +117,34 @@ def _cmd_eval(args):
     return 0
 
 
+def write_cubes(out_dir, config, classes, scenes):
+    """Write scene i of the seeded (scene, class_index, distance_tag, split_hint)
+    tuples to out_dir/cube_{i:05d}.rfc1, as two halves of the list (ctensor.halves),
+    then their manifest; returns its path. synth_fmcw_cube and write_rfc1 are
+    looked up in this module at call time, where perfbench's tracer wraps them."""
+    os.makedirs(out_dir, exist_ok=True)
+    entries = [ManifestEntry(f"cube_{i:05d}.rfc1", *tags) for i, (_, *tags) in enumerate(scenes)]
+
+    def write(a, e):
+        for (scene, *_), entry in zip(scenes[a:e], entries[a:e]):
+            write_rfc1(os.path.join(out_dir, entry.path), synth_fmcw_cube(scene, config))
+
+    halves(len(scenes), write)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_manifest(manifest_path, classes, entries, shape=config.shape)
+    return manifest_path
+
+
 def _cmd_synth(args):
     if args.seed < 0:
         return _usage_error(f"--seed must be a non-negative integer, got {args.seed}")
     config, classes, entries = parse_scene_file(args.scenes)
-    os.makedirs(args.out, exist_ok=True)
-    names = [f"cube_{i:05d}.rfc1" for i in range(len(entries))]
-
-    def write(a, e):
-        for i in range(a, e):
-            scene = entries[i][0]
-            seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
-            cube = synth_fmcw_cube(
-                SyntheticScene(scene.reflectors, scene.noise_level, seed), config
-            )
-            write_rfc1(os.path.join(args.out, names[i]), cube)
-
-    # two halves of the scene list, the second on the lane worker where the lane
-    # rule allows; the manifest follows in scene order once both have ended
-    halves(len(entries), write)
-    manifest_entries = [ManifestEntry(name, class_index, distance_tag, split_hint)
-                        for name, (_, class_index, distance_tag, split_hint) in zip(names, entries)]
-    manifest_path = os.path.join(args.out, "manifest.json")
-    write_manifest(manifest_path, classes, manifest_entries, shape=config.shape)
-    print(f"wrote {len(manifest_entries)} cubes and {manifest_path}")
+    scenes = []
+    for i, (scene, *tags) in enumerate(entries):
+        seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
+        scenes.append((SyntheticScene(scene.reflectors, scene.noise_level, seed), *tags))
+    manifest_path = write_cubes(args.out, config, classes, scenes)
+    print(f"wrote {len(scenes)} cubes and {manifest_path}")
     return 0
 
 

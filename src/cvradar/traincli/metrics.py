@@ -7,6 +7,7 @@ import numpy as np
 
 from ..cnn import baseline_logits, chunk_size
 from ..fusion import fusenet_forward
+from .checkpoint import model_kind
 from .pipeline import stack_pairs
 
 __all__ = [
@@ -52,8 +53,7 @@ def evaluate_pairs(model, kind, pairs, tag, loss_curve=()):
     consumes both. Consecutive chunks of cnn.chunk_size pairs run through
     the batched forward. Ties break toward the lowest class index.
     """
-    if kind not in ("baseline", "fusenet"):
-        raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
+    model_kind(kind)
     c = model.n_classes
     for p in pairs:
         if not 0 <= p.label < c:

@@ -8,14 +8,15 @@ bit-identical checkpoints and metrics.
 
 import math
 import os
+import shutil
 
 import numpy as np
 
 from ..ctensor import GradTape, ops
-from ..cnn import baseline_logits, init_baseline
-from ..fusion import fusenet_logits_batch, init_fusenet
+from ..cnn import baseline_logits
+from ..fusion import fusenet_logits_batch
 from .adam import adam_step, init_adam_state
-from .checkpoint import save_checkpoint
+from .checkpoint import model_kind, save_checkpoint
 from .metrics import MetricsReport, evaluate_pairs
 from .pipeline import SPLIT_RATIO, load_pairs, split_pairs, stack_pairs
 
@@ -70,18 +71,9 @@ def _batch_loss(model, kind, pairs, idx, n_classes):
 
 
 def init_model(config, n_classes, kind):
+    init, dims = model_kind(kind)
     rng = np.random.default_rng(config.seed)
-    if kind == "baseline":
-        return init_baseline(config.branch, n_classes, rng)
-    if kind == "fusenet":
-        return init_fusenet(
-            config.branch,
-            n_classes,
-            rng,
-            embed_dim=config.embed_dim,
-            heads=config.heads,
-        )
-    raise ValueError(f"kind must be 'baseline' or 'fusenet', got {kind!r}")
+    return init(config.branch, n_classes, rng, **{d: getattr(config, d) for d in dims})
 
 
 def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
@@ -153,10 +145,6 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
         if progress is not None:
             progress(epoch, report)
     if out_dir:
-        save_checkpoint(
-            os.path.join(out_dir, "final.ckpt"),
-            model,
-            kind,
-            meta={**meta, "epoch": config.epochs - 1},
-        )
+        # the last epoch's file holds the same model and meta, byte for byte
+        shutil.copyfile(last_ckpt, os.path.join(out_dir, "final.ckpt"))
     return model, tuple(reports)

@@ -786,6 +786,8 @@ class TestTrainLoop:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, name
+        assert (tmp_path / "r1" / "final.ckpt").read_bytes() == \
+            (tmp_path / "r1" / "epoch_001.ckpt").read_bytes()
 
     def test_fresh_loss_near_log_c(self, tiny_manifest):
         # near-zero fresh logits make the first recorded loss about ln(2)
@@ -1127,6 +1129,21 @@ class TestDspHalves:
             load_pairs(str(cubes / "manifest.json"))
         assert len(lane_submissions) == 2
 
+    def test_bench_set_halves_give_the_same_bytes(self, tmp_path, monkeypatch, two_cores,
+                                                  lane_submissions):
+        """build_*_benchmark writes through cli.write_cubes: one half of its
+        cubes goes to the worker, and where it ran changes no byte."""
+        def tree(root):
+            build_overfit_benchmark(str(root), per_class=2, held_out_per_class=1)
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        worker = tree(tmp_path / "worker")
+        assert len(lane_submissions) == 1
+        monkeypatch.setattr(tape, "_second_core", lambda: False)
+        assert tree(tmp_path / "in_order") == worker
+        assert len(lane_submissions) == 1
+        assert len(worker) == 6 + 1
+
     @pytest.mark.parametrize("command", ["synth", "preprocess"])
     def test_second_half_failure_writes_no_manifest(self, tmp_path, monkeypatch, capsys,
                                                     two_cores, lane_submissions, command):
@@ -1213,23 +1230,25 @@ class TestCli:
         assert str(ckpt) in err and tiny_manifest in err
         assert "(4, 8)" in err and "(64, 32)" in err
 
-    @pytest.mark.parametrize("fault", ["no-seed", "no-unseen"])
+    @pytest.mark.parametrize("fault", ["no-seed", "no-ratio", "no-unseen"])
     def test_eval_unusable_split_is_one_error_line(self, tiny_manifest, tmp_path, capsys, fault):
-        """A checkpoint without a split seed cannot give --split test, and a
-        manifest without unseen samples has no --split unseen."""
+        """A checkpoint without a split seed or ratio cannot give --split test,
+        and a manifest without unseen samples has no --split unseen."""
         manifest = tiny_manifest
         if fault == "no-unseen":
             manifest = build_overfit_benchmark(str(tmp_path / "seen"), per_class=2,
                                                held_out_per_class=0)
         ckpt = tmp_path / "no_meta.ckpt"
         model = init_model(bench_train_config(tiny_manifest, seed=0, epochs=1), 2, "baseline")
-        save_checkpoint(ckpt, model, "baseline")
-        split = {"no-seed": "test", "no-unseen": "unseen"}[fault]
+        save_checkpoint(ckpt, model, "baseline", meta={"seed": 0} if fault == "no-ratio" else None)
+        split = "unseen" if fault == "no-unseen" else "test"
         assert main(["eval", "--weights", str(ckpt), "--manifest", manifest,
                      "--split", split]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert {"no-seed": str(ckpt), "no-unseen": manifest}[fault] in err
+        assert (manifest if fault == "no-unseen" else str(ckpt)) in err
+        assert {"no-seed": "lacks 'seed' and 'split_ratio'", "no-ratio": "lacks 'split_ratio'",
+                "no-unseen": "'unseen' is empty"}[fault] in err
 
     def test_preprocess_then_train(self, tiny_manifest, tmp_path):
         assert main(["preprocess", "--manifest", tiny_manifest,
@@ -1277,6 +1296,16 @@ class TestCli:
         assert main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "0"]) == 1
         assert "'classes'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.rfc1"))
+
+    def test_synth_empty_scene_list_is_one_error_line(self, tmp_path, capsys):
+        """No cube manifest may list no samples, so synth refuses to write one."""
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps(dict(TestDspHalves.SCENES, scenes=[])))
+        out = tmp_path / "cubes"
+        assert main(["synth", "--scenes", str(scenes), "--out", str(out), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {scenes}: 'scenes' lists no scenes\n"
+        assert not out.exists()
 
     def test_synth_negative_seed_refused_before_writing(self, tmp_path, capsys):
         scenes = tmp_path / "scenes.json"
