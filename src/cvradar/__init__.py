@@ -7,6 +7,10 @@ Subpackages:
   fusion   - realified features, bidirectional cross-attention, head
   traincli - training pairs and splits, Adam, training loop, metrics,
              checkpoints, command line
+
+Each subpackage exports exactly the names its modules list in __all__
+(``from .module import *``); ctensor also exports its ops module. Other
+module-level names are imported by module path.
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from .branch import (
 from .layers import check_head, init_head
 
 __all__ = [
-    "BaselineModel",
     "init_baseline",
     "baseline_logits",
 ]

@@ -19,13 +19,10 @@ from .layers import init_batchnorm, init_conv
 __all__ = [
     "ConvSpec",
     "BranchConfig",
-    "BranchWeights",
     "default_branch_config",
     "init_branch",
     "branch_forward",
-    "branch_parameters",
     "chunk_size",
-    "rebuild_branch",
 ]
 
 # each stage's tensor names, in checkpoint order: "<prefix>.conv<i>.<name>"

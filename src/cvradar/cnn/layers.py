@@ -13,14 +13,8 @@ import numpy as np
 from ..ctensor import ComplexTensor, ShapeError, ops
 
 __all__ = [
-    "ComplexConvLayer",
-    "ComplexBatchNormLayer",
     "init_conv",
     "init_batchnorm",
-    "init_head",
-    "check_head",
-    "complex_uniform",
-    "real_uniform",
 ]
 
 

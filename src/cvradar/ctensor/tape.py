@@ -28,7 +28,7 @@ import numpy as np
 
 from .tensor import ComplexTensor, ShapeError, _wrap
 
-__all__ = ["GradTape", "TapeError", "active_tape", "halves", "parallel"]
+__all__ = ["GradTape", "TapeError", "halves", "parallel"]
 
 
 class TapeError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Sample-list files: their validator, cube read loop and manifest writer, and the JSON-number rule.
+"""Sample-list files: their validator, cube read loop and manifest writer, and the JSON reader and number rule.
 
 Cube manifests, pairs manifests and scene files are all checked by
 _check_samples. load_samples reads the cubes a manifest lists, and
@@ -15,7 +15,7 @@ from ..ctensor import halves
 from .cube import read_rfc1
 
 __all__ = ["DatasetError", "ManifestEntry", "json_float", "json_int", "load_samples",
-           "write_manifest"]
+           "read_json", "write_manifest"]
 
 MANIFEST_VERSION = 1
 _SPLIT_HINTS = ("auto", "unseen")
@@ -52,13 +52,19 @@ def json_float(value, name):
         return math.inf if value > 0 else -math.inf
 
 
-def _read_json(path):
-    """The JSON document in the file at path; DatasetError naming it if it does not parse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as e:
-            raise DatasetError(f"{path}: not valid JSON: {e}") from e
+def read_json(path, error, blob=None, what="not valid JSON"):
+    """The JSON document in the file at path, or in blob, UTF-8 bytes read from it.
+
+    Bytes that are not UTF-8 or not JSON, an integer too long to convert, or
+    nesting too deep to parse raise error(f"{path}: {what}: ...").
+    """
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise error(f"{path}: {what}: {e}") from e
 
 
 def _check_samples(path, doc, path_keys, list_key="samples"):
@@ -116,7 +122,7 @@ def load_samples(manifest_path):
     halves of the list (ctensor.halves), the second on the lane worker where
     the lane rule allows.
     """
-    doc = _read_json(manifest_path)
+    doc = read_json(manifest_path, DatasetError)
     pairs = isinstance(doc, dict) and doc.get("kind") == "pairs"
     path_keys = ("iq", "fft") if pairs else ("path",)
     classes, checked = _check_samples(manifest_path, doc, path_keys)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..ctensor import ComplexTensor
 from .cube import RadarConfig, _SPEED_OF_LIGHT
-from .dataset import DatasetError, _check_samples, _read_json, json_float, json_int
+from .dataset import DatasetError, _check_samples, json_float, json_int, read_json
 
 __all__ = [
     "SyntheticScene",
@@ -151,7 +151,7 @@ def parse_scene_file(path):
     noise seed: each scene's seed is None, for the caller to set (cvradar
     synth derives one per scene from --seed). Unknown keys are ignored.
     """
-    doc = _read_json(path)
+    doc = read_json(path, DatasetError)
     classes, samples = _check_samples(path, doc, (), "scenes")
     if not samples:
         raise DatasetError(f"{path}: 'scenes' lists no scenes")

@@ -13,7 +13,6 @@ from ..ctensor import ComplexTensor, ShapeError, ops
 from ..cnn.layers import real_uniform
 
 __all__ = [
-    "AttentionBlock",
     "attention_weights",
     "scaled_dot_attention",
     "bidirectional_fuse",

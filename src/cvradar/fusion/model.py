@@ -15,7 +15,7 @@ from ..cnn.branch import (
 from ..cnn.layers import check_head, init_head
 from .attention import AttentionBlock, bidirectional_fuse, init_attention
 
-__all__ = ["FuseNetModel", "init_fusenet", "classify", "fusenet_forward", "fusenet_logits_batch"]
+__all__ = ["init_fusenet", "classify", "fusenet_forward", "fusenet_logits_batch"]
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,17 @@ batch-norm running variance.
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
 from ..ctensor import ComplexTensor
 from ..cnn import init_baseline
 from ..fusion import init_fusenet
-from ..dsp import json_float, json_int
-from .config import branch_from_dict, branch_to_dict
+from ..dsp import json_float, json_int, read_json
+from .config import branch_from_dict
 
-__all__ = ["CheckpointError", "MODEL_KINDS", "model_kind", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"CVW1"
 _VERSION = 1
@@ -59,7 +60,7 @@ def save_checkpoint(path, model, kind, meta=None):
         "version": _VERSION,
         "kind": kind,
         "n_classes": model.n_classes,
-        "branch": branch_to_dict(model.config),
+        "branch": asdict(model.config),
         "tensors": [name for name, _ in tensors],
         "meta": meta or {},
         **{d: getattr(model.attn, d) for d in dims},
@@ -148,10 +149,7 @@ def load_checkpoint(path):
     (header_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + header_len:
         raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: bad header: {e}") from e
+    header = read_json(path, CheckpointError, blob[8 : 8 + header_len], "bad header")
     if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
         raise CheckpointError(f"{path}: header and its 'meta' must be JSON objects")
     if type(header.get("version")) is not int or header["version"] != _VERSION:

@@ -20,16 +20,9 @@ from ..dsp import dft3d_direct, fft3d_array
 from ..fusion import bidirectional_fuse, fusenet_logits_batch, init_attention, init_fusenet
 
 __all__ = [
-    "CheckResult",
     "toy_branch_config",
     "toy_fusenet_instance",
-    "check_primitives",
-    "check_layers",
-    "check_attention",
-    "check_fusenet",
     "run_grad_suites",
-    "fft_check",
-    "GRAD_SUITES",
 ]
 
 

@@ -3,17 +3,14 @@
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..cnn import BranchConfig, ConvSpec, default_branch_config
-from ..dsp import json_float, json_int
+from ..dsp import json_float, json_int, read_json
 
 __all__ = [
     "ConfigError",
     "TrainConfig",
-    "branch_to_dict",
-    "branch_from_dict",
-    "config_to_dict",
     "config_from_dict",
     "load_train_config",
     "write_train_config",
@@ -56,17 +53,6 @@ class TrainConfig:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
 
 
-def branch_to_dict(branch):
-    return {
-        "input_hw": list(branch.input_hw),
-        "convs": [
-            {"out_channels": c.out_channels, "kernel": list(c.kernel), "stride": list(c.stride)}
-            for c in branch.convs
-        ],
-        "pool_window": branch.pool_window,
-    }
-
-
 def branch_from_dict(doc):
     try:
         convs = tuple(
@@ -93,11 +79,6 @@ _NUMBER_FIELDS = {
 }
 
 
-def config_to_dict(config):
-    doc = {name: getattr(config, name) for name in _NUMBER_FIELDS}
-    return {"manifest": config.manifest, "branch": branch_to_dict(config.branch), **doc}
-
-
 def config_from_dict(doc, base_dir=None):
     if not isinstance(doc, dict):
         raise ConfigError("training config must be a JSON object")
@@ -122,11 +103,7 @@ def config_from_dict(doc, base_dir=None):
 
 def load_train_config(path):
     """Parse a JSON training config; relative manifest paths resolve against it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise ConfigError(f"{path}: not valid JSON: {e}") from e
+    doc = read_json(path, ConfigError)
     try:
         return config_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
     except ConfigError as e:
@@ -135,5 +112,5 @@ def load_train_config(path):
 
 def write_train_config(path, config):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")

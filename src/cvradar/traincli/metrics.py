@@ -15,7 +15,6 @@ __all__ = [
     "evaluate_pairs",
     "report_to_dict",
     "render_report",
-    "report_json",
 ]
 
 

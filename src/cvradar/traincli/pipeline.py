@@ -26,7 +26,7 @@ from ..dsp import (
     write_rfc1,
 )
 
-__all__ = ["SamplePair", "Split", "load_pairs", "stack_pairs", "split_pairs", "preprocess_dataset"]
+__all__ = ["load_pairs", "split_pairs", "preprocess_dataset"]
 
 SPLIT_RATIO = 0.8  # conventional 80/20 train/test split
 
@@ -112,8 +112,14 @@ def preprocess_dataset(manifest_path, out_dir):
     The samples are transformed and written as two halves of the list
     (ctensor.halves), the second on the lane worker where the lane rule allows;
     the manifest is written in sample order once both have ended, and not at all
-    if a sample failed.
+    if a sample failed. An out_dir whose manifest.json is the input manifest is
+    refused before anything is written.
     """
+    out_manifest = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(out_manifest) and os.path.samefile(manifest_path, out_manifest):
+        raise DatasetError(
+            f"{manifest_path}: preprocess would overwrite this input manifest with {out_manifest}"
+        )
     classes, samples = load_samples(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     names = [(f"sample_{i:05d}.iq.rfc1", f"sample_{i:05d}.fft.rfc1") for i in range(len(samples))]
@@ -126,6 +132,5 @@ def preprocess_dataset(manifest_path, out_dir):
     halves(len(samples), cache)
     entries = [ManifestEntry(pair, label, distance_tag, "unseen" if unseen else "auto")
                for pair, (_, label, distance_tag, unseen) in zip(names, samples)]
-    out_manifest = os.path.join(out_dir, "manifest.json")
     write_manifest(out_manifest, classes, entries)
     return out_manifest

@@ -20,7 +20,7 @@ from .checkpoint import model_kind, save_checkpoint
 from .metrics import MetricsReport, evaluate_pairs
 from .pipeline import SPLIT_RATIO, load_pairs, split_pairs, stack_pairs
 
-__all__ = ["TrainingError", "DivergenceError", "train", "epoch_batches"]
+__all__ = ["TrainingError", "DivergenceError", "train", "epoch_batches", "init_model"]
 
 
 class TrainingError(RuntimeError):

@@ -6,17 +6,24 @@ its own subpackage, but not of another one: dsp's private helpers stay
 private to dsp, and so on for ctensor, cnn, fusion and traincli. Outside the
 package __init__ files, which re-export, every imported name must be read in
 its module. Every function ctensor.ops exports is used by some other
-module, as ops.f or imported from ops. The checks read every module under
-src/cvradar with ast.
+module, as ops.f or imported from ops. Each subpackage __init__ only
+re-exports its modules' __all__ (from .module import *) or imports a module,
+and every name a package exports is imported from it by some module under
+src/, tests/ or perfbench/, or by README.md. The checks read the source
+with ast.
 """
 
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 from cvradar.ctensor import ops
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cvradar"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "cvradar"
+PACKAGES = sorted(path.parent.name for path in SRC.glob("*/__init__.py"))
 
 # (module, name) -> why an import that nothing in its module reads stays
 UNUSED_IMPORTS_ALLOWED = {
@@ -131,3 +138,93 @@ def test_every_exported_op_has_a_caller():
 def test_ops_use_checker():
     source = "from ..ctensor.ops import reshape\nops.cconv2d(x)\nf(ops.bmm)\ns.add(1)\nbmm(a, b)\n"
     assert ops_used(source) == {"reshape", "cconv2d", "bmm"}
+
+
+def init_faults(package, source):
+    """(line, statement) for each statement of a package __init__ other than its
+    docstring, `from .module import *` and `from . import module`."""
+    found = []
+    for i, node in enumerate(ast.parse(source).body):
+        if i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names]
+            if node.module and names == ["*"]:
+                continue
+            if not node.module and all((SRC / package / f"{n}.py").exists() for n in names):
+                continue
+        found.append((node.lineno, ast.unparse(node).splitlines()[0]))
+    return found
+
+
+def test_package_inits_only_reexport_their_modules():
+    offenders = [
+        f"{package}/__init__.py:{line}: {text}"
+        for package in PACKAGES
+        for line, text in init_faults(package, (SRC / package / "__init__.py").read_text("utf-8"))
+    ]
+    assert not offenders, "package __init__ names more than its modules:\n" + "\n".join(offenders)
+
+
+def test_init_checker():
+    source = '"""Doc."""\nfrom .tape import *\nfrom . import ops\nfrom .tape import halves\n__all__ = ["a"]\n'
+    assert init_faults("ctensor", source) == [
+        (4, "from .tape import halves"), (5, "__all__ = ['a']"),
+    ]
+    assert init_faults("ctensor", "from . import nothing_here\n") == [
+        (1, "from . import nothing_here"),
+    ]
+
+
+def package_exports(package):
+    """The names cvradar.<package> exports: the __all__ of each module its
+    __init__ star-imports, and every name it imports explicitly."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / package / "__init__.py").read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "*":
+                    names |= set(importlib.import_module(f"cvradar.{package}.{node.module}").__all__)
+                else:
+                    names.add(alias.name)
+    return names
+
+
+def names_imported_from_packages(source, rel_path=None):
+    """{(package, name)} for each name source imports from a cvradar subpackage
+    itself, not from one of its modules: `from cvradar.<package> import name`, or
+    `from ..<package> import name` in the module at rel_path under src/cvradar."""
+    package = ("cvradar",) + Path(rel_path).parts[:-1] if rel_path else ()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = package[: len(package) - node.level + 1] if node.level else ()
+        target = base + tuple(node.module.split(".") if node.module else ())
+        if len(target) == 2 and target[0] == "cvradar":
+            found |= {(target[1], alias.name) for alias in node.names}
+    return found
+
+
+def test_every_package_export_is_imported_from_its_package():
+    imported = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "__init__.py":
+            rel = path.relative_to(SRC).as_posix()
+            imported |= names_imported_from_packages(path.read_text("utf-8"), rel)
+    for path in sorted((REPO / "tests").rglob("*.py")) + sorted((REPO / "perfbench").rglob("*.py")):
+        imported |= names_imported_from_packages(path.read_text("utf-8"))
+    for block in re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text("utf-8"), re.S):
+        imported |= names_imported_from_packages(block)
+    unused = sorted(
+        f"{package}.{name}" for package in PACKAGES for name in package_exports(package)
+        if (package, name) not in imported
+    )
+    assert not unused, f"exported but imported from the package by nothing: {unused}"
+
+
+def test_package_import_checker():
+    source = "from ..cnn import init_conv\nfrom ..cnn.layers import init_head\nfrom .metrics import x\n"
+    assert names_imported_from_packages(source, "traincli/train.py") == {("cnn", "init_conv")}
+    source = "from cvradar.dsp import read_rfc1\nfrom cvradar.traincli.cli import main\n"
+    assert names_imported_from_packages(source) == {("dsp", "read_rfc1")}

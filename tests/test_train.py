@@ -7,7 +7,7 @@ import struct
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +39,6 @@ from cvradar.traincli import (
     build_overfit_benchmark,
     build_shift_benchmark,
     config_from_dict,
-    config_to_dict,
     epoch_batches,
     evaluate_pairs,
     init_adam_state,
@@ -119,7 +118,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         c = small_config(seed=7, epochs=3, batch_size=4)
-        assert config_from_dict(config_to_dict(c)) == c
+        assert config_from_dict(asdict(c)) == c
 
     def test_json_file_round_trip(self, tmp_path):
         c = small_config(manifest=str(tmp_path / "m.json"), seed=2)
@@ -135,13 +134,13 @@ class TestTrainConfig:
         assert loaded.manifest == str(tmp_path / "data" / "m.json")
 
     def test_unknown_field_rejected(self):
-        doc = config_to_dict(small_config())
+        doc = asdict(small_config())
         doc["momentum"] = 0.9
         with pytest.raises(ConfigError, match="momentum"):
             config_from_dict(doc)
 
     def test_removed_out_dim_rejected_with_path(self, tmp_path):
-        doc = config_to_dict(small_config())
+        doc = asdict(small_config())
         doc["out_dim"] = 32
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
@@ -180,7 +179,7 @@ class TestTrainConfig:
     ])
     def test_bad_value_names_path(self, tmp_path, field, value):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(self._bad_doc(field, value, config_to_dict(small_config()))))
+        path.write_text(json.dumps(self._bad_doc(field, value, asdict(small_config()))))
         with pytest.raises(ConfigError) as info:
             load_train_config(path)
         assert str(path) in str(info.value)
@@ -662,7 +661,7 @@ class TestCheckpoint:
         cfg = bench_train_config("m.json", 0, 1)
         header = {
             "version": 1, "kind": kind, "n_classes": 2, "tensors": [], "meta": {},
-            "branch": config_to_dict(cfg)["branch"],
+            "branch": asdict(cfg)["branch"],
         }
         if kind == "fusenet":
             header.update(embed_dim=cfg.embed_dim, heads=1)
@@ -1348,8 +1347,50 @@ class TestCli:
 
     def test_train_bad_config_is_one_error_line(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({**config_to_dict(small_config()), "batch_size": 2.5}))
+        config.write_text(json.dumps({**asdict(small_config()), "batch_size": 2.5}))
         assert main(["train", "--config", str(config), "--model", "fusenet",
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "batch_size" in err
+
+    @pytest.mark.parametrize("command, flag, content", [
+        ("preprocess", "--manifest", b"[" * 100_000 + b"]" * 100_000),
+        ("synth", "--scenes", b"[" * 100_000 + b"]" * 100_000),
+        ("train", "--config", b"[" * 100_000 + b"]" * 100_000),
+        ("eval", "--weights", b"[" * 100_000 + b"]" * 100_000),
+        ("eval", "--weights", b'{"n_classes": ' + b"1" * 5000 + b"}"),
+    ], ids=["preprocess-deep", "synth-deep", "train-deep", "eval-deep-header",
+            "eval-5000-digit-header"])
+    def test_undecodable_json_is_one_error_line(self, tmp_path, capsys, command, flag, content):
+        """Nesting too deep to parse and an integer too long to convert are named
+        input errors, in every JSON reader, including a checkpoint's header."""
+        path = tmp_path / "input"
+        if command == "eval":
+            content = b"CVW1" + struct.pack("<I", len(content)) + content
+        path.write_bytes(content)
+        rest = {
+            "preprocess": ["--out", str(tmp_path / "cache")],
+            "synth": ["--out", str(tmp_path / "cubes"), "--seed", "0"],
+            "train": ["--model", "fusenet", "--out", str(tmp_path / "run")],
+            "eval": ["--manifest", str(tmp_path / "m.json"), "--split", "test"],
+        }[command]
+        assert main([command, flag, str(path), *rest]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert ("bad header" if command == "eval" else "not valid JSON") in err
+
+    def test_preprocess_refuses_to_overwrite_its_input_manifest(self, tmp_path, capsys,
+                                                               monkeypatch):
+        cubes = tmp_path / "cubes"
+        manifest = cubes / "manifest.json"
+        build_overfit_benchmark(str(cubes), per_class=2, held_out_per_class=0)
+        before = manifest.read_bytes()
+        files = sorted(cubes.iterdir())
+        monkeypatch.chdir(tmp_path)
+        # two spellings of one directory
+        assert main(["preprocess", "--manifest", "cubes/manifest.json", "--out", "./cubes"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cubes/manifest.json" in err and os.path.join(".", "cubes", "manifest.json") in err
+        assert manifest.read_bytes() == before
+        assert sorted(cubes.iterdir()) == files  # no cached pair was written
