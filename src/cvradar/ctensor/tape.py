@@ -10,19 +10,16 @@ One training step builds and consumes one tape; parallel() lets threads
 record into it on separate lanes. Backward is a pure function of the tape,
 so repeated calls produce bit-identical gradients.
 
-Nodes hold integer keys, not tensors. The tape gives each tensor it sees
-(recorded outputs, recorded inputs, watched leaves) a fresh key through a
-weak map, so it keeps no op's output or input alive: an intermediate is
-freed as soon as its consumers have run, and only what the recorded
-backward closures captured stays. Because the map is weak, a tensor
-allocated at a freed tensor's address gets a new key, never the old one.
+Nodes hold integer keys, not tensors: each tensor's key, the serial number
+set when it was built and never reused. So the tape keeps no op's output or
+input alive: an intermediate is freed as soon as its consumers have run, and
+only what the recorded backward closures captured stays.
 """
 
 import contextvars
-import itertools
 import os
 import threading
-import weakref
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,14 +32,7 @@ class TapeError(RuntimeError):
     """Raised on tape misuse: nesting, shared lanes, non-scalar or off-tape loss."""
 
 
-class _Node:
-    __slots__ = ("op", "out_key", "in_keys", "backward_fn")
-
-    def __init__(self, op, out_key, in_keys, backward_fn):
-        self.op = op
-        self.out_key = out_key
-        self.in_keys = in_keys
-        self.backward_fn = backward_fn
+_Node = namedtuple("_Node", "out_key in_keys backward_fn")
 
 
 _ACTIVE = None
@@ -190,16 +180,7 @@ class GradTape:
     def __init__(self):
         self._nodes = []
         self._leaves = {}  # key -> watched tensor, in watch order
-        self._keys = weakref.WeakKeyDictionary()
-        self._next_key = itertools.count()
         self._output_keys = set()
-
-    def _key(self, tensor):
-        key = self._keys.get(tensor)
-        if key is None:
-            # two lanes may key a tensor at once: the first insert wins
-            key = self._keys.setdefault(tensor, next(self._next_key))
-        return key
 
     # -- recording --------------------------------------------------------
 
@@ -219,7 +200,7 @@ class GradTape:
         """Mark a tensor as a leaf whose gradient backward() must produce."""
         if not isinstance(tensor, ComplexTensor):
             raise TypeError(f"can only watch ComplexTensor, got {type(tensor).__name__}")
-        self._leaves.setdefault(self._key(tensor), tensor)
+        self._leaves.setdefault(tensor.key, tensor)
         return tensor
 
     def tracks(self, tensor):
@@ -230,18 +211,17 @@ class GradTape:
         consumed it still counts. The predicate holds the tensor's key, not
         the tensor, and not the tape.
         """
-        key = self._key(tensor)
+        key = tensor.key
         leaves, outputs = self._leaves, self._output_keys
         return lambda: key in leaves or key in outputs
 
     def record(self, op, output, inputs, backward_fn):
-        # Key every input, known or not: a tensor consumed here and watched
-        # later must still reach this node's adjoint.
-        in_keys = tuple(self._key(t) for t in inputs)
-        out_key = self._key(output)
+        # Keep every input's key, known or not: a tensor consumed here and
+        # watched later must still reach this node's adjoint.
         lane = _LANE.nodes
-        (self._nodes if lane is None else lane).append(_Node(op, out_key, in_keys, backward_fn))
-        self._output_keys.add(out_key)
+        (self._nodes if lane is None else lane).append(
+            _Node(output.key, tuple(t.key for t in inputs), backward_fn))
+        self._output_keys.add(output.key)
 
     def __len__(self):
         return sum(sum(map(len, n)) if type(n) is tuple else 1 for n in self._nodes)
@@ -282,12 +262,11 @@ class GradTape:
             )
         else:
             seed = [cotangent.re, cotangent.im]
-        loss_key = self._keys.get(loss)
-        if loss_key not in self._output_keys:
+        if loss.key not in self._output_keys:
             raise TapeError("loss was not produced on this tape")
 
         # adjoints[key] = [re_grad, im_grad]
-        adjoints = {loss_key: seed}
+        adjoints = {loss.key: seed}
 
         self._walk(self._nodes, adjoints)
 

@@ -3,7 +3,13 @@
 Every value flowing through the library is a ComplexTensor. Real-valued
 data (attention features, logits) rides along with an all-zero imaginary
 plane so there is exactly one tensor type and one gradient engine.
+
+Each tensor carries a key, a serial number drawn from one process-wide
+counter when it is built and never reused; the gradient tape names tensors
+by it.
 """
+
+import itertools
 
 import numpy as np
 
@@ -19,10 +25,10 @@ class ComplexTensor:
 
     Construction copies both planes to float64 and freezes them; zero
     extents are rejected. Rank 0 (shape ()) is the scalar, with element
-    count 1.
+    count 1. key is the tensor's serial number.
     """
 
-    __slots__ = ("re", "im", "shape", "__weakref__")
+    __slots__ = ("re", "im", "shape", "key", "__weakref__")
 
     def __init__(self, re, im=None):
         re = np.array(re, dtype=np.float64)
@@ -53,8 +59,11 @@ class ComplexTensor:
         return f"ComplexTensor(shape={self.shape}, dtype={self.dtype})"
 
 
+_KEYS = itertools.count()  # next() is atomic under the GIL: concurrent lanes get distinct keys
+
+
 def _adopt(t, re, im):
-    # The one plane check and freeze, shared by the constructor and _wrap.
+    # The one plane check, freeze and key, shared by the constructor and _wrap.
     if re.shape != im.shape:
         raise ShapeError(f"re shape {re.shape} != im shape {im.shape}")
     if any(n <= 0 for n in re.shape):
@@ -64,6 +73,7 @@ def _adopt(t, re, im):
     object.__setattr__(t, "re", re)
     object.__setattr__(t, "im", im)
     object.__setattr__(t, "shape", re.shape)
+    object.__setattr__(t, "key", next(_KEYS))
     return t
 
 

@@ -117,6 +117,4 @@ def read_rfc1(path):
     pairs = np.frombuffer(blob, dtype="<f4", offset=16).reshape(-1, 2)
     if not np.isfinite(pairs).all():
         raise CubeFormatError(f"{path}: payload holds non-finite values")
-    re = pairs[:, 0].astype(np.float64).reshape(x, y, n)
-    im = pairs[:, 1].astype(np.float64).reshape(x, y, n)
-    return ComplexTensor(re, im)
+    return ComplexTensor(*pairs.T.reshape(2, x, y, n))  # float32 views, copied once to float64

@@ -163,7 +163,8 @@ def _cmd_gradcheck(args):
 
 def _cmd_fftcheck(args):
     parts = args.size.lower().split("x")
-    if len(parts) != 3 or not all(p.isdigit() and int(p) > 0 for p in parts):
+    # isdecimal, not isdigit: int() refuses digits such as '²' that isdigit accepts
+    if len(parts) != 3 or not all(p.isdecimal() and int(p) > 0 for p in parts):
         return _usage_error(f"--size must look like 20x20x100, got {args.size!r}")
     if args.trials < 1:
         return _usage_error(f"--trials must be a positive integer, got {args.trials}")
@@ -198,6 +199,9 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # sizes the config or arguments allow but memory does not
+        print(f"error: {args.command} ran out of memory: {str(e) or 'no detail'}", file=sys.stderr)
         return 1
 
 

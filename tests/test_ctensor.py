@@ -51,6 +51,43 @@ class TestConstruction:
         assert np.array_equal(t.im, np.zeros(2))
 
 
+class TestKeys:
+    """A tensor's key is a serial number set when it is built and never reused."""
+
+    def test_built_tensors_and_op_outputs_get_distinct_keys(self):
+        x = ComplexTensor([1.0, 2.0], [0.5, -1.0])
+        y = ops.scale(x, 2.0)
+        rebuilt = ComplexTensor(x.re, x.im)  # the same planes, a new tensor
+        keys = [t.key for t in (x, y, ops.add(x, y), rebuilt)]
+        assert all(type(k) is int for k in keys) and len(set(keys)) == len(keys)
+
+    def test_watched_on_two_tapes_keeps_one_key(self):
+        x = ComplexTensor([1.0, 2.0], [0.5, -1.0])
+        key = x.key
+        for factor in (2.0, 3.0):
+            with GradTape() as tape:
+                tape.watch(x)
+                y = ops.scale(x, factor)
+            g = tape.backward(y, ComplexTensor(np.ones(2)))[x]
+            assert x.key == key and np.array_equal(g.re, np.full(2, factor))
+
+    def test_lanes_building_at_once_get_distinct_keys(self, two_cores):
+        both = threading.Barrier(2)
+
+        def build():
+            both.wait(timeout=10)
+            return [ComplexTensor(1.0).key for _ in range(20000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            a, b = parallel(build, build)
+        finally:
+            sys.setswitchinterval(interval)
+        assert min(b) < max(a) and min(a) < max(b)  # the lanes did build at once
+        assert len(set(a) | set(b)) == len(a) + len(b)
+
+
 class TestElementwise:
     def test_add_inverse(self):
         a = ComplexTensor(1.0, 2.0)
@@ -436,9 +473,8 @@ class TestLanes:
                 parallel(lambda: ops.scale(x, 2.0), lambda: ops.scale(x, 3.0))
 
     def test_shared_tensor_keyed_in_both_lanes_at_once_is_caught(self):
-        """A tensor first keyed by two lanes at once gets one key, so the fork
-        check sees the sharing. With a get-then-set key map, about one round
-        in 3000 gave it two keys and passed the check."""
+        """A tensor two lanes consume at once carries one key, so the fork check
+        sees the sharing however the threads interleave."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         rounds, missed = 0, 0

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -1180,7 +1182,38 @@ class TestCli:
         assert "ok" in capsys.readouterr().out
 
     def test_fftcheck_bad_size(self, capsys):
-        assert main(["fftcheck", "--size", "4x3", "--trials", "2"]) == 2
+        size = "4x3"
+        assert main(["fftcheck", "--size", size, "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(size) in err
+
+    def test_fftcheck_non_decimal_digit_size(self, capsys):
+        size = "4x3x\u00b2"  # '²' passes isdigit, not int()
+        assert main(["fftcheck", "--size", size, "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(size) in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.parametrize("command", ["train", "fftcheck"])
+    def test_out_of_memory_is_one_error_line(self, tiny_manifest, tmp_path, command):
+        """Sizes that pass the checks but not memory: a child process limited to
+        3 GiB of address space refuses the allocation before touching any page."""
+        config = tmp_path / "config.json"
+        doc = asdict(bench_train_config(tiny_manifest, seed=0, epochs=1))
+        doc["branch"]["convs"][2]["out_channels"] = 10**9
+        config.write_text(json.dumps(doc))
+        argv = {
+            "train": ["--config", str(config), "--model", "fusenet", "--out", str(tmp_path / "run")],
+            "fftcheck": ["--size", "100000x100000x100", "--trials", "1"],
+        }[command]
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                "from cvradar.traincli.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run([sys.executable, "-c", code, command, *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {command} ran out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_fftcheck_bad_trials(self, capsys, trials):
