@@ -13,7 +13,7 @@ feature map whose L positions become attention tokens downstream.
 
 from dataclasses import dataclass, replace
 
-from ..ctensor import ShapeError, ops
+from ..ctensor import ShapeError, ops, tape
 from .layers import init_batchnorm, init_conv
 
 __all__ = [
@@ -100,13 +100,13 @@ def default_branch_config(input_hw=(400, 100)):
 
 
 def chunk_size(config):
-    """Samples per batch chunk, at least 1: ops.CHUNK_BYTES over the largest stage's
+    """Samples per batch chunk, at least 1: tape.CHUNK_BYTES over the largest stage's
     ops.conv_sample_bytes, so such a batch is one cconv2d span at every stage."""
     c_in, largest = 1, 0
     for spec, (c, h, w) in zip(config.convs, config.stage_shapes()):
         largest = max(largest, ops.conv_sample_bytes(c_in, c, *spec.kernel, h, w))
         c_in = c
-    return max(1, ops.CHUNK_BYTES // largest)
+    return max(1, tape.CHUNK_BYTES // largest)
 
 
 @dataclass(frozen=True)

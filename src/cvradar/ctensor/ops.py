@@ -15,8 +15,8 @@ from collections import namedtuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import tape as _tape
 from .tensor import ShapeError, _wrap
-from .tape import active_tape, halves
 
 __all__ = [
     "add", "scale",
@@ -24,12 +24,12 @@ __all__ = [
     "mean_axis", "crelu", "softmax_last", "cavgpool_last",
     "flatten_parts", "tokens_from_complex", "cconv2d",
     "cbatchnorm_train", "cbatchnorm_eval", "cross_entropy_logits",
-    "BatchStats", "BN_EPS", "CHUNK_BYTES", "conv_sample_bytes",
+    "BatchStats", "BN_EPS", "conv_sample_bytes",
 ]
 
 
 def _record(op, out, inputs, backward_fn):
-    tape = active_tape()
+    tape = _tape.active_tape()
     if tape is not None:
         tape.record(op, out, inputs, backward_fn)
     return out
@@ -344,15 +344,6 @@ def cavgpool_last(a, window):
 # convolution
 # ---------------------------------------------------------------------------
 
-# Budget of one batch chunk's conv output plus im2col columns (16 bytes per
-# complex element), sized for memory: eval chunks of 4 / 8 / 16 / 30 at bench
-# geometry (194 kB per sample) read eval_samples_per_s 1448 / 1683 / 1589 / 1511
-# and peak_rss_mb 56.6 / 56.9 / 60.0 / 64.4 on perfbench train-bench (2 CPUs,
-# one BLAS thread). This gives 8 there and 1 at paper geometry (20.5 MB). One
-# sample above it runs cconv2d's and cbatchnorm_eval's forward in two row halves.
-CHUNK_BYTES = 3 << 19  # 1.5 MiB
-
-
 def conv_sample_bytes(c_in, c_out, kh, kw, ho, wo):
     """Bytes one sample takes in a cconv2d span: its columns and its output."""
     return (2 * c_in * kh * kw + 2 * c_out) * ho * wo * 8
@@ -388,14 +379,14 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     channels into one column matrix, and the kernels as the block matrix
     [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
 
-    The batch runs as spans of CHUNK_BYTES over one sample's output plus
+    The batch runs as spans of tape.CHUNK_BYTES over one sample's output plus
     columns. Each span fills one column buffer, allocated once per call, and
     runs one GEMM per sample, so spans change no bit. One span keeps the
     buffer for the backward; more keep only x's planes, and the backward
-    refills a buffer of its own. A lone sample above CHUNK_BYTES is one span
-    whose output rows halves splits. OpenBLAS picks its kernels by shape, so
-    a GEMM split by columns can differ from the whole in the last bit; at the
-    paper geometry it does not.
+    refills a buffer of its own. Each span is one halves job over its output
+    rows, of its bytes, so a span of one sample above CHUNK_BYTES splits.
+    OpenBLAS picks its kernels by shape, so a GEMM split by columns can differ
+    from the whole in the last bit; at the paper geometry it does not.
 
     The backward builds the input gradient only if the tape tracks x (a
     watched leaf or a recorded output); for a data batch it returns a
@@ -426,7 +417,7 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     wblock = np.concatenate([np.concatenate([kr, -ki], axis=1), np.concatenate([ki, kr], axis=1)])
 
     sample_bytes = conv_sample_bytes(cin, cout, kh, kw, ho, wo)
-    chunk = min(b, max(1, CHUNK_BYTES // sample_bytes))
+    chunk = min(b, max(1, _tape.CHUNK_BYTES // sample_bytes))
     spans = [slice(s, min(s + chunk, b)) for s in range(0, b, chunk)]
     buf_shape = (chunk, 2, cin, kh, kw, ho, wo)
     buf = np.empty(buf_shape, dtype=x.dtype)
@@ -438,11 +429,8 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
         p = slice(a * wo, e * wo)
         np.matmul(wblock, cols[:, :, p], out=y[s, :, p])
 
-    if b == 1 and sample_bytes > CHUNK_BYTES:
-        halves(ho, lambda a, e: rows(spans[0], a, e))
-    else:
-        for s in spans:
-            rows(s, 0, ho)
+    for s in spans:
+        _tape.halves(ho, lambda a, e: rows(s, a, e), (s.stop - s.start) * sample_bytes)
     planes = (x.re, x.im) if len(spans) > 1 else None
     cols = None if planes else buf.reshape(chunk, 2 * k, ho * wo)
     if bias is not None:
@@ -454,7 +442,7 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     stacked_shape = (b, 2 * cin, h, w)
     kshape = kernels.shape
     # a predicate on x's tape key, never x itself: naming x in bwd would keep it alive
-    tape = active_tape()
+    tape = _tape.active_tape()
     x_tracked = tape.tracks(x) if tape is not None else None
     has_bias = bias is not None
 
@@ -604,9 +592,9 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
     output as (x - m) * (gamma * inv) + beta, in place, with per-channel
     factors; centring first keeps x * a + (beta - m * a) cancellation out.
     No full-size xhat is kept: the backward recomputes it from x. gate=True
-    applies crelu in the same op, as in cbatchnorm_train. One sample above
-    CHUNK_BYTES runs as two halves of its channels (halves), each a contiguous
-    block; each element gets the same arithmetic as in one pass.
+    applies crelu in the same op, as in cbatchnorm_train. The forward is one
+    halves job over the channels, of x's 16 bytes per element: each element
+    gets the same arithmetic in a channel half as in one pass.
     """
     vshape = _bn_view(x, gamma=gamma, beta=beta,
                       running_mean=running_mean, running_var=running_var)
@@ -628,11 +616,7 @@ def cbatchnorm_eval(x, gamma, beta, running_mean, running_var, gate=False):
         if gate:
             _gate_output(ys[0][:, a:e], ys[1][:, a:e], out=mask[:, a:e])
 
-    c = x.shape[1]
-    if x.shape[0] == 1 and 16 * x.size > CHUNK_BYTES:
-        halves(c, fill)
-    else:
-        fill(0, c)
+    _tape.halves(x.shape[1], fill, 16 * x.size)
     ys = [y.reshape(x.shape) for y in ys]
     mask = None if mask is None else mask.reshape(x.shape)
     out = _wrap(*ys)

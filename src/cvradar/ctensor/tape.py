@@ -18,6 +18,7 @@ only what the recorded backward closures captured stays.
 
 import contextvars
 import os
+import queue
 import threading
 from collections import namedtuple
 
@@ -38,7 +39,7 @@ _Node = namedtuple("_Node", "out_key in_keys backward_fn")
 _ACTIVE = None
 # .nodes: the lane this thread records into; .busy: it runs a lane or a half (_outcome)
 _LANE = type("_Lane", (threading.local,), {"nodes": None, "busy": False})()
-_WORKER = None
+_WORKER = None  # the lane worker's job queue, from _start_worker on first use
 _BLAS_THREADS = None  # numpy's BLAS thread count, read on first use by _blas_threads
 
 # the thread-count getter of the OpenBLAS that numpy's wheels bundle: numpy >= 2
@@ -92,6 +93,14 @@ def _second_core():
     return cpus > 1 and _blas_threads() == 1
 
 
+# The most bytes a halves job runs as one call, and a cconv2d span's output plus
+# im2col columns (16 bytes per complex element). Sized for memory: eval chunks of
+# 4 / 8 / 16 / 30 at bench geometry (194 kB per sample) read eval_samples_per_s
+# 1448 / 1683 / 1589 / 1511 and peak_rss_mb 56.6 / 56.9 / 60.0 / 64.4 on perfbench
+# train-bench (2 CPUs, one BLAS thread). This gives 8 there and 1 at paper geometry.
+CHUNK_BYTES = 3 << 19  # 1.5 MiB
+
+
 def _outcome(fn, lane):
     saved = _LANE.nodes, _LANE.busy
     _LANE.nodes, _LANE.busy = lane, True
@@ -103,43 +112,56 @@ def _outcome(fn, lane):
         _LANE.nodes, _LANE.busy = saved
 
 
+def _start_worker(jobs, name):
+    """Start a daemon thread that runs the (reply, fn, *args) jobs on jobs in order
+    until None, putting on reply fn(*args), or (None, e) for any e it raised."""
+    def serve():
+        for reply, fn, *args in iter(jobs.get, None):
+            try:
+                outcome = fn(*args)
+            except BaseException as e:
+                outcome = None, e
+            del fn, args  # before replying: the job's closures may hold an op's buffers
+            reply.put(outcome)
+            del outcome
+
+    threading.Thread(target=serve, name=name, daemon=True).start()
+    return jobs
+
+
 def _run_lanes(fns, lanes):
     """Results of fns, fn i recording into lanes[i]: the first here, the rest on one
-    lazy worker, each in a copy of the caller's context so numpy's errstate holds
-    there too; all here, in order, unless _second_core allows. All end before an
-    error is raised."""
+    worker started on first use, each in a copy of the caller's context so numpy's
+    errstate holds there too; all here, in order, unless _second_core allows. All
+    end before an error is raised."""
     global _WORKER
     here, rest = list(zip(fns, lanes)), []
     if len(here) > 1 and _second_core():
         if _WORKER is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cvradar-lane")
-        here, rest = here[:1], [_WORKER.submit(contextvars.copy_context().run, _outcome, *pair)
-                                for pair in here[1:]]
-    outcomes = [_outcome(*pair) for pair in here] + [f.result() for f in rest]
+            _WORKER = _start_worker(queue.SimpleQueue(), "cvradar-lane")
+        here, rest = here[:1], [(queue.SimpleQueue(), pair) for pair in here[1:]]
+        for reply, pair in rest:
+            _WORKER.put((reply, contextvars.copy_context().run, _outcome, *pair))
+    outcomes = [_outcome(*pair) for pair in here] + [reply.get() for reply, _ in rest]
     for _, error in outcomes:
         if error is not None:
             raise error
     return [value for value, _ in outcomes]
 
 
-def halves(n, fill):
-    """[fill(0, n // 2), fill(n // 2, n)]: one job over n items as two contiguous
-    halves, each writing only its own part of what the caller allocated (an op's
-    output rows or channels, a dataset's samples).
+def halves(n, fill, nbytes):
+    """[fill(0, n)], or [fill(0, n // 2), fill(n // 2, n)]: one job of nbytes over n
+    items, each call writing only its part of what the caller allocated.
 
-    Off the tape the second half runs on the lane worker where _second_core
-    allows, so the job uses both cores; under an active tape, for fewer than two
-    items (a half would hold the whole job or nothing), and wherever the rule
-    refuses, the halves run here in order. They are the same calls wherever
-    they run, so where they ran changes no bit. Where items fail independently,
-    the error raised is the one in-order running gives: the first half's.
+    The one split rule: under an active tape, for fewer than two items, or for at
+    most CHUNK_BYTES, the job is one call here; else two halves, the second on the
+    lane worker where _second_core allows. They are the same calls wherever they
+    run, so where they ran changes no bit. Where items fail independently, the
+    error raised is the one in-order running gives: the first half's.
     """
-    m = n // 2
-    fns = [lambda: fill(0, m), lambda: fill(m, n)]
-    if _ACTIVE is None and n > 1:
-        return _run_lanes(fns, [None, None])
-    return [fn() for fn in fns]
+    if _ACTIVE is not None or n < 2 or nbytes <= CHUNK_BYTES:
+        return [fill(0, n)]
+    return _run_lanes([lambda: fill(0, n // 2), lambda: fill(n // 2, n)], [None, None])
 
 
 def parallel(*thunks):

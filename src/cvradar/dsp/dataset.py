@@ -118,9 +118,8 @@ def load_samples(manifest_path):
     shape, the manifest's `shape` if it gives one, else the first cube's. An
     empty sample list raises DatasetError naming the manifest; a missing file
     or a wrong shape raises it naming the manifest, samples[i] and the cube
-    file, for the lowest failing i. After sample 0 the rest are read as two
-    halves of the list (ctensor.halves), the second on the lane worker where
-    the lane rule allows.
+    file, for the lowest failing i. After sample 0 the rest are read as one
+    ctensor.halves job of their bytes, 16 per complex element.
     """
     doc = read_json(manifest_path, DatasetError)
     pairs = isinstance(doc, dict) and doc.get("kind") == "pairs"
@@ -155,9 +154,9 @@ def load_samples(manifest_path):
     # sample 0 fixes the shape, so each later sample fails or reads on its own
     first = read(0, shape)
     shape = first[0][0].shape
-    head, tail = halves(len(checked) - 1,
-                        lambda a, e: [read(i, shape) for i in range(a + 1, e + 1)])
-    return classes, [first, *head, *tail]
+    parts = halves(len(checked) - 1, lambda a, e: [read(i, shape) for i in range(a + 1, e + 1)],
+                   16 * len(path_keys) * (len(checked) - 1) * math.prod(shape))
+    return classes, [first, *(sample for part in parts for sample in part)]
 
 
 def write_manifest(path, classes, entries, shape=None):

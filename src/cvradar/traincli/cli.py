@@ -119,9 +119,9 @@ def _cmd_eval(args):
 
 def write_cubes(out_dir, config, classes, scenes):
     """Write scene i of the seeded (scene, class_index, distance_tag, split_hint)
-    tuples to out_dir/cube_{i:05d}.rfc1, as two halves of the list (ctensor.halves),
-    then their manifest; returns its path. synth_fmcw_cube and write_rfc1 are
-    looked up in this module at call time, where perfbench's tracer wraps them."""
+    tuples to out_dir/cube_{i:05d}.rfc1, as one ctensor.halves job of 16 bytes per
+    complex element, then their manifest; returns its path. synth_fmcw_cube and
+    write_rfc1 are looked up here at call time, where perfbench's tracer wraps them."""
     os.makedirs(out_dir, exist_ok=True)
     entries = [ManifestEntry(f"cube_{i:05d}.rfc1", *tags) for i, (_, *tags) in enumerate(scenes)]
 
@@ -129,7 +129,7 @@ def write_cubes(out_dir, config, classes, scenes):
         for (scene, *_), entry in zip(scenes[a:e], entries[a:e]):
             write_rfc1(os.path.join(out_dir, entry.path), synth_fmcw_cube(scene, config))
 
-    halves(len(scenes), write)
+    halves(len(scenes), write, 16 * len(scenes) * np.prod(config.shape))
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_manifest(manifest_path, classes, entries, shape=config.shape)
     return manifest_path

@@ -109,9 +109,9 @@ def split_pairs(classes, samples, seed, ratio=SPLIT_RATIO):
 def preprocess_dataset(manifest_path, out_dir):
     """Cache both representations of every sample; returns the new manifest path.
 
-    The samples are transformed and written as two halves of the list
-    (ctensor.halves), the second on the lane worker where the lane rule allows;
-    the manifest is written in sample order once both have ended, and not at all
+    The samples are transformed and written as one ctensor.halves job of the
+    bytes written: two cubes per sample, 16 bytes per complex element. The
+    manifest is written in sample order once the job has ended, and not at all
     if a sample failed. An out_dir whose manifest.json is the input manifest is
     refused before anything is written.
     """
@@ -129,7 +129,7 @@ def preprocess_dataset(manifest_path, out_dir):
             for name, cube in zip(names[i], _iq_and_spectrum(samples[i][0])):
                 write_rfc1(os.path.join(out_dir, name), cube)
 
-    halves(len(samples), cache)
+    halves(len(samples), cache, 32 * len(samples) * samples[0][0][0].size)
     entries = [ManifestEntry(pair, label, distance_tag, "unseen" if unseen else "auto")
                for pair, (_, label, distance_tag, unseen) in zip(names, samples)]
     write_manifest(out_manifest, classes, entries)

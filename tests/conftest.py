@@ -8,7 +8,7 @@ lane worker.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
 
 import pytest
 
@@ -35,15 +35,15 @@ def two_cores(monkeypatch):
 
 @pytest.fixture
 def lane_submissions(monkeypatch):
-    """The thunks submitted to the lane worker, in order; a fresh worker runs them."""
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="test-lane")
+    """The jobs put on the lane worker's queue, in order; a fresh worker runs them."""
     submitted = []
 
-    class Counting:
-        def submit(self, fn, *args):
-            submitted.append(args)
-            return pool.submit(fn, *args)
+    class Counting(queue.SimpleQueue):
+        def put(self, job, *args):
+            submitted.append(job)
+            super().put(job, *args)
 
-    monkeypatch.setattr(tape, "_WORKER", Counting())
+    jobs = tape._start_worker(Counting(), "test-lane")
+    monkeypatch.setattr(tape, "_WORKER", jobs)
     yield submitted
-    pool.shutdown()
+    jobs.put(None)  # the worker thread ends

@@ -59,13 +59,15 @@ assert len(probes.sample_times) == 1
 assert chunk_size(default_branch_config((400, 100))) == 1
 
 # a tiny synth -> preprocess -> load_pairs through the patched names, with the
-# lane rule giving each a second core, so halves on the worker are traced too
+# lane rule giving each a second core and the split threshold at 0, so halves on
+# the worker are traced too
 import contextlib, io, json, os, tempfile
 from cvradar.ctensor import tape
 cli = importlib.import_module("cvradar.traincli.cli")
 pipeline = importlib.import_module("cvradar.traincli.pipeline")
 os.sched_getaffinity = lambda pid: {{0, 1}}
 tape._blas_threads = lambda: 1
+tape.CHUNK_BYTES = 0
 scenes = [{{"class": i % 2, "reflectors": [[0.3 + 0.02 * i, 0.1, 0.0, 1.0, 0.0]]}}
           for i in range(3)]
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, ops
+from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, ops, tape as tape_module
 from cvradar.cnn import (
     BranchConfig,
     ConvSpec,
@@ -388,7 +388,7 @@ class TestConv:
         rng = np.random.default_rng(12)
         x, k, bias = rand_ct(rng, (5, 2, 8, 502)), rand_ct(rng, (4, 2, 1, 3)), rand_ct(rng, (4,))
         up = rand_ct(rng, (5, 4, 8, 500))
-        assert ops.CHUNK_BYTES // ((2 * 6 + 2 * 4) * 8 * 500 * 8) == 2
+        assert tape_module.CHUNK_BYTES // ((2 * 6 + 2 * 4) * 8 * 500 * 8) == 2
         builds = []
         fill_cols = ops._fill_cols
 
@@ -406,7 +406,7 @@ class TestConv:
             for plane in ("re", "im"):
                 want = np.concatenate([getattr(s[i], plane) for s in samples])
                 assert np.array_equal(getattr(got, plane), want)
-        monkeypatch.setattr(ops, "CHUNK_BYTES", 1 << 40)
+        monkeypatch.setattr(tape_module, "CHUNK_BYTES", 1 << 40)
         builds.clear()
         _, _, dk_one, db_one = self.conv_step(x, k, bias, up)
         assert builds == [5]
@@ -419,7 +419,7 @@ class TestConv:
     def test_batch_spanning_chunks_matches_oracles(self, monkeypatch):
         """A one-byte budget runs every sample as its own chunk: criterion 2's
         direct oracle holds at 1e-10 and the plane reference's adjoints at 1e-12."""
-        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(tape_module, "CHUNK_BYTES", 1)
         rng = np.random.default_rng(13)
         for _ in range(20):
             bs, ci, co = rng.integers(2, 5), rng.integers(1, 4), rng.integers(1, 4)
@@ -675,7 +675,7 @@ class TestBranch:
             return conv(*args, **kwargs)
 
         def counted_fill_cols(cols, re, im, sh, sw, a, e):
-            if a == 0:  # a span's first rows; _halves fills a lone sample's rest later
+            if a == 0:  # a span's first rows; halves fills a split span's rest later
                 spans[-1] += 1
             return fill_cols(cols, re, im, sh, sw, a, e)
 

@@ -9,8 +9,8 @@ its module. Every function ctensor.ops exports is used by some other
 module, as ops.f or imported from ops. Each subpackage __init__ only
 re-exports its modules' __all__ (from .module import *) or imports a module,
 and every name a package exports is imported from it by some module under
-src/, tests/ or perfbench/, or by README.md. The checks read the source
-with ast.
+src/, tests/ or perfbench/, or by README.md. No module imports concurrent,
+not even inside a function. The checks read the source with ast.
 """
 
 import ast
@@ -80,6 +80,35 @@ def test_checker_flags_cross_imports_only():
     same = "from .dataset import _read_json\nfrom ..dsp.cube import _MAGIC\n"
     assert private_cross_imports("dsp/scenes.py", same) == []
     assert private_cross_imports("traincli/cli.py", "from ..dsp import read_rfc1\n") == []
+
+
+def concurrent_imports(source):
+    """(line, module) for each import of concurrent or a submodule of it, anywhere
+    in source, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] == "concurrent"]
+    return found
+
+
+def test_no_module_imports_concurrent():
+    """The lane worker is one plain thread: concurrent.futures stays out of src/."""
+    offenders = [f"{path.relative_to(SRC)}:{line}: {module}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line, module in concurrent_imports(path.read_text(encoding="utf-8"))]
+    assert not offenders, "concurrent imported:\n" + "\n".join(offenders)
+
+
+def test_concurrent_import_checker():
+    source = ("import os, concurrent.futures\ndef f():\n    from concurrent.futures import Future\n"
+              "from .concurrent import x\nimport concurrently\n")
+    assert concurrent_imports(source) == [(1, "concurrent.futures"), (3, "concurrent.futures")]
 
 
 def unused_imports(rel_path, source):

@@ -940,21 +940,24 @@ class TestTrainLoop:
                                                              two_cores, lane_submissions):
         """At bench geometry a batch of 8 fits one chunk and no eval sample passes
         CHUNK_BYTES, so neither runs branches on lanes nor sends the lane worker
-        anything; only each load_pairs sends it its second half of the cubes. A
-        paper-geometry eval sample sends it one row half per conv and batch norm,
-        12 in all, with the confusion matrix of the split off."""
+        anything, and nor do the 557 kB of cubes load_pairs reads; above a lowered
+        threshold it sends it their second half. A paper-geometry eval sample sends
+        it one row half per conv and batch norm, 12 in all, with the confusion
+        matrix of the split off."""
         def no_lanes(*thunks):
             raise AssertionError("branches ran on lanes")
 
         monkeypatch.setattr(fusion_model, "parallel", no_lanes)
-        _, pairs, _ = load_pairs(tiny_manifest)
+        with monkeypatch.context() as lowered:
+            lowered.setattr(tape, "CHUNK_BYTES", 1 << 19)
+            _, pairs, _ = load_pairs(tiny_manifest)
         assert len(lane_submissions) == 1
         cfg = self._config(tiny_manifest, batch_size=8, epochs=1)
         assert chunk_size(cfg.branch) == 8
         model, _ = train(cfg, "fusenet")
-        assert len(lane_submissions) == 2  # train's load_pairs; its steps none
+        assert len(lane_submissions) == 1  # neither train's load_pairs nor its steps
         evaluate_pairs(model, "fusenet", pairs[:17], tag="all")  # a one-sample tail chunk
-        assert len(lane_submissions) == 2
+        assert len(lane_submissions) == 1
         del lane_submissions[:]
         paper = default_branch_config((400, 100))
         model = init_fusenet(paper, 2, np.random.default_rng(0), embed_dim=8, heads=2)
@@ -1035,10 +1038,14 @@ class TestTrendBenchmark:
 
 
 class TestDspHalves:
-    """synth, preprocess and load_samples run their per-sample work as two halves
-    of the sample list (ctensor.halves): the second on the lane worker where the
-    lane rule gives a second core, else after the first. Where a half ran
-    changes no byte."""
+    """synth, preprocess and load_samples run their per-sample work as one
+    ctensor.halves job of its bytes: above CHUNK_BYTES, as two halves of the
+    sample list, the second on the lane worker where the lane rule gives a second
+    core, else after the first. Where a half ran changes no byte."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        monkeypatch.setattr(tape, "CHUNK_BYTES", 0)  # so that these toy lists split
 
     SCENES = {
         "version": 1,
@@ -1116,6 +1123,32 @@ class TestDspHalves:
         _, pairs, _ = load_pairs(str(cubes / "manifest.json"))
         assert len(pairs) == n
         assert lane_submissions == []
+
+    def test_list_within_chunk_bytes_is_read_here(self, tmp_path, monkeypatch, two_cores,
+                                                  lane_submissions):
+        """After sample 0, four 2x2x16 cubes at 16 bytes per element are one job of
+        4096 bytes: at CHUNK_BYTES it is read on the calling thread and the worker
+        gets nothing; one byte less and the worker reads its second half."""
+        cubes = tmp_path / "cubes"
+        assert self._synth(tmp_path, cubes) == 0
+        lane_submissions.clear()
+        readers = []
+
+        def reading(path):
+            readers.append(threading.current_thread())
+            return read_rfc1(path)
+
+        monkeypatch.setattr("cvradar.dsp.dataset.read_rfc1", reading)
+        monkeypatch.setattr(tape, "CHUNK_BYTES", 4 * 16 * 2 * 2 * 16)
+        load_pairs(str(cubes / "manifest.json"))
+        assert lane_submissions == []
+        assert readers == [threading.current_thread()] * 5
+        monkeypatch.setattr(tape, "CHUNK_BYTES", 4 * 16 * 2 * 2 * 16 - 1)
+        readers.clear()
+        load_pairs(str(cubes / "manifest.json"))
+        assert len(lane_submissions) == 1
+        names = sorted(t.name for t in readers)  # the halves read at once
+        assert names == [threading.current_thread().name] * 3 + ["test-lane"] * 2
 
     def test_first_sample_fixes_the_shape_for_both_halves(self, tmp_path, two_cores,
                                                           lane_submissions):
