@@ -10,6 +10,8 @@ gradient planes as arrays and returns, per input, a pair of arrays of that
 input's shape; a plane that gets no gradient is returned as zeros.
 """
 
+import math
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -349,6 +351,26 @@ def conv_sample_bytes(c_in, c_out, kh, kw, ho, wo):
     return (2 * c_in * kh * kw + 2 * c_out) * ho * wo * 8
 
 
+# cconv2d's reusable column buffer off the tape: .flat, one flat array per thread
+_COLS = type("_Cols", (threading.local,), {"flat": None})()
+
+
+def _col_buffer(shape, dtype):
+    """cconv2d's column buffer. Under a tape, a fresh array the backward may
+    keep, and this thread's reusable buffer is dropped, so training never
+    carries it. Off the tape, a view of that buffer, which grows only when a
+    call needs more elements or another dtype, dropping the old one first, so
+    a forward-only run maps its large column blocks once, not on every call."""
+    if _tape.active_tape() is not None:
+        _COLS.flat = None
+        return np.empty(shape, dtype=dtype)
+    n = math.prod(shape)
+    if _COLS.flat is None or _COLS.flat.size < n or _COLS.flat.dtype != dtype:
+        _COLS.flat = None
+        _COLS.flat = np.empty(n, dtype=dtype)
+    return _COLS.flat[:n].reshape(shape)
+
+
 def _fill_cols(cols, re, im, sh, sw, a, e):
     """Write output rows [a, e) of an (n, 2, C, kh, kw, Ho, Wo) column buffer from
     input rows [a*sh, (e-1)*sh + kh) of a (n, C, H, W) plane pair; returns it as
@@ -380,11 +402,13 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
 
     The batch runs as spans of tape.CHUNK_BYTES over one sample's output plus
-    columns. Each span fills one column buffer, allocated once per call, and
-    runs one GEMM per sample, so spans change no bit. One span keeps the
-    buffer for the backward; more keep only x's planes, and the backward
-    refills a buffer of its own. Each span is one halves job over its output
-    rows, of its bytes, so a span of one sample above CHUNK_BYTES splits.
+    columns. Each span fills one span-sized column buffer and runs one GEMM
+    per sample, so spans change no bit. Off the tape the buffer is this
+    thread's reusable one (_col_buffer). Under a tape it is fresh per call:
+    one span keeps it for the backward; more keep only x's planes, and the
+    backward refills a buffer of its own. Each span is one halves job over
+    its output rows, of its bytes, so a span of one sample above CHUNK_BYTES
+    splits.
     OpenBLAS picks its kernels by shape, so a GEMM split by columns can differ
     from the whole in the last bit; at the paper geometry it does not.
 
@@ -420,7 +444,7 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     chunk = min(b, max(1, _tape.CHUNK_BYTES // sample_bytes))
     spans = [slice(s, min(s + chunk, b)) for s in range(0, b, chunk)]
     buf_shape = (chunk, 2, cin, kh, kw, ho, wo)
-    buf = np.empty(buf_shape, dtype=x.dtype)
+    buf = _col_buffer(buf_shape, x.dtype)
     y = np.empty((b, 2 * cout, ho * wo), dtype=x.dtype)
 
     def rows(s, a, e):

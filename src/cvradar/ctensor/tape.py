@@ -94,10 +94,12 @@ def _second_core():
 
 
 # The most bytes a halves job runs as one call, and a cconv2d span's output plus
-# im2col columns (16 bytes per complex element). Sized for memory: eval chunks of
-# 4 / 8 / 16 / 30 at bench geometry (194 kB per sample) read eval_samples_per_s
-# 1448 / 1683 / 1589 / 1511 and peak_rss_mb 56.6 / 56.9 / 60.0 / 64.4 on perfbench
-# train-bench (2 CPUs, one BLAS thread). This gives 8 there and 1 at paper geometry.
+# im2col columns (16 bytes per complex element), so each thread's reusable
+# off-tape column buffer holds at most the larger of it and one sample's columns.
+# Sized for memory: eval chunks of 4 / 8 / 16 / 30 at bench geometry (194 kB per
+# sample) read eval_samples_per_s 1448 / 1683 / 1589 / 1511 and peak_rss_mb 56.6 /
+# 56.9 / 60.0 / 64.4 on perfbench train-bench (2 CPUs, one BLAS thread). This gives
+# 8 there and 1 at paper geometry.
 CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from cvradar.cnn import baseline_logits, init_baseline
 from cvradar.ctensor import ComplexTensor, GradTape, ShapeError, TapeError, ops, parallel, tape
+from cvradar.ctensor.tensor import _wrap
 from cvradar.fusion import fusenet_logits_batch, init_fusenet
 from cvradar.traincli.checks import toy_branch_config, toy_fusenet_instance
 
@@ -691,6 +692,92 @@ class TestRowSplit:
         rng = np.random.default_rng(12)
         self.stage(rand_ct(rng, (1, 1, 6, 5)), rand_ct(rng, (2, 1, 1, 3)))
         assert lane_submissions == []
+
+
+class TestColumnBuffer:
+    """Off the tape cconv2d fills one grow-only column buffer per thread; under a
+    tape it fills a fresh one and drops that thread's reusable buffer."""
+
+    @pytest.fixture(autouse=True)
+    def no_buffer(self, monkeypatch):
+        monkeypatch.setattr(ops._COLS, "flat", None)
+
+    @staticmethod
+    def conv_pair(rng, x_shape, k_shape, dtype=np.float64):
+        x, k = rand_ct(rng, x_shape), rand_ct(rng, k_shape)
+        if dtype != np.float64:
+            x, k = (_wrap(t.re.astype(dtype), t.im.astype(dtype)) for t in (x, k))
+        return x, k
+
+    def test_unrecorded_calls_reuse_one_buffer(self):
+        """A larger then a smaller call leave one buffer, the same object, and each
+        output equals the same call under a tape, bit for bit."""
+        rng = np.random.default_rng(30)
+        calls = [self.conv_pair(rng, (3, 2, 9, 8), (4, 2, 3, 2)),
+                 self.conv_pair(rng, (2, 1, 6, 5), (2, 1, 1, 3))]
+        outs, held = [], []
+        for x, k in calls:
+            outs.append(ops.cconv2d(x, k))
+            held.append(ops._COLS.flat)
+        assert held[0] is not None and held[1] is held[0]
+        assert held[0].size == 3 * 2 * 2 * 3 * 2 * 7 * 7  # the larger call's columns
+        for (x, k), out in zip(calls, outs):
+            with GradTape():
+                assert same_bits(ops.cconv2d(x, k), out)
+
+    def test_recorded_call_drops_the_buffer(self):
+        rng = np.random.default_rng(31)
+        x, k = self.conv_pair(rng, (2, 1, 6, 5), (2, 1, 1, 3))
+        ops.cconv2d(x, k)
+        ref = weakref.ref(ops._COLS.flat)
+        with GradTape():
+            ops.cconv2d(x, k)
+        assert ref() is None
+        assert ops._COLS.flat is None
+
+    def test_recorded_columns_survive_an_unrecorded_call(self):
+        """A one-span conv keeps its columns for the backward; an unrecorded conv of
+        the same shape between its forward and backward changes no gradient."""
+        def grads(interleave):
+            rng = np.random.default_rng(32)
+            x, k = self.conv_pair(rng, (2, 2, 7, 6), (3, 2, 2, 3))
+            with GradTape() as t:
+                t.watch(x)
+                t.watch(k)
+                y = ops.cconv2d(x, k)
+            if interleave:
+                ops.cconv2d(*self.conv_pair(rng, (2, 2, 7, 6), (3, 2, 2, 3)))
+            g = t.backward(y, abs2_seed(y))
+            return g[x], g[k]
+
+        for got, want in zip(grads(True), grads(False)):
+            assert same_bits(got, want)
+
+    def test_lanes_use_a_buffer_per_thread(self, monkeypatch, two_cores, lane_submissions):
+        """An off-tape eval batch above chunk_size runs one branch on the worker, each
+        thread with a buffer of its own, and gives the in-order run's logits."""
+        model, x, big_x, _ = toy_fusenet_instance()
+        monkeypatch.setattr(tape, "CHUNK_BYTES", 64)  # chunk_size 1: two samples run lanes
+        x_iq = ComplexTensor(np.concatenate([x.re, big_x.re]), np.concatenate([x.im, big_x.im]))
+        x_fft = ComplexTensor(x_iq.im, x_iq.re)
+        lanes = fusenet_logits_batch(x_iq, x_fft, model, "eval")
+        assert len(lane_submissions) == 1
+        caller, worker = parallel(lambda: ops._COLS.flat, lambda: ops._COLS.flat)
+        assert caller is not None and worker is not None and caller is not worker
+        two_cores(2)  # in order
+        assert same_bits(fusenet_logits_batch(x_iq, x_fft, model, "eval"), lanes)
+
+    def test_another_dtype_gets_a_fresh_buffer(self):
+        rng = np.random.default_rng(33)
+        ops.cconv2d(*self.conv_pair(rng, (2, 1, 6, 5), (2, 1, 1, 3)))
+        wide = ops._COLS.flat
+        x, k = self.conv_pair(rng, (1, 1, 6, 5), (2, 1, 1, 3), np.float32)
+        out = ops.cconv2d(x, k)
+        assert ops._COLS.flat is not wide and ops._COLS.flat.dtype == np.float32
+        assert out.dtype == np.float32
+        with GradTape():
+            want = ops.cconv2d(x, k)
+        assert np.array_equal(out.re, want.re) and np.array_equal(out.im, want.im)
 
 
 class TestBackwardContract:
