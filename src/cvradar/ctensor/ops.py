@@ -405,10 +405,12 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     columns. Each span fills one span-sized column buffer and runs one GEMM
     per sample, so spans change no bit. Off the tape the buffer is this
     thread's reusable one (_col_buffer). Under a tape it is fresh per call:
-    one span keeps it for the backward; more keep only x's planes, and the
-    backward refills a buffer of its own. Each span is one halves job over
-    its output rows, of its bytes, so a span of one sample above CHUNK_BYTES
-    splits.
+    one span keeps it for the backward; more keep only x's planes, or x's
+    rebuild function where the tape has one (tape.rebuilds: a gated
+    cbatchnorm_train output), and the backward refills a buffer of its own
+    span by span, rebuilding each span's planes just before. Each span is
+    one halves job over its output rows, of its bytes, so a span of one
+    sample above CHUNK_BYTES splits.
     OpenBLAS picks its kernels by shape, so a GEMM split by columns can differ
     from the whole in the last bit; at the paper geometry it does not.
 
@@ -455,7 +457,13 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
 
     for s in spans:
         _tape.halves(ho, lambda a, e: rows(s, a, e), (s.stop - s.start) * sample_bytes)
-    planes = (x.re, x.im) if len(spans) > 1 else None
+    # a predicate on x's tape key, never x itself: naming x in bwd would keep it alive
+    tape = _tape.active_tape()
+    x_tracked = tape.tracks(x) if tape is not None else None
+    # more than one span keeps x's planes, or their rebuild function, per span
+    x_re, x_im = x.re, x.im
+    rebuilds = tape.rebuilds if tape is not None else {}
+    planes = None if len(spans) == 1 else rebuilds.get(x.key, lambda s: (x_re[s], x_im[s]))
     cols = None if planes else buf.reshape(chunk, 2 * k, ho * wo)
     if bias is not None:
         y[:, :cout] += bias.re[:, None]
@@ -465,19 +473,17 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
 
     stacked_shape = (b, 2 * cin, h, w)
     kshape = kernels.shape
-    # a predicate on x's tape key, never x itself: naming x in bwd would keep it alive
-    tape = _tape.active_tape()
-    x_tracked = tape.tracks(x) if tape is not None else None
     has_bias = bias is not None
+    dtype = x.dtype
 
     def bwd(gre, gim):
         dx = np.zeros(stacked_shape, dtype=gre.dtype) if x_tracked() else None
-        refill = None if planes is None else np.empty(buf_shape, dtype=planes[0].dtype)
+        refill = None if planes is None else np.empty(buf_shape, dtype=dtype)
         grams = []
         for s in spans:
             g = np.concatenate([gre[s], gim[s]], axis=1).reshape(-1, 2 * cout, ho * wo)
-            c = cols if refill is None else _fill_cols(refill[: s.stop - s.start], planes[0][s],
-                                                       planes[1][s], sh, sw, 0, ho)
+            c = cols if refill is None else _fill_cols(refill[: s.stop - s.start], *planes(s),
+                                                       sh, sw, 0, ho)
             grams.append(g @ np.swapaxes(c, 1, 2))
             if dx is not None:
                 _col2im(wblock.T @ g, dx[s], kh, kw, sh, sw, ho, wo)
@@ -547,6 +553,13 @@ def _channel_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0].sum(axis=0)
 
 
+def _bn_affine(xhat, gam, bta):
+    """xhat * gamma + beta for a (B, C, L) plane and (C,) factors, in one fresh array."""
+    y = xhat * gam[:, None]
+    y += bta[:, None]
+    return y
+
+
 def cbatchnorm_train(x, gamma, beta, gate=False):
     """Train-mode complex batch norm: each plane normalized independently.
 
@@ -555,6 +568,11 @@ def cbatchnorm_train(x, gamma, beta, gate=False):
     Returns (output, BatchStats) so the caller can update running buffers.
     With gate=True the op applies crelu to its own output (see _gate_output):
     the result equals crelu(cbatchnorm_train(...)) bit for bit, in one op.
+    Under a tape the gated op also registers, in tape.rebuilds, a function
+    that rebuilds the output's planes for a span of batch rows from xhat,
+    the affine and the mask its backward keeps anyway, by the forward's own
+    calls, so bit for bit; a multi-span cconv2d keeps it in place of its
+    input planes.
 
     Each plane is read as a (B, C, L) view, L the flattened trailing axes.
     The forward centres it once into d = v - mu, takes the variance from d
@@ -577,14 +595,24 @@ def cbatchnorm_train(x, gamma, beta, gate=False):
         var = _channel_dot(xhat, xhat) / n
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
-        y = xhat * gam[:, None]
-        y += bta[:, None]
-        planes.append((y.reshape(x.shape), xhat, inv, mu, var))
+        planes.append((_bn_affine(xhat, gam, bta).reshape(x.shape), xhat, inv, mu, var))
 
     (y_re, xhat_re, inv_re, mu_re, var_re), (y_im, xhat_im, inv_im, mu_im, var_im) = planes
     mask = _gate_output(y_re, y_im) if gate else None
     out = _wrap(y_re, y_im)
     stats = BatchStats(mu_re, var_re, mu_im, var_im)
+    tape = _tape.active_tape()
+    if mask is not None and tape is not None:
+        affine = ((xhat_re, gamma.re, beta.re), (xhat_im, gamma.im, beta.im))
+
+        def rebuild(s):
+            # out's planes for batch rows s, from what bwd keeps anyway: the same calls
+            ys = [_bn_affine(xhat[s], gam, bta).reshape(mask[s].shape) for xhat, gam, bta in affine]
+            for y in ys:
+                y *= mask[s]
+            return ys
+
+        tape.rebuilds[out.key] = rebuild
 
     def bwd(gre, gim):
         if mask is not None:

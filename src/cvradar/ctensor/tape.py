@@ -7,13 +7,16 @@ or any output with a cotangent of its shape; gradients come back as one
 read-only ComplexTensor per watched leaf.
 
 One training step builds and consumes one tape; parallel() lets threads
-record into it on separate lanes. Backward is a pure function of the tape,
-so repeated calls produce bit-identical gradients.
+record into it on separate lanes. backward() consumes the tape: each node,
+and every array its closure captured, is freed as soon as its adjoint has
+run, and a second call raises TapeError.
 
 Nodes hold integer keys, not tensors: each tensor's key, the serial number
 set when it was built and never reused. So the tape keeps no op's output or
 input alive: an intermediate is freed as soon as its consumers have run, and
-only what the recorded backward closures captured stays.
+only what the recorded backward closures captured stays. An op whose output
+can be rebuilt from what its own closure keeps registers a rebuild function
+in GradTape.rebuilds, so a consumer keeps that function, not the planes.
 """
 
 import contextvars
@@ -30,7 +33,8 @@ __all__ = ["GradTape", "TapeError", "halves", "parallel"]
 
 
 class TapeError(RuntimeError):
-    """Raised on tape misuse: nesting, shared lanes, non-scalar or off-tape loss."""
+    """Raised on tape misuse: nesting, shared lanes, non-scalar or off-tape loss,
+    a second backward."""
 
 
 _Node = namedtuple("_Node", "out_key in_keys backward_fn")
@@ -205,6 +209,10 @@ class GradTape:
         self._nodes = []
         self._leaves = {}  # key -> watched tensor, in watch order
         self._output_keys = set()
+        # key -> fn(span) giving that output's (re, im) planes for batch rows span,
+        # each entry dropped when backward reaches the node that produced the key
+        self.rebuilds = {}
+        self._consumed = False
 
     # -- recording --------------------------------------------------------
 
@@ -267,10 +275,15 @@ class GradTape:
         never reaches gets zeros.
         An intermediate tensor's adjoint is freed as soon as the node that
         produced it has run, so the walk holds only the adjoints still
-        awaiting their producer; watched tensors keep theirs. The recorded
-        closures stay on the tape, so backward may be called again. The
-        tensors themselves are not needed: each node holds only keys, and
-        each closure holds the arrays its own gradient reads.
+        awaiting their producer; watched tensors keep theirs. The walk
+        consumes the tape: it pops each node, and each fork's lanes, as it
+        runs them, so a closure and the arrays it captured are freed once its
+        adjoint is computed, and it drops a key's rebuild entry on reaching
+        the node that produced the key, whether or not that node runs. So
+        backward runs once per tape: a second call raises TapeError, also
+        after a call that raised partway through the walk. The tensors
+        themselves are not needed: each node holds only keys, and each
+        closure holds the arrays its own gradient reads.
         """
         if not isinstance(loss, ComplexTensor):
             raise TapeError("loss must be a ComplexTensor")
@@ -288,6 +301,9 @@ class GradTape:
             seed = [cotangent.re, cotangent.im]
         if loss.key not in self._output_keys:
             raise TapeError("loss was not produced on this tape")
+        if self._consumed:
+            raise TapeError("backward already ran on this tape; record a new one")
+        self._consumed = True
 
         # adjoints[key] = [re_grad, im_grad]
         adjoints = {loss.key: seed}
@@ -308,15 +324,17 @@ class GradTape:
         return result
 
     def _walk(self, nodes, adjoints):
-        for node in reversed(nodes):
+        while nodes:
+            node = nodes.pop()
             if type(node) is tuple:  # a fork
                 _run_lanes([lambda lane=lane: self._walk(lane, adjoints) for lane in node],
                            [None] * len(node))
                 continue
             # Every consumer of an op's output was recorded after it, so its
             # adjoint is complete here and, unless the output is watched,
-            # is not needed again.
+            # is not needed again; nor is its rebuild function.
             key = node.out_key
+            self.rebuilds.pop(key, None)
             acc = adjoints.get(key) if key in self._leaves else adjoints.pop(key, None)
             if acc is None:
                 continue

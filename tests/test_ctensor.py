@@ -154,15 +154,23 @@ class TestBackward:
         assert np.array_equal(g.im, np.zeros(1))
 
     def test_repeated_backward_bit_identical(self):
+        """Two tapes recorded from the same inputs give the same gradient bits;
+        backward consumes its tape, so a second call on one tape raises."""
         rng = np.random.default_rng(9)
         x = rand_ct(rng, (4, 4))
         y = rand_ct(rng, (4, 4))
-        with GradTape() as tape:
-            tape.watch(x)
-            tape.watch(y)
-            out = ops.matmul(ops.crelu(x), y)
-        g1 = tape.backward(out, abs2_seed(out))
-        g2 = tape.backward(out, abs2_seed(out))
+
+        def grads():
+            with GradTape() as tape:
+                tape.watch(x)
+                tape.watch(y)
+                out = ops.matmul(ops.crelu(x), y)
+            g = tape.backward(out, abs2_seed(out))
+            with pytest.raises(TapeError, match="already ran"):
+                tape.backward(out, abs2_seed(out))
+            return g
+
+        g1, g2 = grads(), grads()
         for leaf in (x, y):
             assert np.array_equal(g1[leaf].re, g2[leaf].re)
             assert np.array_equal(g1[leaf].im, g2[leaf].im)
@@ -171,18 +179,23 @@ class TestBackward:
         """A 40-op chain on a 1 MiB tensor: backward holds a few adjoints, not 40."""
         mib = 1 << 20
         x = ComplexTensor(np.ones((64, 1024)), np.ones((64, 1024)))
-        tracemalloc.start()
-        try:
+        ones = ComplexTensor(np.ones(x.shape))
+
+        def record():
             with GradTape() as tape:
                 tape.watch(x)
                 chain = [x]
                 for _ in range(40):
                     chain.append(ops.scale(chain[-1], 0.5))
                 mid = tape.watch(chain[20])
-            ones = ComplexTensor(np.ones(x.shape))
+            return tape, chain[-1], mid
+
+        tracemalloc.start()
+        try:
+            tape, out, mid = record()
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            g1 = tape.backward(chain[-1], ones)
+            g1 = tape.backward(out, ones)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -190,10 +203,13 @@ class TestBackward:
         assert np.array_equal(g1[mid].re, np.full(x.shape, 0.5**20))
         assert np.array_equal(g1[mid].im, np.zeros(x.shape))
         assert np.array_equal(g1[x].re, np.full(x.shape, 0.5**40))
-        g2 = tape.backward(chain[-1], ones)
-        for leaf in (x, mid):
-            assert np.array_equal(g1[leaf].re, g2[leaf].re)
-            assert np.array_equal(g1[leaf].im, g2[leaf].im)
+        with pytest.raises(TapeError, match="already ran"):
+            tape.backward(out, ones)
+        tape2, out2, mid2 = record()
+        g2 = tape2.backward(out2, ones)
+        for a, b in ((x, x), (mid, mid2)):
+            assert np.array_equal(g1[a].re, g2[b].re)
+            assert np.array_equal(g1[a].im, g2[b].im)
 
     def test_consumed_outputs_are_released(self):
         """A 40-op chain on a 1 MiB tensor: the tape keeps no consumed output alive."""
@@ -453,15 +469,20 @@ class TestLanes:
         return tape, out, a + b
 
     def test_lanes_match_in_order_recording(self):
+        """Two lane tapes from the same inputs give the in-order gradient bits;
+        a lane tape, too, is consumed by its one backward."""
         tape, out, leaves = self.step(1, lanes=True)
+        tape2, out2, leaves2 = self.step(1, lanes=True)
         ref_tape, ref_out, ref_leaves = self.step(1, lanes=False)
         assert len(tape) == len(ref_tape)
         assert np.array_equal(out.re, ref_out.re)
-        seed = abs2_seed(out)
-        g1, g2 = tape.backward(out, seed), tape.backward(out, seed)
+        g1 = tape.backward(out, abs2_seed(out))
+        with pytest.raises(TapeError, match="already ran"):
+            tape.backward(out, abs2_seed(out))
+        g2 = tape2.backward(out2, abs2_seed(out2))
         ref = ref_tape.backward(ref_out, abs2_seed(ref_out))
-        for leaf, ref_leaf in zip(leaves, ref_leaves):
-            for g in (g1[leaf], g2[leaf]):
+        for leaf, leaf2, ref_leaf in zip(leaves, leaves2, ref_leaves):
+            for g in (g1[leaf], g2[leaf2]):
                 assert np.array_equal(g.re, ref[ref_leaf].re)
                 assert np.array_equal(g.im, ref[ref_leaf].im)
             assert np.any(g1[leaf].re != 0)
@@ -778,6 +799,128 @@ class TestColumnBuffer:
         with GradTape():
             want = ops.cconv2d(x, k)
         assert np.array_equal(out.re, want.re) and np.array_equal(out.im, want.im)
+
+
+class TestConsumedTape:
+    """backward pops each node, and each fork's lanes, as it runs them, and drops
+    each rebuild entry at its producer: afterwards the tape holds nothing."""
+
+    def test_backward_frees_closures_and_rebuilds(self, two_cores, lane_submissions):
+        rng = np.random.default_rng(40)
+        x, x2 = rand_ct(rng, (2, 2, 3, 6)), rand_ct(rng, (3,))
+        gamma, beta, k = rand_ct(rng, (2,)), rand_ct(rng, (2,)), rand_ct(rng, (3, 2, 1, 2))
+        held = np.full(5, 2.0)
+        ref = weakref.ref(held)
+
+        def probe(h):  # an op whose closure captures held: out = h * held
+            out = _wrap(h.re * held, h.im * held)
+            tape.active_tape().record("probe", out, (h,),
+                                      lambda gre, gim, m=held: ((gre * m, gim * m),))
+            return out
+
+        def lane():  # the unused gated batch norm's entry must go too
+            h, _ = ops.cbatchnorm_train(x, gamma, beta, gate=True)
+            ops.cbatchnorm_train(x, gamma, beta, gate=True)
+            return probe(ops.cconv2d(h, k))
+
+        with GradTape() as t:
+            for p in (x, x2, gamma, beta, k):
+                t.watch(p)
+            ya, yb = parallel(lane, lambda: ops.scale(x2, 2.0))
+            out = ops.concat([ops.reshape(ya, (90,)), yb], 0)
+        del held
+        assert len(lane_submissions) == 1
+        assert ref() is not None and len(t.rebuilds) == 2
+        g = t.backward(out, abs2_seed(out))
+        assert ref() is None
+        assert len(t) == 0 and t.rebuilds == {}
+        assert np.any(g[k].re != 0) and np.any(g[gamma].re != 0)
+
+    def test_lanes_register_and_drop_rebuilds_at_once(self, two_cores, lane_submissions):
+        """Both lanes write the one rebuild map while they record and pop it while
+        backward walks them: with thread switches forced often, no entry is lost
+        and none is left."""
+        rng = np.random.default_rng(42)
+        n = 300
+
+        def lane(x, gamma, beta):  # lanes share no tensor, so each has its own
+            h = x
+            for _ in range(n):
+                h, _ = ops.cbatchnorm_train(h, gamma, beta, gate=True)
+            return h
+
+        args = [[rand_ct(rng, shape) for shape in ((2, 1), (1,), (1,))] for _ in range(2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with GradTape() as t:
+                ya, yb = parallel(lambda: lane(*args[0]), lambda: lane(*args[1]))
+                out = ops.concat([ya, yb], 0)
+            assert len(lane_submissions) == 1 and len(t.rebuilds) == 2 * n
+            t.backward(out, abs2_seed(out))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(t) == 0 and t.rebuilds == {}
+
+    def test_backward_that_raised_cannot_run_again(self):
+        x = ComplexTensor([1.0, 2.0])
+
+        def failing(gre, gim):
+            raise FloatingPointError("adjoint failed")
+
+        with GradTape() as t:
+            t.watch(x)
+            y = ops.scale(x, 2.0)
+            out = _wrap(y.re + 0.0, y.im + 0.0)
+            t.record("failing", out, (y,), failing)
+        with pytest.raises(FloatingPointError):
+            t.backward(out, ComplexTensor(np.ones(2)))
+        with pytest.raises(TapeError, match="already ran"):
+            t.backward(out, ComplexTensor(np.ones(2)))
+
+
+class TestRebuild:
+    """A multi-span cconv2d fed by a gated cbatchnorm_train keeps the batch norm's
+    rebuild function, not its input planes, and rebuilds one span at a time."""
+
+    def test_conv_rebuilds_its_input_span_by_span(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        b, c, hh, w = 4, 4, 8, 64
+        x = rand_ct(rng, (b, c, hh, w))
+        gamma, beta, k = rand_ct(rng, (c,)), rand_ct(rng, (c,)), rand_ct(rng, (3, c, 1, 3))
+        # one sample per span: four spans
+        monkeypatch.setattr(tape, "CHUNK_BYTES", ops.conv_sample_bytes(c, 3, 1, 3, hh, w - 2))
+        plane_bytes = 2 * x.re.nbytes
+        spans = []
+
+        def step(copy):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                with GradTape() as t:
+                    for p in (gamma, beta, k):
+                        t.watch(p)
+                    h, _ = ops.cbatchnorm_train(x, gamma, beta, gate=True)
+                    if copy:  # a plain copy: a new key with no rebuild entry
+                        h = ops.reshape(h, h.shape)
+                    else:
+                        rebuild = t.rebuilds[h.key]
+                        t.rebuilds[h.key] = lambda s: spans.append(s) or rebuild(s)
+                    out = ops.cconv2d(h, k)
+                    del h
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return t.backward(out, abs2_seed(out)), held - start
+
+        g_copy, held_copy = step(True)
+        g_rebuilt, held_rebuilt = step(False)
+        assert spans == [slice(i, i + 1) for i in range(b)]
+        assert plane_bytes <= held_copy - held_rebuilt < plane_bytes + (64 << 10), \
+            f"{held_copy} vs {held_rebuilt} bytes retained, planes {plane_bytes}"
+        for p in (gamma, beta, k):
+            assert same_bits(g_rebuilt[p], g_copy[p])
 
 
 class TestBackwardContract:
