@@ -56,7 +56,7 @@ class BranchConfig:
         """(C, H, W) after each conv stage, then the final (C_f, L)."""
         h, w = self.input_hw
         if h < 1 or w < 1:
-            raise ShapeError(f"input extents must be positive, got {self.input_hw}")
+            raise ShapeError(f"input_hw extents must be positive, got {self.input_hw}")
         c = 1
         shapes = []
         for i, spec in enumerate(self.convs, start=1):
@@ -78,7 +78,7 @@ class BranchConfig:
             shapes.append((c, h, w))
         length = w // self.pool_window
         if length < 1:
-            raise ShapeError(f"pool window {self.pool_window} exceeds feature length {w}")
+            raise ShapeError(f"pool_window {self.pool_window} exceeds feature length {w}")
         shapes.append((c, length))
         return shapes
 

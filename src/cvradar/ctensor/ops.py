@@ -356,11 +356,12 @@ _COLS = type("_Cols", (threading.local,), {"flat": None})()
 
 
 def _col_buffer(shape, dtype):
-    """cconv2d's column buffer. Under a tape, a fresh array the backward may
-    keep, and this thread's reusable buffer is dropped, so training never
-    carries it. Off the tape, a view of that buffer, which grows only when a
-    call needs more elements or another dtype, dropping the old one first, so
-    a forward-only run maps its large column blocks once, not on every call."""
+    """cconv2d's column buffer; nothing keeps it past the call. Under a tape it
+    is fresh and this thread's reusable buffer is dropped, so that training
+    never carries it (reused for the recorded forward and refill, it read
+    train-paper peak_rss_mb +9.1%). Off the tape, a view of that buffer, which
+    grows only when a call needs more elements or another dtype, dropping the
+    old one first, so a forward-only run maps its large column blocks once."""
     if _tape.active_tape() is not None:
         _COLS.flat = None
         return np.empty(shape, dtype=dtype)
@@ -402,15 +403,13 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     [[Kr, -Ki], [Ki, Kr]], so each pass is one product over both planes.
 
     The batch runs as spans of tape.CHUNK_BYTES over one sample's output plus
-    columns. Each span fills one span-sized column buffer and runs one GEMM
-    per sample, so spans change no bit. Off the tape the buffer is this
-    thread's reusable one (_col_buffer). Under a tape it is fresh per call:
-    one span keeps it for the backward; more keep only x's planes, or x's
-    rebuild function where the tape has one (tape.rebuilds: a gated
-    cbatchnorm_train output), and the backward refills a buffer of its own
-    span by span, rebuilding each span's planes just before. Each span is
-    one halves job over its output rows, of its bytes, so a span of one
-    sample above CHUNK_BYTES splits.
+    columns. Each span fills one span-sized column buffer (_col_buffer) and
+    runs one GEMM per sample, so spans change no bit. No call keeps its
+    columns: under a tape it keeps x's planes, or x's rebuild function where
+    the tape has one (tape.rebuilds: a gated cbatchnorm_train output), and
+    the backward refills one buffer of its own span by span, rebuilding each
+    span's planes just before. Each span is one halves job over its output
+    rows, of its bytes, so a span of one sample above CHUNK_BYTES splits.
     OpenBLAS picks its kernels by shape, so a GEMM split by columns can differ
     from the whole in the last bit; at the paper geometry it does not.
 
@@ -460,11 +459,10 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
     # a predicate on x's tape key, never x itself: naming x in bwd would keep it alive
     tape = _tape.active_tape()
     x_tracked = tape.tracks(x) if tape is not None else None
-    # more than one span keeps x's planes, or their rebuild function, per span
+    # the backward refills the columns span by span from x's planes, or their rebuild
     x_re, x_im = x.re, x.im
     rebuilds = tape.rebuilds if tape is not None else {}
-    planes = None if len(spans) == 1 else rebuilds.get(x.key, lambda s: (x_re[s], x_im[s]))
-    cols = None if planes else buf.reshape(chunk, 2 * k, ho * wo)
+    planes = rebuilds.get(x.key, lambda s: (x_re[s], x_im[s]))
     if bias is not None:
         y[:, :cout] += bias.re[:, None]
         y[:, cout:] += bias.im[:, None]
@@ -478,12 +476,11 @@ def cconv2d(x, kernels, bias=None, stride=(1, 1)):
 
     def bwd(gre, gim):
         dx = np.zeros(stacked_shape, dtype=gre.dtype) if x_tracked() else None
-        refill = None if planes is None else np.empty(buf_shape, dtype=dtype)
+        refill = np.empty(buf_shape, dtype=dtype)
         grams = []
         for s in spans:
             g = np.concatenate([gre[s], gim[s]], axis=1).reshape(-1, 2 * cout, ho * wo)
-            c = cols if refill is None else _fill_cols(refill[: s.stop - s.start], *planes(s),
-                                                       sh, sw, 0, ho)
+            c = _fill_cols(refill[: s.stop - s.start], *planes(s), sh, sw, 0, ho)
             grams.append(g @ np.swapaxes(c, 1, 2))
             if dx is not None:
                 _col2im(wblock.T @ g, dx[s], kh, kw, sh, sw, ho, wo)
@@ -571,8 +568,7 @@ def cbatchnorm_train(x, gamma, beta, gate=False):
     Under a tape the gated op also registers, in tape.rebuilds, a function
     that rebuilds the output's planes for a span of batch rows from xhat,
     the affine and the mask its backward keeps anyway, by the forward's own
-    calls, so bit for bit; a multi-span cconv2d keeps it in place of its
-    input planes.
+    calls, so bit for bit; a cconv2d keeps it in place of its input planes.
 
     Each plane is read as a (B, C, L) view, L the flattened trailing axes.
     The forward centres it once into d = v - mu, takes the variance from d

@@ -16,7 +16,8 @@ set when it was built and never reused. So the tape keeps no op's output or
 input alive: an intermediate is freed as soon as its consumers have run, and
 only what the recorded backward closures captured stays. An op whose output
 can be rebuilt from what its own closure keeps registers a rebuild function
-in GradTape.rebuilds, so a consumer keeps that function, not the planes.
+in GradTape.rebuilds, so a consumer keeps that function, not the planes;
+only a recording consumer reads the map, and backward empties it first.
 """
 
 import contextvars
@@ -209,8 +210,8 @@ class GradTape:
         self._nodes = []
         self._leaves = {}  # key -> watched tensor, in watch order
         self._output_keys = set()
-        # key -> fn(span) giving that output's (re, im) planes for batch rows span,
-        # each entry dropped when backward reaches the node that produced the key
+        # key -> fn(span) giving that output's (re, im) planes for batch rows span;
+        # read by consumers as they record, emptied when backward starts
         self.rebuilds = {}
         self._consumed = False
 
@@ -275,15 +276,14 @@ class GradTape:
         never reaches gets zeros.
         An intermediate tensor's adjoint is freed as soon as the node that
         produced it has run, so the walk holds only the adjoints still
-        awaiting their producer; watched tensors keep theirs. The walk
+        awaiting their producer; watched tensors keep theirs. The rebuild map
+        is emptied first: only a recording consumer reads it. The walk
         consumes the tape: it pops each node, and each fork's lanes, as it
         runs them, so a closure and the arrays it captured are freed once its
-        adjoint is computed, and it drops a key's rebuild entry on reaching
-        the node that produced the key, whether or not that node runs. So
-        backward runs once per tape: a second call raises TapeError, also
-        after a call that raised partway through the walk. The tensors
-        themselves are not needed: each node holds only keys, and each
-        closure holds the arrays its own gradient reads.
+        adjoint is computed. So backward runs once per tape: a second call
+        raises TapeError, also after a call that raised partway through the
+        walk. The tensors themselves are not needed: each node holds only
+        keys, and each closure holds the arrays its own gradient reads.
         """
         if not isinstance(loss, ComplexTensor):
             raise TapeError("loss must be a ComplexTensor")
@@ -304,6 +304,7 @@ class GradTape:
         if self._consumed:
             raise TapeError("backward already ran on this tape; record a new one")
         self._consumed = True
+        self.rebuilds.clear()
 
         # adjoints[key] = [re_grad, im_grad]
         adjoints = {loss.key: seed}
@@ -332,9 +333,8 @@ class GradTape:
                 continue
             # Every consumer of an op's output was recorded after it, so its
             # adjoint is complete here and, unless the output is watched,
-            # is not needed again; nor is its rebuild function.
+            # is not needed again.
             key = node.out_key
-            self.rebuilds.pop(key, None)
             acc = adjoints.get(key) if key in self._leaves else adjoints.pop(key, None)
             if acc is None:
                 continue

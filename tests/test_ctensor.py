@@ -757,8 +757,8 @@ class TestColumnBuffer:
         assert ops._COLS.flat is None
 
     def test_recorded_columns_survive_an_unrecorded_call(self):
-        """A one-span conv keeps its columns for the backward; an unrecorded conv of
-        the same shape between its forward and backward changes no gradient."""
+        """A recorded conv's backward refills columns of its own; an unrecorded conv
+        of the same shape between its forward and backward changes no gradient."""
         def grads(interleave):
             rng = np.random.default_rng(32)
             x, k = self.conv_pair(rng, (2, 2, 7, 6), (3, 2, 2, 3))
@@ -802,8 +802,8 @@ class TestColumnBuffer:
 
 
 class TestConsumedTape:
-    """backward pops each node, and each fork's lanes, as it runs them, and drops
-    each rebuild entry at its producer: afterwards the tape holds nothing."""
+    """backward empties the rebuild map before its walk, and pops each node, and
+    each fork's lanes, as it runs them: afterwards the tape holds nothing."""
 
     def test_backward_frees_closures_and_rebuilds(self, two_cores, lane_submissions):
         rng = np.random.default_rng(40)
@@ -814,8 +814,13 @@ class TestConsumedTape:
 
         def probe(h):  # an op whose closure captures held: out = h * held
             out = _wrap(h.re * held, h.im * held)
-            tape.active_tape().record("probe", out, (h,),
-                                      lambda gre, gim, m=held: ((gre * m, gim * m),))
+            t = tape.active_tape()
+
+            def bwd(gre, gim, m=held):  # runs first in its lane: the map is already empty
+                assert t.rebuilds == {}
+                return ((gre * m, gim * m),)
+
+            t.record("probe", out, (h,), bwd)
             return out
 
         def lane():  # the unused gated batch norm's entry must go too
@@ -837,9 +842,8 @@ class TestConsumedTape:
         assert np.any(g[k].re != 0) and np.any(g[gamma].re != 0)
 
     def test_lanes_register_and_drop_rebuilds_at_once(self, two_cores, lane_submissions):
-        """Both lanes write the one rebuild map while they record and pop it while
-        backward walks them: with thread switches forced often, no entry is lost
-        and none is left."""
+        """Both lanes write the one rebuild map while they record, with thread
+        switches forced often: no entry is lost, and backward leaves none."""
         rng = np.random.default_rng(42)
         n = 300
 
@@ -881,20 +885,18 @@ class TestConsumedTape:
 
 
 class TestRebuild:
-    """A multi-span cconv2d fed by a gated cbatchnorm_train keeps the batch norm's
-    rebuild function, not its input planes, and rebuilds one span at a time."""
+    """A cconv2d fed by a gated cbatchnorm_train keeps the batch norm's rebuild
+    function, not its input planes nor its columns, and rebuilds one span at a
+    time, whether the batch is one span or several."""
 
     def test_conv_rebuilds_its_input_span_by_span(self, monkeypatch):
         rng = np.random.default_rng(41)
         b, c, hh, w = 4, 4, 8, 64
         x = rand_ct(rng, (b, c, hh, w))
         gamma, beta, k = rand_ct(rng, (c,)), rand_ct(rng, (c,)), rand_ct(rng, (3, c, 1, 3))
-        # one sample per span: four spans
-        monkeypatch.setattr(tape, "CHUNK_BYTES", ops.conv_sample_bytes(c, 3, 1, 3, hh, w - 2))
         plane_bytes = 2 * x.re.nbytes
-        spans = []
 
-        def step(copy):
+        def step(copy, spans):
             tracemalloc.start()
             try:
                 start, _ = tracemalloc.get_traced_memory()
@@ -914,13 +916,17 @@ class TestRebuild:
                 tracemalloc.stop()
             return t.backward(out, abs2_seed(out)), held - start
 
-        g_copy, held_copy = step(True)
-        g_rebuilt, held_rebuilt = step(False)
-        assert spans == [slice(i, i + 1) for i in range(b)]
-        assert plane_bytes <= held_copy - held_rebuilt < plane_bytes + (64 << 10), \
-            f"{held_copy} vs {held_rebuilt} bytes retained, planes {plane_bytes}"
-        for p in (gamma, beta, k):
-            assert same_bits(g_rebuilt[p], g_copy[p])
+        for per_span in (1, b):  # four spans of one sample, then one span of four
+            monkeypatch.setattr(tape, "CHUNK_BYTES",
+                                per_span * ops.conv_sample_bytes(c, 3, 1, 3, hh, w - 2))
+            spans = []
+            g_copy, held_copy = step(True, spans)
+            g_rebuilt, held_rebuilt = step(False, spans)
+            assert spans == [slice(i, i + per_span) for i in range(0, b, per_span)]
+            assert plane_bytes <= held_copy - held_rebuilt < plane_bytes + (64 << 10), \
+                f"{held_copy} vs {held_rebuilt} bytes retained, planes {plane_bytes}"
+            for p in (gamma, beta, k):
+                assert same_bits(g_rebuilt[p], g_copy[p])
 
 
 class TestBackwardContract:

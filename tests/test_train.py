@@ -151,14 +151,18 @@ class TestTrainConfig:
 
     @staticmethod
     def _bad_doc(field, value, doc):
-        """doc with field set to value; a callable value maps the old one.
+        """doc with field set to value; a callable value maps the old one, and
+        field None replaces the whole document.
 
-        Conv fields go to the first conv, convs and pool_window to the branch.
+        Conv fields go to the first conv; convs, input_hw and pool_window to
+        the branch.
         """
+        if field is None:
+            return value
         parent = doc
         if field in ("kernel", "out_channels"):
             parent = doc["branch"]["convs"][0]
-        elif field in ("convs", "pool_window"):
+        elif field in ("convs", "input_hw", "pool_window"):
             parent = doc["branch"]
         parent[field] = value(parent[field]) if callable(value) else value
         return doc
@@ -178,6 +182,11 @@ class TestTrainConfig:
         ("beta1", 0.9),
         pytest.param("kernel", [1.0, 3.0], id="kernel-floats"),
         pytest.param("learning_rate", 10**400, id="lr-beyond-float-range"),
+        pytest.param(None, [1, 2], id="not-an-object"),
+        ("manifest", 5), ("seed", -1), ("embed_dim", 0), ("heads", 0), ("pool_window", 0),
+        pytest.param("input_hw", [0, 8], id="input_hw-zero"),
+        # the small config's feature length is 3
+        pytest.param("pool_window", 4, id="pool-beyond-features"),
     ])
     def test_bad_value_names_path(self, tmp_path, field, value):
         path = tmp_path / "config.json"
@@ -185,8 +194,9 @@ class TestTrainConfig:
         with pytest.raises(ConfigError) as info:
             load_train_config(path)
         assert str(path) in str(info.value)
-        # two-convs is reported as a layer count; every other case names its field
-        assert field in str(info.value) or field == "convs"
+        # two-convs is reported as a layer count, a non-object document as such;
+        # every other case names its field
+        assert (field or "JSON object") in str(info.value) or field == "convs"
 
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "config.json"
@@ -393,11 +403,33 @@ class TestPipeline:
          "'shape' must be three positive integers"),
         (load_pairs, {"version": True, "classes": ["a"], "samples": []},
          "unsupported version True"),
+        (load_pairs, [1, 2], "must be a JSON object"),
+        (load_pairs, {"version": 1, "classes": ["a"], "samples": []}, "lists no samples"),
+        (parse_scene_file, {"version": 1, "classes": ["a"], "scenes": [{"class": 0}],
+                            "config": {k: v for k, v in _SCENE_CONFIG.items() if k != "n_tx"}},
+         "config missing field 'n_tx'"),
+        (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a"],
+                            "scenes": [{"class": 0, "reflectors": [[0.3, 0.1, 0.0]]}]},
+         r"scenes\[0\]: reflectors\[0\] must be \[r, az, el, re, im\]"),
+        (parse_scene_file, {"version": 1, "config": _SCENE_CONFIG, "classes": ["a"],
+                            "scenes": [{"class": 0, "noise_level": -0.5}]},
+         r"scenes\[0\]: noise_level must be >= 0"),
+        (parse_scene_file, {"version": 1, "config": {**_SCENE_CONFIG, "bandwidth": 0.0},
+                            "classes": ["a"], "scenes": [{"class": 0}]},
+         "bandwidth must be positive"),
+        (parse_scene_file, {"version": 1, "config": {**_SCENE_CONFIG, "fast_time_samples": 1},
+                            "classes": ["a"], "scenes": [{"class": 0}]},
+         "fast_time_samples must be >= 2"),
+        (parse_scene_file, {"version": 1, "config": {**_SCENE_CONFIG, "n_rx": 0},
+                            "classes": ["a"], "scenes": [{"class": 0}]},
+         "antenna counts must be >= 1"),
     ], ids=["pairs-json", "manifest-json", "pairs-samples-int", "pairs-iq-int",
             "pairs-fft-list", "pairs-class-bool", "manifest-class-bool", "scenes-class-bool",
             "pairs-hint-typo", "pairs-tag-int", "scenes-tag-list", "scenes-tag-null",
             "scenes-classes-int", "manifest-class-empty", "manifest-shape-bool",
-            "manifest-version-bool"])
+            "manifest-version-bool", "manifest-not-object", "manifest-no-samples",
+            "scenes-config-missing", "scenes-reflector-short", "scenes-noise-negative",
+            "scenes-bandwidth-zero", "scenes-fast-time-one", "scenes-antennas-zero"])
     def test_malformed_manifest_names_path(self, tmp_path, loader, doc, match):
         path = tmp_path / "doc.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
