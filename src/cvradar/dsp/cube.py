@@ -4,6 +4,7 @@ A cube is a 3-dimensional ComplexTensor over (tx index, rx index, fast
 time); RadarConfig.shape gives its extents.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -101,20 +102,20 @@ def write_rfc1(path, t):
 
 
 def read_rfc1(path):
-    """Read an RFC1 cube file back into a ComplexTensor (float64 planes)."""
+    """Read an RFC1 cube file back into a ComplexTensor (float64 planes); the
+    payload is read only once the header's size matches the file's."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != _MAGIC:
-        raise CubeFormatError(f"{path}: missing RFC1 magic")
-    x, y, n = struct.unpack("<III", blob[4:16])
-    if x < 1 or y < 1 or n < 1:
-        raise CubeFormatError(f"{path}: zero extent in header ({x}, {y}, {n})")
-    expected = 16 + 8 * x * y * n
-    if len(blob) != expected:
-        raise CubeFormatError(
-            f"{path}: payload is {len(blob) - 16} bytes, expected {expected - 16}"
-        )
-    pairs = np.frombuffer(blob, dtype="<f4", offset=16).reshape(-1, 2)
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != _MAGIC:
+            raise CubeFormatError(f"{path}: missing RFC1 magic")
+        x, y, n = struct.unpack("<III", head[4:])
+        if x < 1 or y < 1 or n < 1:
+            raise CubeFormatError(f"{path}: zero extent in header ({x}, {y}, {n})")
+        payload = os.fstat(fh.fileno()).st_size - 16
+        if payload != 8 * x * y * n:
+            raise CubeFormatError(f"{path}: payload is {payload} bytes, expected {8 * x * y * n}")
+        blob = fh.read(payload)
+    pairs = np.frombuffer(blob, dtype="<f4").reshape(-1, 2)
     if not np.isfinite(pairs).all():
         raise CubeFormatError(f"{path}: payload holds non-finite values")
     return ComplexTensor(*pairs.T.reshape(2, x, y, n))  # float32 views, copied once to float64

@@ -1,15 +1,17 @@
 """Sample-list files: their validator, cube read loop and manifest writer, and the JSON reader and number rule.
 
 Cube manifests, pairs manifests and scene files are all checked by
-_check_samples. load_samples reads the cubes a manifest lists, and
-write_manifest writes them: one per sample under `path` in a cube manifest,
-two under `iq` and `fft` in a pairs manifest ("kind": "pairs").
+_check_samples. load_samples validates every sample a manifest lists but reads
+the cubes of only those its caller chooses, handing each sample to the caller
+as it is read, and write_manifest writes them: one per sample under `path` in
+a cube manifest, two under `iq` and `fft` in a pairs manifest ("kind": "pairs").
 """
 
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..ctensor import halves
 from .cube import read_rfc1
@@ -109,17 +111,32 @@ def _check_samples(path, doc, path_keys, list_key="samples"):
     return tuple(classes), samples
 
 
-def load_samples(manifest_path):
-    """Every sample of a cube or pairs manifest, its cubes in manifest order.
+class SampleTags(NamedTuple):
+    """A manifest sample without its cubes: what load_samples' choose sees."""
 
-    Returns (classes, samples), each sample as (cubes, class_index,
-    distance_tag, unseen) with cubes a tuple of (X, Y, N) ComplexTensors: the
-    one `path` cube, or the `iq` and `fft` cubes. Every cube must have one
-    shape, the manifest's `shape` if it gives one, else the first cube's. An
-    empty sample list raises DatasetError naming the manifest; a missing file
-    or a wrong shape raises it naming the manifest, samples[i] and the cube
-    file, for the lowest failing i. After sample 0 the rest are read as one
-    ctensor.halves job of their bytes, 16 per complex element.
+    index: int  # its position in the manifest's samples list
+    label: int
+    distance_tag: str
+    unseen: bool
+
+
+def load_samples(manifest_path, consume, choose=None):
+    """consume's result for each sample of a cube or pairs manifest that choose
+    picks, in manifest order: (classes, results).
+
+    Every sample is validated, but cubes are read only for the chosen ones:
+    choose(classes, tags) gets one SampleTags per sample and returns the ones
+    to read; without it every sample is read. A chosen sample's cubes, a tuple
+    of (X, Y, N) ComplexTensors (the one `path` cube, or the `iq` and `fft`
+    cubes), go to consume(tags, cubes) as soon as they are read, and only its
+    result is kept.
+
+    Every chosen cube must have one shape, the manifest's `shape` if it gives
+    one, else the first chosen cube's. An empty sample list or choice raises
+    DatasetError naming the manifest; a missing file or a wrong shape raises it
+    naming the manifest, samples[i] and the cube file, for the lowest failing
+    manifest index i. After the first chosen sample the rest are read and
+    consumed as one ctensor.halves job of their bytes, 16 per complex element.
     """
     doc = read_json(manifest_path, DatasetError)
     pairs = isinstance(doc, dict) and doc.get("kind") == "pairs"
@@ -133,29 +150,37 @@ def load_samples(manifest_path):
     if not checked:
         raise DatasetError(f"{manifest_path}: manifest lists no samples")
     root = os.path.dirname(os.path.abspath(manifest_path))
+    tags = [SampleTags(i, label, distance_tag, hint == "unseen")
+            for i, (_, label, distance_tag, hint) in enumerate(checked)]
+    if choose is not None:
+        tags = sorted(set(choose(classes, tags)))
+        if not tags:
+            raise DatasetError(f"{manifest_path}: no sample chosen")
 
-    def read(i, shape):
-        raw, class_index, distance_tag, split_hint = checked[i]
+    def read(t, shape):
+        raw = checked[t.index][0]
         cubes = []
         for key in path_keys:
             full = os.path.join(root, raw[key])
             if not os.path.exists(full):
-                raise DatasetError(f"{manifest_path}: samples[{i}]: file not found: {full}")
+                raise DatasetError(f"{manifest_path}: samples[{t.index}]: file not found: {full}")
             cube = read_rfc1(full)
             shape = shape or cube.shape
             if cube.shape != shape:
                 raise DatasetError(
-                    f"{manifest_path}: samples[{i}]: {raw[key]}: shape {cube.shape} "
+                    f"{manifest_path}: samples[{t.index}]: {raw[key]}: shape {cube.shape} "
                     f"does not match expected {shape}"
                 )
             cubes.append(cube)
-        return tuple(cubes), class_index, distance_tag, split_hint == "unseen"
+        return tuple(cubes)
 
-    # sample 0 fixes the shape, so each later sample fails or reads on its own
-    first = read(0, shape)
-    shape = first[0][0].shape
-    parts = halves(len(checked) - 1, lambda a, e: [read(i, shape) for i in range(a + 1, e + 1)],
-                   16 * len(path_keys) * (len(checked) - 1) * math.prod(shape))
+    # the first chosen sample fixes the shape, so each later one fails or reads on its own
+    first = read(tags[0], shape)
+    shape = first[0].shape
+    first = consume(tags[0], first)
+    rest = tags[1:]
+    parts = halves(len(rest), lambda a, e: [consume(t, read(t, shape)) for t in rest[a:e]],
+                   16 * len(path_keys) * len(rest) * math.prod(shape))
     return classes, [first, *(sample for part in parts for sample in part)]
 
 

@@ -13,6 +13,7 @@ batch-norm running variance.
 """
 
 import json
+import os
 import struct
 from dataclasses import asdict
 
@@ -141,27 +142,31 @@ def _skeleton(header, path, payload_bytes):
 
 
 def load_checkpoint(path):
-    """Returns (model, kind, meta) rebuilt from a checkpoint file."""
+    """Returns (model, kind, meta) rebuilt from a checkpoint file; no more is
+    read than its header and the tensors the header declares take."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: missing checkpoint magic")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    header = read_json(path, CheckpointError, blob[8 : 8 + header_len], "bad header")
-    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
-        raise CheckpointError(f"{path}: header and its 'meta' must be JSON objects")
-    if type(header.get("version")) is not int or header["version"] != _VERSION:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
-    model = _skeleton(header, path, len(blob) - 8 - header_len)
-    tensors = _all_tensors(model)
-    if header.get("tensors") != [name for name, _ in tensors]:
-        raise CheckpointError(
-            f"{path}: tensor manifest does not match a {header['kind']} model "
-            f"of the declared dimensions"
-        )
-    offset = 8 + header_len
+        size = os.fstat(fh.fileno()).st_size
+        start = fh.read(8)
+        if len(start) < 8 or start[:4] != _MAGIC:
+            raise CheckpointError(f"{path}: missing checkpoint magic")
+        (header_len,) = struct.unpack("<I", start[4:])
+        if size < 8 + header_len:
+            raise CheckpointError(f"{path}: truncated header")
+        header = read_json(path, CheckpointError, fh.read(header_len), "bad header")
+        if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+            raise CheckpointError(f"{path}: header and its 'meta' must be JSON objects")
+        if type(header.get("version")) is not int or header["version"] != _VERSION:
+            raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
+        payload_bytes = size - 8 - header_len
+        model = _skeleton(header, path, payload_bytes)
+        tensors = _all_tensors(model)
+        if header.get("tensors") != [name for name, _ in tensors]:
+            raise CheckpointError(
+                f"{path}: tensor manifest does not match a {header['kind']} model "
+                f"of the declared dimensions"
+            )
+        blob = fh.read(sum(len(_record_head(t)) + 8 * t.size for _, t in tensors))
+    offset = 0
     mapping = {}
     for name, t in tensors:
         head = _record_head(t)
@@ -182,6 +187,6 @@ def load_checkpoint(path):
         if name.endswith(".running_var") and (planes < 0).any():
             raise CheckpointError(f"{path}: tensor {name!r} holds negative variances")
         mapping[name] = ComplexTensor(*planes.reshape((2,) + t.shape))  # copied to float64
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
+    if offset != payload_bytes:
+        raise CheckpointError(f"{path}: {payload_bytes - offset} trailing bytes")
     return model.with_tensors(mapping), header["kind"], header.get("meta", {})

@@ -91,7 +91,28 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model, kind, meta = load_checkpoint(args.weights)
-    classes, pairs, input_hw = load_pairs(args.manifest)
+
+    def eval_split(classes, samples):
+        # every refusal that needs no cube comes before any is read
+        if len(classes) != model.n_classes:
+            raise DatasetError(
+                f"checkpoint {args.weights} expects {model.n_classes} classes "
+                f"but manifest {args.manifest} declares {len(classes)} classes"
+            )
+        if args.split == "unseen":
+            chosen = [s for s in samples if s.unseen]
+        else:
+            if missing := [key for key in ("seed", "split_ratio") if key not in meta]:
+                raise CheckpointError(
+                    f"{args.weights}: checkpoint meta lacks {' and '.join(map(repr, missing))}; "
+                    "only --split unseen is possible with it"
+                )
+            chosen = split_pairs(classes, samples, meta["seed"], meta["split_ratio"]).test
+        if not chosen:
+            raise DatasetError(f"{args.manifest}: split {args.split!r} is empty in this manifest")
+        return chosen
+
+    classes, chosen, input_hw = load_pairs(args.manifest, eval_split)
     want = (model.n_classes, tuple(model.config.input_hw))
     got = (len(classes), tuple(input_hw))
     if got != want:
@@ -99,17 +120,6 @@ def _cmd_eval(args):
             f"checkpoint {args.weights} expects {want[0]} classes of {want[1]} "
             f"samples but manifest {args.manifest} declares {got[0]} classes of {got[1]}"
         )
-    if args.split == "unseen":
-        chosen = tuple(p for p in pairs if p.unseen)
-    else:
-        if missing := [key for key in ("seed", "split_ratio") if key not in meta]:
-            raise CheckpointError(
-                f"{args.weights}: checkpoint meta lacks {' and '.join(map(repr, missing))}; "
-                "only --split unseen is possible with it"
-            )
-        chosen = split_pairs(classes, pairs, meta["seed"], meta["split_ratio"]).test
-    if not chosen:
-        raise DatasetError(f"{args.manifest}: split {args.split!r} is empty in this manifest")
     report = evaluate_pairs(model, kind, chosen, tag=args.split)
     print(report_json(report))
     print()

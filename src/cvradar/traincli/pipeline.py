@@ -6,7 +6,9 @@ and the spectrum is computed here on load. A pairs manifest, produced by
 preprocess_dataset, lists two RFC1 files per sample so the transform cost
 is paid once; note RFC1 payloads are 32-bit floats, so cached spectra are
 quantized exactly like every other stored cube. Each cube reaches its
-SamplePair as a flattened view, never a copy.
+SamplePair as a flattened view, never a copy. A caller reads only the samples
+it uses: train its training split, eval the split it scores, and
+preprocess_dataset reads, transforms and writes one sample at a time.
 """
 
 import os
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ctensor import ComplexTensor, halves, ops
+from ..ctensor import ComplexTensor, ops
 from ..dsp import (
     DatasetError,
     ManifestEntry,
@@ -55,12 +57,20 @@ def _iq_and_spectrum(cubes):
     return cubes[0], ComplexTensor(spec.real, spec.imag)
 
 
-def load_pairs(manifest_path):
-    """(classes, pairs, input_hw) from either manifest kind."""
-    classes, samples = load_samples(manifest_path)
+def load_pairs(manifest_path, choose=None):
+    """(classes, pairs, input_hw) from either manifest kind.
+
+    Only the samples choose picks are read (see dsp.load_samples); without
+    choose, every sample is. The pairs keep manifest order. choose gets
+    cube-free samples carrying .label, .unseen and .distance_tag, so it can
+    pass them to split_pairs. The pairs are made once every cube is read, on
+    this thread: per-sample Python work on both threads at once contends for
+    the interpreter lock.
+    """
+    classes, samples = load_samples(manifest_path, lambda t, cubes: (t, cubes), choose)
     pairs = tuple(
-        SamplePair(*map(flatten_channels, _iq_and_spectrum(cubes)), label, distance_tag, unseen)
-        for cubes, label, distance_tag, unseen in samples
+        SamplePair(*map(flatten_channels, _iq_and_spectrum(cubes)), t.label, t.distance_tag, t.unseen)
+        for t, cubes in samples
     )
     return classes, pairs, pairs[0].iq.shape
 
@@ -109,28 +119,26 @@ def split_pairs(classes, samples, seed, ratio=SPLIT_RATIO):
 def preprocess_dataset(manifest_path, out_dir):
     """Cache both representations of every sample; returns the new manifest path.
 
-    The samples are transformed and written as one ctensor.halves job of the
-    bytes written: two cubes per sample, 16 bytes per complex element. The
-    manifest is written in sample order once the job has ended, and not at all
-    if a sample failed. An out_dir whose manifest.json is the input manifest is
-    refused before anything is written.
+    Each sample is read, transformed and written in one step, so no more than
+    one raw sample per thread is held; the steps run as dsp.load_samples' one
+    ctensor.halves job. The manifest is written in sample order once every
+    sample has been cached, and not at all if one failed, though the files of
+    samples cached before the failure stay. An out_dir whose manifest.json is
+    the input manifest is refused before anything is written.
     """
     out_manifest = os.path.join(out_dir, "manifest.json")
     if os.path.exists(out_manifest) and os.path.samefile(manifest_path, out_manifest):
         raise DatasetError(
             f"{manifest_path}: preprocess would overwrite this input manifest with {out_manifest}"
         )
-    classes, samples = load_samples(manifest_path)
-    os.makedirs(out_dir, exist_ok=True)
-    names = [(f"sample_{i:05d}.iq.rfc1", f"sample_{i:05d}.fft.rfc1") for i in range(len(samples))]
 
-    def cache(a, e):
-        for i in range(a, e):
-            for name, cube in zip(names[i], _iq_and_spectrum(samples[i][0])):
-                write_rfc1(os.path.join(out_dir, name), cube)
+    def cache(t, cubes):
+        os.makedirs(out_dir, exist_ok=True)  # here, so an invalid manifest makes no directory
+        names = (f"sample_{t.index:05d}.iq.rfc1", f"sample_{t.index:05d}.fft.rfc1")
+        for name, cube in zip(names, _iq_and_spectrum(cubes)):
+            write_rfc1(os.path.join(out_dir, name), cube)
+        return ManifestEntry(names, t.label, t.distance_tag, "unseen" if t.unseen else "auto")
 
-    halves(len(samples), cache, 32 * len(samples) * samples[0][0][0].size)
-    entries = [ManifestEntry(pair, label, distance_tag, "unseen" if unseen else "auto")
-               for pair, (_, label, distance_tag, unseen) in zip(names, samples)]
+    classes, entries = load_samples(manifest_path, cache)
     write_manifest(out_manifest, classes, entries)
     return out_manifest

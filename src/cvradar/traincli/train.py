@@ -79,22 +79,26 @@ def init_model(config, n_classes, kind):
 def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
     """Returns (trained model, per-epoch MetricsReport tuple).
 
-    With out_dir set, writes epoch_NNN.ckpt after each epoch plus final.ckpt;
+    Only the training split's cubes are read, and its size is checked before
+    any is. With out_dir set, writes epoch_NNN.ckpt after each epoch plus final.ckpt;
     a non-finite loss aborts with the last completed epoch's file retained.
     With track_accuracy, each report carries train-split accuracy (eval-mode
     normalization); otherwise reports carry the loss curve only.
     """
-    classes, all_pairs, input_hw = load_pairs(config.manifest)
+    def train_split(classes, samples):
+        train_set = split_pairs(classes, samples, config.seed).train
+        if len(train_set) < 2:
+            # train-mode batch norm needs at least 2 samples in every batch
+            raise TrainingError(
+                f"{config.manifest}: training split has {len(train_set)} sample(s), need at least 2"
+            )
+        return train_set
+
+    classes, train_pairs, input_hw = load_pairs(config.manifest, train_split)
     if tuple(input_hw) != tuple(config.branch.input_hw):
         raise TrainingError(
             f"manifest samples are {tuple(input_hw)} but the branch config "
             f"expects {tuple(config.branch.input_hw)}"
-        )
-    split = split_pairs(classes, all_pairs, config.seed)
-    if len(split.train) < 2:
-        # train-mode batch norm needs at least 2 samples in every batch
-        raise TrainingError(
-            f"{config.manifest}: training split has {len(split.train)} sample(s), need at least 2"
         )
     n_classes = len(classes)
     model = init_model(config, n_classes, kind)
@@ -110,12 +114,12 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
         loss_sum = 0.0
         seen = 0
-        for step, idx in enumerate(epoch_batches(len(split.train), config.batch_size, rng)):
+        for step, idx in enumerate(epoch_batches(len(train_pairs), config.batch_size, rng)):
             params = model.parameters()
             with GradTape() as tape, _quiet():
                 for _, t in params:
                     tape.watch(t)
-                loss = _batch_loss(model, kind, split.train, idx, n_classes)
+                loss = _batch_loss(model, kind, train_pairs, idx, n_classes)
                 value = float(loss.re)
                 if not math.isfinite(value):
                     raise DivergenceError(
@@ -133,7 +137,7 @@ def train(config, kind, out_dir=None, track_accuracy=True, progress=None):
         loss_curve.append(loss_sum / seen)
         if track_accuracy:
             report = evaluate_pairs(
-                model, kind, split.train, tag="train", loss_curve=loss_curve
+                model, kind, train_pairs, tag="train", loss_curve=loss_curve
             )
         else:
             report = MetricsReport(((0,) * n_classes,) * n_classes, tuple(loss_curve),

@@ -1,6 +1,8 @@
 """Transform oracle, cube I/O, dataset loading and split, and scene generator tests."""
 
 import json
+import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,9 +164,23 @@ class TestRfc1:
         with pytest.raises(CubeFormatError):
             read_rfc1(p)
 
-    def test_zero_extent_header(self, tmp_path):
-        import struct
+    def test_payload_longer_than_header_is_not_read(self, tmp_path):
+        """A sparse 256 MiB file behind a 2x2x2 header is refused by its size."""
+        p = tmp_path / "long.rfc1"
+        with open(p, "wb") as fh:
+            fh.write(b"RFC1" + struct.pack("<III", 2, 2, 2))
+            fh.truncate(256 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CubeFormatError,
+                               match=f"{p}: payload is {(256 << 20) - 16} bytes, expected 64"):
+                read_rfc1(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
+    def test_zero_extent_header(self, tmp_path):
         p = tmp_path / "zero.rfc1"
         p.write_bytes(b"RFC1" + struct.pack("<III", 2, 0, 2))
         with pytest.raises(CubeFormatError):
@@ -202,6 +218,15 @@ class TestDataset:
         for i, p in enumerate(pairs):
             cube = read_rfc1(tmp_path / f"s{i}.rfc1")
             assert np.array_equal(p.iq.re, flatten_channels(cube).re)
+
+    def test_choice_is_read_once_in_manifest_order(self, tmp_path):
+        entries = [ManifestEntry(_write_sample(tmp_path, f"s{i}.rfc1", (2, 2, 4), seed=i),
+                                 i % 2, f"d{i}", "auto") for i in range(4)]
+        manifest = _make_manifest(tmp_path, entries)
+        _, pairs, _ = load_pairs(manifest, lambda classes, tags: [tags[3], tags[1], tags[3]])
+        assert [p.distance_tag for p in pairs] == ["d1", "d3"]
+        with pytest.raises(DatasetError, match="no sample chosen"):
+            load_pairs(manifest, lambda classes, tags: [])
 
     def test_missing_file_named(self, tmp_path):
         entries = [ManifestEntry("ghost.rfc1", 0, "d1", "auto")]

@@ -559,6 +559,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated|trailing"):
             load_checkpoint(path)
 
+    def test_trailing_gigabytes_are_not_read(self, tmp_path):
+        """The header fixes the payload size, so a sparse file with 1 GiB past
+        it is refused from its size alone, not after reading it."""
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(path, self._model("baseline"), "baseline")
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(size + (1 << 30))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=f"{path}: {1 << 30} trailing bytes"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_header_with_null_out_dim_loads(self, tmp_path):
         # earlier releases wrote "out_dim": null into every fusenet header
         model = self._model("fusenet")
@@ -1112,13 +1129,13 @@ class TestDspHalves:
     def test_worker_and_in_order_give_the_same_bytes(self, tmp_path, monkeypatch, two_cores,
                                                      lane_submissions):
         files, pairs, counts = self._run(tmp_path, tmp_path / "worker", lane_submissions)
-        # synth and load_pairs each send one half; preprocess one of its reads and
-        # one of its transforms and writes
-        assert counts == [1, 3, 4]
+        # synth, preprocess and load_pairs each send one half; preprocess's half
+        # reads, transforms and writes its samples
+        assert counts == [1, 2, 3]
         monkeypatch.setattr(tape, "_second_core", lambda: False)
         in_order, in_order_pairs, counts = self._run(tmp_path, tmp_path / "in_order",
                                                      lane_submissions)
-        assert counts == [4, 4, 4]
+        assert counts == [3, 3, 3]
         assert len(files) == 5 + 1 + 2 * 5 + 1
         assert files == in_order
         assert [p.distance_tag for p in pairs] == [str(i) for i in range(5)]
